@@ -1,98 +1,18 @@
 """Score matching estimation for polynomially tilted pairwise
 interaction models on the simplex: exact samplers, an outlier-resistant
 weighted estimator, tuning and uncertainty diagnostics, and a Monte
-Carlo study harness."""
+Carlo study harness.
 
-from .errors import (
-    AbundanceWarning,
-    BootstrapDegradedError,
-    DegeneracyWarning,
-    DegenerateRowError,
-    DimensionError,
-    InsufficientDataError,
-    LowAcceptanceError,
-    MissingParameterError,
-    NonConvergenceError,
-    ParseError,
-    RPPIError,
-    SingularGError,
-    SingularSystemError,
-    WeightError,
-    ZeroComponentError,
-)
-from .model import (
-    Composition,
-    CountDataset,
-    ParamVector,
-    RPPIParams,
-    alr,
-    alr_inverse,
-    as_matrix,
-    dim_from_q,
-    pack,
-    pair_indices,
-    param_labels,
-    proportions,
-    q_dim,
-    unpack,
-)
-from .suffstats import (
-    ScoreBlocks,
-    r_matrix,
-    r_matrix_batch,
-    s_matrix,
-    s_matrix_batch,
-    score_blocks,
-    score_blocks_batch,
-    suff_t,
-    suff_t_a,
-    suff_t_a_batch,
-    suff_t_batch,
-)
-from .estimator import (
-    FitResult,
-    assemble,
-    fit_alr_sme,
-    fit_from_counts,
-    solve_system,
-)
-from .robust import (
-    RobustConfig,
-    RobustFitResult,
-    fit_robust,
-    h_matrix,
-    kk_mask,
-    windham_weights,
-)
-from .sampling import (
-    SamplerReport,
-    contaminate,
-    quad_max_simplex,
-    round_proportions,
-    sample_counts,
-    sample_rppi,
-    sample_rppi_mcmc,
-    spawn_seeds,
-)
-from .inference import (
-    BootstrapReport,
-    InfluenceResult,
-    TuneEntry,
-    TuneReport,
-    bootstrap_se,
-    influence,
-    ks_truncated,
-    parse_grid,
-    simplex_grid,
-    tune_c,
-)
-from .study import (
-    RmseTable,
-    StudyScenario,
-    dataset2_truth,
-    estimator_panel,
-    preset_scenario,
-    run_study,
-)
+The names below are the library's public interface; everything else
+stays importable from its own module (``rppi.suffstats``,
+``rppi.errors`` and so on)."""
+
+from .errors import RPPIError
+from .model import CountDataset, ParamVector, RPPIParams, pack, proportions, unpack
+from .estimator import FitResult, fit_alr_sme
+from .robust import RobustConfig, RobustFitResult, fit_robust
+from .sampling import sample_counts, sample_rppi, sample_rppi_mcmc
+from .inference import bootstrap_se, influence, tune_c
+from .study import StudyScenario, preset_scenario, run_study
 
 __version__ = "0.1.0"

@@ -5,10 +5,10 @@ command writes machine-readable outputs under an ``--out`` prefix
 (PREFIX.json and PREFIX.csv); runs are byte-for-byte reproducible given
 the same inputs and seed, independent of worker count.
 
-Exit codes: 0 success, 2 unusable input (parse or validation), 3
-singular linear system, 4 non-convergence, 5 degraded bootstrap
-(partial report still written), 6 missing scenario parameter, 1 other
-package errors.
+Exit codes (the table ``EXIT_CODES``): 0 success, 2 unusable input
+(parse or validation errors, missing or unreadable files), 3 singular
+linear system, 4 non-convergence, 5 degraded bootstrap (partial report
+still written), 6 missing scenario parameter, 1 other package errors.
 
 Environment: RPPI_SEED supplies a default when --seed is omitted
 (falling back to 0), RPPI_THREADS the default worker count.
@@ -58,11 +58,11 @@ def _resolve_threads(value) -> int:
     return os.cpu_count() or 1
 
 
-def _load_compositions(path):
+def _load_compositions(path) -> np.ndarray:
     table = dataio.read_table(path)
     if table.is_counts:
-        return proportions(table.counts), table
-    return as_matrix(table.matrix), table
+        return proportions(table.counts)
+    return as_matrix(table.matrix)
 
 
 def _warn_abundance(u: np.ndarray) -> None:
@@ -73,7 +73,7 @@ def _warn_abundance(u: np.ndarray) -> None:
 
 
 def cmd_fit(args) -> int:
-    u, _ = _load_compositions(args.data)
+    u = _load_compositions(args.data)
     _warn_abundance(u)
     kstar = args.kstar if args.kstar is not None else u.shape[1] - 1
     config = RobustConfig(c=args.c, kstar=kstar, tol=args.tol,
@@ -168,20 +168,18 @@ def cmd_bootstrap(args) -> int:
     threads = _resolve_threads(args.threads)
     invocation = {"command": "bootstrap", "fit": args.fit, "data": args.data,
                   "b": args.b, "seed": seed}
+    degraded = None
     try:
         report = bootstrap_se(fit, table.counts, b=args.b, seed=seed,
                               threads=threads)
     except BootstrapDegradedError as exc:
-        report = exc.report
-        dataio.write_json(args.out + ".json",
-                          dataio.bootstrap_to_dict(report, invocation))
-        dataio.write_csv_rows(args.out + ".csv",
-                              dataio.bootstrap_csv_rows(report))
-        print(f"error: {exc}; partial report written", file=sys.stderr)
-        return 5
+        report, degraded = exc.report, exc
     dataio.write_json(args.out + ".json",
                       dataio.bootstrap_to_dict(report, invocation))
     dataio.write_csv_rows(args.out + ".csv", dataio.bootstrap_csv_rows(report))
+    if degraded is not None:
+        raise BootstrapDegradedError(f"{degraded}; partial report written",
+                                     report=report) from degraded
     print(f"bootstrap: {report.b_used} of {report.b_requested} replicates used")
     return 0
 
@@ -231,7 +229,7 @@ def cmd_influence(args) -> int:
     else:
         z = simplex_grid(p, args.grid_resolution)
     if args.ref_data is not None:
-        reference, _ = _load_compositions(args.ref_data)
+        reference = _load_compositions(args.ref_data)
     else:
         if fit.params is None:
             raise ParseError("fit has no valid model parameters; pass --ref-data")
@@ -347,28 +345,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exception types and their exit codes; the first row that matches wins,
+# so the RPPIError catch-all comes last.  Any other exception is a bug and
+# propagates with its traceback.
+EXIT_CODES = (
+    ((ParseError, DegenerateRowError, DimensionError, ValueError, OSError), 2),
+    ((SingularSystemError, SingularGError), 3),
+    (NonConvergenceError, 4),
+    (BootstrapDegradedError, 5),
+    (MissingParameterError, 6),
+    (RPPIError, 1),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ValueError, OSError, RPPIError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateRowError, DimensionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SingularSystemError, SingularGError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except MissingParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except RPPIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -5,10 +5,11 @@ deterministic byte-for-byte (sorted JSON keys, two-space indent,
 shortest round-trip float formatting) so that identical configurations
 reproduce identical files.
 
-Table convention: comma-separated, optional single header row, one
-composition or count vector per line.  A file whose every value is a
-nonnegative integer is taken to be counts; anything else is read as
-proportions.
+Table convention: comma-, tab- or semicolon-separated (whichever occurs
+most often in the first non-blank line, comma on a tie), optional
+single header row, one composition or count vector per line.  A file
+whose every value is a nonnegative integer is taken to be counts;
+anything else is read as proportions.
 """
 
 from __future__ import annotations
@@ -51,13 +52,24 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+_DELIMITERS = (",", "\t", ";")
+
+
+def _sniff_delimiter(fh) -> str:
+    """The delimiter of the first non-blank line; rewinds ``fh``."""
+    first = next((line for line in fh if line.strip()), "")
+    fh.seek(0)
+    return max(_DELIMITERS, key=first.count)
+
+
 def read_table(path) -> TableData:
     """Read a delimited table of compositions or counts."""
     rows: list[list[float]] = []
     names = None
     width = None
     with open(path, newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh, delimiter=_sniff_delimiter(fh))
+        for lineno, record in enumerate(reader, start=1):
             if not record or all(not cell.strip() for cell in record):
                 continue
             cells = [cell.strip() for cell in record]

@@ -24,7 +24,6 @@ from itertools import combinations
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
 
 from ._parallel import parallel_map
 from .errors import (
@@ -45,7 +44,9 @@ from .model import (
 )
 from .robust import RobustConfig, RobustFitResult, fit_robust, kk_mask
 from .sampling import round_proportions, sample_counts, sample_rppi, spawn_seeds
-from .suffstats import r_matrix_batch, s_matrix_batch, suff_t_a_batch
+from .suffstats import score_blocks_batch, suff_t_a_batch
+# unused here, but bench/tracing.py installs kernel spans at these names
+from .suffstats import r_matrix_batch, s_matrix_batch  # noqa: F401
 
 G_COND_MAX = 1e12
 _CHUNK = 4096
@@ -68,6 +69,8 @@ def ks_truncated(observed, simulated, quantile: float = 0.95) -> tuple[float, fl
     bt = b[b <= cut]
     if at.size < 2 or bt.size < 2:
         raise InsufficientDataError("truncation left fewer than two points")
+    import scipy.stats  # slow to import, and only tune needs it
+
     res = scipy.stats.ks_2samp(at, bt, method="asymp")
     return float(res.statistic), float(res.pvalue)
 
@@ -267,19 +270,6 @@ class InfluenceResult:
         return float(np.max(np.abs(self.value)))
 
 
-def _score_pieces(U: np.ndarray, h: np.ndarray, pi0: np.ndarray, kstar: int,
-                  beta_p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row (residual e, masked statistic t_a, W1) for influence work."""
-    d = U.shape[1] - 1
-    R = r_matrix_batch(U)
-    S = s_matrix_batch(U)
-    w1 = np.einsum("nqj,nrj->nqr", R, R)
-    d1 = (1.0 + beta_p) * np.einsum("nqj,nj->nq", R, U[:, :d]) - S.sum(axis=2)
-    e = w1 @ (h * pi0) - d1
-    ta = suff_t_a_batch(U, kstar)
-    return e, ta, w1
-
-
 def influence(z, pi0, reference, c: float, kstar: int,
               beta_p: float = 0.0) -> InfluenceResult:
     """Influence function of the weighted estimator at point(s) z.
@@ -307,7 +297,9 @@ def influence(z, pi0, reference, c: float, kstar: int,
     g = np.zeros((q, q))
     for start in range(0, n, _CHUNK):
         block = ref[start:start + _CHUNK]
-        e, ta, w1 = _score_pieces(block, h, pi_vec, kstar, beta_p)
+        w1, d1 = score_blocks_batch(block, beta_p)
+        e = w1 @ (h * pi_vec) - d1
+        ta = suff_t_a_batch(block, kstar)
         w = np.exp(c * (ta @ pi_vec))
         g += c * np.einsum("n,nq,nr->qr", w, e, ta)
         g += np.einsum("n,nqr->qr", w, w1 * h[None, None, :])
@@ -340,7 +332,9 @@ def influence(z, pi0, reference, c: float, kstar: int,
     values = np.empty((Z.shape[0], q))
     for start in range(0, Z.shape[0], _CHUNK):
         block = Z[start:start + _CHUNK]
-        e, ta, _ = _score_pieces(block, h, pi_vec, kstar, beta_p)
+        w1, d1 = score_blocks_batch(block, beta_p)
+        e = w1 @ (h * pi_vec) - d1
+        ta = suff_t_a_batch(block, kstar)
         wz = np.exp(c * (ta @ pi_vec))
         rhs = (wz[:, None] * e) * dr[None, :]
         sol = scipy.linalg.lu_solve((lu, piv), rhs.T)

@@ -31,7 +31,7 @@ holds; its residual is reported for verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,11 +90,6 @@ def kk_mask(p: int, kstar: int) -> np.ndarray:
     for slot, (i, j) in enumerate(pair_indices(p)):
         mask[d + slot] = j < kstar
     return mask
-
-
-def h_matrix(p: int, kstar: int, c: float) -> np.ndarray:
-    """The diagonal tilt matrix H: 1 + c on A_KK entries, 1 elsewhere."""
-    return np.diag(np.where(kk_mask(p, kstar), 1.0 + c, 1.0))
 
 
 def _akk_from_pi(pi: np.ndarray, p: int, kstar: int) -> np.ndarray:
@@ -293,8 +288,3 @@ def fit_robust(data, config: RobustConfig, base_weights=None,
         except (SingularSystemError, NonConvergenceError) as exc:
             last_error = exc
     raise last_error
-
-
-def with_c(config: RobustConfig, c: float) -> RobustConfig:
-    """The same settings at a different tuning constant."""
-    return replace(config, c=c)

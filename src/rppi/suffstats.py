@@ -12,28 +12,35 @@ so that pi' t(u) = u_L' A_L u_L + sum_j (1 + beta_j) log u_j.
 Score matching under the additive log-ratio chart y = alr(u) needs the
 first and second partial derivatives of t with respect to each y_j.
 Using du_i/dy_j = u_i (delta_ij - u_j), both collapse to short closed
-forms in u.  ``r_matrix`` stacks the gradients (one column per y_j) and
-``s_matrix`` the pure second derivatives; all entries are polynomials
-in u, so both stay finite on the closed simplex (zeros included).
+forms in u.  R stacks the gradients (one column per y_j) and S the
+pure second derivatives; all entries are polynomials in u, so both stay
+finite on the closed simplex (zeros included).
 
 Per observation the estimating equations use
 
     W1(u) = sum_j R[:, j] R[:, j]'      (q x q, positive semidefinite)
-    d1(u) = (1 + beta_p) R u_L - sum_j S[:, j],
+    d1(u) = (1 + beta_p) R u_L - sum_j S[:, j].
 
-which :func:`score_blocks` returns; averaging them over data is the
-estimator's job.
+Each piece is written once:
+
+* R and S are defined in :func:`r_matrix_batch` and
+  :func:`s_matrix_batch`;
+* the per-row blocks W1 and d1 are built in :func:`score_blocks_batch`
+  (used where every row's block is needed, as in the influence
+  function);
+* :func:`rppi.estimator.assemble` is the weighted reduction of the same
+  algebra over rows, contracting R against the weights directly so that
+  the n (q x q) per-row W1 never exist in memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ZeroComponentError
-from .model import as_matrix, pair_indices, q_dim
+from .model import as_matrix, pair_indices
 
 
 @lru_cache(maxsize=None)
@@ -55,11 +62,6 @@ def suff_t_batch(U) -> np.ndarray:
     return np.concatenate([V * V, 2.0 * V[:, I] * V[:, J], np.log(V)], axis=1)
 
 
-def suff_t(u) -> np.ndarray:
-    """Sufficient statistic of a single composition, shape (q,)."""
-    return suff_t_batch(u)[0]
-
-
 def suff_t_a_batch(U, kstar: int) -> np.ndarray:
     """Polynomial part of t restricted to the leading K block, shape (n, q).
 
@@ -78,10 +80,6 @@ def suff_t_a_batch(U, kstar: int) -> np.ndarray:
     quad_diag = np.where(np.arange(d) < kstar, V * V, 0.0)
     quad_off = np.where(J < kstar, 2.0 * V[:, I] * V[:, J], 0.0)
     return np.concatenate([quad_diag, quad_off, np.zeros((n, d))], axis=1)
-
-
-def suff_t_a(u, kstar: int) -> np.ndarray:
-    return suff_t_a_batch(u, kstar)[0]
 
 
 def r_matrix_batch(U) -> np.ndarray:
@@ -138,35 +136,15 @@ def s_matrix_batch(U) -> np.ndarray:
     return np.concatenate([s_a, s_b, s_c], axis=1)
 
 
-def r_matrix(u) -> np.ndarray:
-    """R for a single composition, shape (q, p-1)."""
-    return r_matrix_batch(u)[0]
-
-
-def s_matrix(u) -> np.ndarray:
-    """S for a single composition, shape (q, p-1)."""
-    return s_matrix_batch(u)[0]
-
-
-@dataclass(frozen=True)
-class ScoreBlocks:
-    """Per-observation pieces of the score matching normal equations."""
-
-    w1: np.ndarray
-    d1: np.ndarray
-
-    @property
-    def q(self) -> int:
-        return self.d1.size
-
-
-def score_blocks_batch(U, beta_p: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def score_blocks_batch(U: np.ndarray, beta_p: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """W1 and d1 for every row of U: shapes (n, q, q) and (n, q).
 
-    Kept unchunked; the estimator streams over chunks itself when n is
+    ``U`` must already be a validated (n, p) composition matrix, as
+    :func:`rppi.model.as_matrix` returns; it is not renormalized here,
+    because renormalizing a normalized row can change its last bits.
+    Kept unchunked; callers stream over chunks themselves when n is
     large.
     """
-    U = as_matrix(U)
     d = U.shape[1] - 1
     R = r_matrix_batch(U)
     S = s_matrix_batch(U)
@@ -174,14 +152,3 @@ def score_blocks_batch(U, beta_p: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     w1 = np.einsum("nqj,nrj->nqr", R, R)
     d1 = (1.0 + beta_p) * np.einsum("nqj,nj->nq", R, V) - S.sum(axis=2)
     return w1, d1
-
-
-def score_blocks(u, beta_p: float = 0.0) -> ScoreBlocks:
-    """Score matching blocks for a single composition."""
-    w1, d1 = score_blocks_batch(u, beta_p=beta_p)
-    return ScoreBlocks(w1=w1[0], d1=d1[0])
-
-
-def packed_dim(p: int) -> int:
-    """Convenience re-export of the packed parameter dimension."""
-    return q_dim(p)

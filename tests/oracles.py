@@ -112,7 +112,7 @@ def naive_blocks(U, weights=None, beta_p=0.0):
     Uses the package's per-observation matrices but plain Python sums,
     exercising none of the chunked or compensated machinery.
     """
-    from rppi.suffstats import r_matrix, s_matrix
+    from rppi.suffstats import r_matrix_batch, s_matrix_batch
 
     U = np.asarray(U, dtype=float)
     n = U.shape[0]
@@ -121,12 +121,12 @@ def naive_blocks(U, weights=None, beta_p=0.0):
     else:
         w = np.asarray(weights, dtype=float)
         w = w / w.sum()
-    q = r_matrix(U[0]).shape[0]
+    q = r_matrix_batch(U[:1]).shape[1]
     W = np.zeros((q, q))
     dvec = np.zeros(q)
     for i in range(n):
-        R = r_matrix(U[i])
-        S = s_matrix(U[i])
+        R = r_matrix_batch(U[i:i + 1])[0]
+        S = s_matrix_batch(U[i:i + 1])[0]
         W += w[i] * (R @ R.T)
         dvec += w[i] * ((1.0 + beta_p) * (R @ U[i, :-1]) - S.sum(axis=1))
     return (W + W.T) / 2.0, dvec

@@ -10,8 +10,17 @@ import numpy as np
 import pytest
 
 import rppi
+import rppi.cli
 from rppi.cli import main
 from rppi.dataio import params_to_dict, read_json, write_json, write_table
+from rppi.errors import (
+    BootstrapDegradedError,
+    LowAcceptanceError,
+    NonConvergenceError,
+    SingularGError,
+    SingularSystemError,
+)
+from rppi.inference import bootstrap_se
 from rppi.model import RPPIParams
 from rppi.sampling import sample_counts, sample_rppi
 
@@ -87,6 +96,65 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
     code = main(["fit", str(bad), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "line" in capsys.readouterr().err
+
+
+def _raises(exc):
+    def fake(*args, **kwargs):
+        raise exc
+    return fake
+
+
+def _degraded_bootstrap(fit, data, **kwargs):
+    report = bootstrap_se(fit, data, **kwargs)
+    raise BootstrapDegradedError("7 of 8 bootstrap replicates failed",
+                                 report=report)
+
+
+@pytest.mark.parametrize("code, command, patch", [
+    pytest.param(1, "fit", ("fit_robust", _raises(LowAcceptanceError("too low"))),
+                 id="1-other-package-error"),
+    pytest.param(2, "fit-missing", None, id="2-missing-table"),
+    pytest.param(2, "sample-missing", None, id="2-missing-params"),
+    pytest.param(3, "fit", ("fit_robust", _raises(SingularSystemError("singular"))),
+                 id="3-singular-system"),
+    pytest.param(3, "fit", ("fit_robust", _raises(SingularGError("singular G"))),
+                 id="3-singular-sensitivity"),
+    pytest.param(4, "fit", ("fit_robust", _raises(NonConvergenceError("stuck"))),
+                 id="4-nonconvergence"),
+    pytest.param(5, "bootstrap", ("bootstrap_se", _degraded_bootstrap),
+                 id="5-degraded-bootstrap"),
+    pytest.param(6, "study-sim1", None, id="6-missing-parameter"),
+])
+def test_exit_codes(code, command, patch, counts_csv, tmp_path, monkeypatch,
+                    capsys):
+    out = str(tmp_path / "out")
+    argv = {
+        "fit": ["fit", counts_csv, "--c", "0.5", "--kstar", "2"],
+        "fit-missing": ["fit", str(tmp_path / "missing.csv")],
+        "sample-missing": ["sample", str(tmp_path / "missing.json"), "--n", "5"],
+        "study-sim1": ["study", "sim1", "--replicates", "2"],
+    }.get(command)
+    if command == "bootstrap":
+        fit_out = run_fit(counts_csv, tmp_path, c="0", name="bfit")
+        argv = ["bootstrap", fit_out + ".json", counts_csv, "--b", "8",
+                "--seed", "9", "--threads", "1"]
+    if patch is not None:
+        monkeypatch.setattr(rppi.cli, *patch)
+    capsys.readouterr()
+    assert main(argv + ["--out", out]) == code
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+    if code == 5:
+        assert "partial report written" in err
+        assert read_json(out + ".json")["b_requested"] == 8
+        assert (tmp_path / "out.csv").read_text().startswith("parameter")
+
+
+def test_errors_outside_the_exit_code_table_propagate(counts_csv, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.setattr(rppi.cli, "fit_robust", _raises(KeyError("bug")))
+    with pytest.raises(KeyError):
+        main(["fit", counts_csv, "--out", str(tmp_path / "x")])
 
 
 def test_nonconvergence_exits_4(data_csv, tmp_path, capsys):
@@ -325,6 +393,16 @@ def test_installed_distribution_exposes_console_script():
                           text=True)
     assert proc.returncode == 0
     assert_lists_subcommands(proc.stdout)
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import and only `tune` needs it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rppi.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=code_under_test_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point_matches(tmp_path, params_json, rppi_script):

@@ -60,6 +60,24 @@ def test_integer_tables_are_recognized_as_counts(tmp_path):
     assert np.array_equal(data.m, [10, 2])
 
 
+def test_tab_and_semicolon_delimiters_are_detected(tmp_path):
+    rng = np.random.default_rng(73)
+    M = rng.dirichlet((1.0, 2.0, 3.0), size=9)
+    comma = tmp_path / "t.csv"
+    write_table(comma, M, names=("x", "y", "z"))
+    want = read_table(comma)
+    for name, delim in (("t.tsv", "\t"), ("t.ssv", ";")):
+        path = tmp_path / name
+        path.write_text("\n" + comma.read_text().replace(",", delim))
+        got = read_table(path)
+        assert got.names == want.names
+        assert np.array_equal(got.matrix, want.matrix)
+    # a single column has no delimiter at all and reads as before
+    single = tmp_path / "m.csv"
+    single.write_text("500\n480\n")
+    assert read_table(single).matrix.tolist() == [[500.0], [480.0]]
+
+
 def test_proportion_tables_refuse_to_become_counts(tmp_path):
     path = tmp_path / "p.csv"
     write_table(path, np.array([[0.5, 0.5, 0.0]]))

@@ -1,0 +1,55 @@
+"""The package surface: public names, the README example, and the call
+sites the benchmark's tracer wraps."""
+
+import importlib
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
+import rppi
+
+ROOT = Path(__file__).resolve().parent.parent
+PUBLIC = {
+    "RPPIError",
+    "RPPIParams", "ParamVector", "CountDataset", "pack", "unpack", "proportions",
+    "fit_alr_sme", "FitResult", "RobustConfig", "RobustFitResult", "fit_robust",
+    "sample_rppi", "sample_rppi_mcmc", "sample_counts",
+    "tune_c", "bootstrap_se", "influence",
+    "StudyScenario", "preset_scenario", "run_study",
+}
+
+
+def test_public_names_are_exactly_the_library_interface():
+    exported = {name for name, value in vars(rppi).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == PUBLIC
+
+
+def test_readme_library_example_runs(capsys):
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "['a_11', 'a_22', 'a_12', 'beta_1', 'beta_2']"
+
+
+def _tracing_module():
+    path = ROOT / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_call_site_resolves():
+    # The benchmark wraps these attributes in place; a missing one makes
+    # the traced run fail.  Reading the table installs nothing.
+    tracing = _tracing_module()
+    sites = [(module, attr) for group in tracing.SPANS.values()
+             for module, attr, _ in group]
+    sites += list(tracing._PARALLEL_SITES)
+    missing = [f"{module}.{attr}" for module, attr in sites
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert not missing

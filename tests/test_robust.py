@@ -7,10 +7,8 @@ from rppi.model import RPPIParams, pack
 from rppi.robust import (
     RobustConfig,
     fit_robust,
-    h_matrix,
     kk_mask,
     windham_weights,
-    with_c,
 )
 from rppi.sampling import sample_rppi
 from rppi.study import DATASET2_OUTLIER, dataset2_truth
@@ -35,14 +33,10 @@ def test_config_validation():
         RobustConfig(c=0.5, kstar=2, tol=0.0)
     with pytest.raises(ValueError):
         RobustConfig(c=0.5, kstar=0)
-    cfg = with_c(RobustConfig(c=0.5, kstar=2), 1.25)
-    assert cfg.c == 1.25 and cfg.kstar == 2
 
 
-def test_kk_mask_and_h_matrix_agree():
+def test_kk_mask_selects_the_akk_block():
     mask = kk_mask(5, 2)
-    h = h_matrix(5, 2, c=0.7).diagonal()
-    assert np.array_equal(h == 1.0 + 0.7, mask)
     # for kstar=2 exactly a_11, a_22 and a_12 live in the block
     labels = np.array(pack(dataset2_truth()).labels)
     assert sorted(labels[mask]) == ["a_11", "a_12", "a_22"]
@@ -79,7 +73,7 @@ def test_converged_fit_satisfies_the_weighted_equation():
     akk = fit.params.a_kk
     w = windham_weights(U, akk, cfg.c)
     W, d = assemble(U, weights=w)
-    h = h_matrix(3, 2, cfg.c).diagonal()
+    h = np.where(kk_mask(3, 2), 1.0 + cfg.c, 1.0)
     residual = np.abs(W @ (h * fit.pi_hat.pi) - d).max()
     assert residual < 1e-6 * max(np.abs(d).max(), 1e-30)
     assert fit.residual < 1e-6 * max(np.abs(d).max(), 1e-30)
