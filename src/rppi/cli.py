@@ -59,14 +59,15 @@ def _resolve_threads(value) -> int:
 
 
 def _load_compositions(path) -> np.ndarray:
+    """Count-table proportions, or table rows as read (the fit validates)."""
     table = dataio.read_table(path)
     if table.is_counts:
         return proportions(table.counts)
-    return as_matrix(table.matrix)
+    return table.matrix
 
 
 def _warn_abundance(u: np.ndarray) -> None:
-    means = u.mean(axis=0)
+    means = as_matrix(u).mean(axis=0)
     if int(np.argmax(means)) != u.shape[1] - 1:
         print("warning: last column is not the most abundant component "
               "on average; the reference choice may be poor", file=sys.stderr)

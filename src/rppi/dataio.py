@@ -62,17 +62,34 @@ def _sniff_delimiter(fh) -> str:
     return max(_DELIMITERS, key=first.count)
 
 
+def _records(fh):
+    """(first line, stripped cells) of every non-blank record in ``fh``.
+
+    Malformed or undecodable text raises :class:`ParseError` carrying
+    the first line of the record being read.
+    """
+    start = 1
+    try:
+        reader = csv.reader(fh, delimiter=_sniff_delimiter(fh))
+        for record in reader:
+            cells = [cell.strip() for cell in record]
+            if any(cells):
+                yield start, cells
+            start = reader.line_num + 1
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ParseError(f"unreadable table at line {start}: {exc}", line=start) from None
+
+
 def read_table(path) -> TableData:
-    """Read a delimited table of compositions or counts."""
+    """Read a delimited table of compositions or counts.
+
+    Anything malformed, undecodable bytes included, raises ParseError.
+    """
     rows: list[list[float]] = []
     names = None
     width = None
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=_sniff_delimiter(fh))
-        for lineno, record in enumerate(reader, start=1):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            cells = [cell.strip() for cell in record]
+        for lineno, cells in _records(fh):
             try:
                 values = [float(cell) for cell in cells]
             except ValueError:

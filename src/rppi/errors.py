@@ -17,10 +17,6 @@ class DimensionError(RPPIError):
     """Array shapes or sizes are inconsistent with the model dimension."""
 
 
-class ZeroComponentError(RPPIError):
-    """A zero component was passed to a transform that requires u > 0."""
-
-
 class DegenerateRowError(RPPIError):
     """A count row has total zero, so its proportion vector is undefined."""
 
@@ -92,7 +88,3 @@ class ParseError(RPPIError):
 class DegeneracyWarning(UserWarning):
     """Statistics are structurally degenerate (for example an all-zero
     component column); the affected parameters were pinned to zero."""
-
-
-class AbundanceWarning(UserWarning):
-    """The last column is not the most abundant component on average."""

@@ -30,13 +30,11 @@ import scipy.linalg
 
 from .errors import DegeneracyWarning, SingularSystemError, WeightError
 from .model import (
-    CountDataset,
     ParamVector,
     RPPIParams,
     as_matrix,
     dim_from_q,
     param_labels,
-    proportions,
     q_dim,
     unpack,
 )
@@ -70,12 +68,13 @@ def _neumaier_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> np.ndar
     return t
 
 
-def assemble(data, weights=None, beta_p: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def assemble(U: np.ndarray, weights=None, beta_p: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Weighted averages (W_hat, d_hat) of the per-observation blocks.
 
+    ``U`` is a validated (n, p) composition matrix, as
+    :func:`rppi.model.as_matrix` returns; its rows are used as given.
     ``weights`` are normalized to sum to one; omitted means uniform.
     """
-    U = as_matrix(data)
     n, p = U.shape
     d = p - 1
     q = q_dim(p)
@@ -180,6 +179,9 @@ def fit_alr_sme(data, weights=None, kstar: int | None = None,
                 beta_p: float = 0.0, ridge: float = 0.0) -> FitResult:
     """Fit the model to compositions (rows of ``data``) in one solve.
 
+    Rows are validated and normalized here, once, by
+    :func:`rppi.model.as_matrix`.
+
     ``kstar`` only annotates the returned parameters (block bookkeeping
     for downstream weighting); it does not affect the estimate.
     """
@@ -205,13 +207,3 @@ def fit_alr_sme(data, weights=None, kstar: int | None = None,
         degenerate=degenerate,
     )
 
-
-def fit_from_counts(counts: CountDataset, weights=None, kstar: int | None = None,
-                    beta_p: float = 0.0, ridge: float = 0.0) -> FitResult:
-    """Fit from multinomial counts via plug-in proportions x_i / m_i.
-
-    Zero counts are fine: every statistic entering the equations is a
-    polynomial, so boundary points contribute finite terms.
-    """
-    return fit_alr_sme(proportions(counts), weights=weights, kstar=kstar,
-                       beta_p=beta_p, ridge=ridge)

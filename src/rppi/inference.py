@@ -256,7 +256,12 @@ def bootstrap_se(fit: RobustFitResult, data: CountDataset, b: int = 200,
 
 @dataclass(frozen=True)
 class InfluenceResult:
-    """Influence function values and the sensitivity matrix behind them."""
+    """Influence function values and the sensitivity matrix behind them.
+
+    ``g_matrix`` is the sensitivity matrix scaled by exp(-shift), where
+    shift is the largest weight exponent c t_a(u)' pi over the reference
+    sample (see :func:`influence`).
+    """
 
     z: np.ndarray
     value: np.ndarray
@@ -270,6 +275,13 @@ class InfluenceResult:
         return float(np.max(np.abs(self.value)))
 
 
+def _weight_exponents(U: np.ndarray, pi_vec: np.ndarray, c: float,
+                      kstar: int) -> np.ndarray:
+    """c t_a(u)' pi for every row of U, in fixed chunks."""
+    return c * np.concatenate([suff_t_a_batch(U[start:start + _CHUNK], kstar) @ pi_vec
+                               for start in range(0, U.shape[0], _CHUNK)])
+
+
 def influence(z, pi0, reference, c: float, kstar: int,
               beta_p: float = 0.0) -> InfluenceResult:
     """Influence function of the weighted estimator at point(s) z.
@@ -277,9 +289,12 @@ def influence(z, pi0, reference, c: float, kstar: int,
     ``pi0`` is the parameter (packed vector, ParamVector, or RPPIParams)
     at which sensitivity is linearized; ``reference`` is the sample
     whose empirical measure plays the model distribution in the
-    expectation.  Boundary points are fine: every ingredient is
-    polynomial.  Raises SingularGError when the sensitivity matrix is
-    (numerically) singular.
+    expectation; both it and ``z`` are validated here.  Boundary points
+    are fine: every ingredient is polynomial.  All weights exp(c t_a'pi)
+    are divided by the largest one on the reference, which leaves the
+    influence function unchanged and keeps them from overflowing.
+    Raises SingularGError when the sensitivity matrix is (numerically)
+    singular.
     """
     if isinstance(pi0, RPPIParams):
         pi_vec = pack(pi0).pi
@@ -288,25 +303,29 @@ def influence(z, pi0, reference, c: float, kstar: int,
     else:
         pi_vec = np.asarray(pi0, dtype=float)
     ref = as_matrix(reference)
+    Z = as_matrix(z)
     n, p = ref.shape
     q = q_dim(p)
     if pi_vec.shape != (q,):
         raise ValueError(f"pi0 must have length {q} for p={p}")
+    if Z.shape[1] != p:
+        raise ValueError("z dimension does not match the reference sample")
     h = np.where(kk_mask(p, kstar), 1.0 + c, 1.0)
+    x = h * pi_vec
+    expo = _weight_exponents(ref, pi_vec, c, kstar)
+    shift = float(expo.max())
 
     g = np.zeros((q, q))
     for start in range(0, n, _CHUNK):
         block = ref[start:start + _CHUNK]
-        w1, d1 = score_blocks_batch(block, beta_p)
-        e = w1 @ (h * pi_vec) - d1
+        R, e = score_blocks_batch(block, x, beta_p)
         ta = suff_t_a_batch(block, kstar)
-        w = np.exp(c * (ta @ pi_vec))
+        w = np.exp(expo[start:start + _CHUNK] - shift)
         g += c * np.einsum("n,nq,nr->qr", w, e, ta)
-        g += np.einsum("n,nqr->qr", w, w1 * h[None, None, :])
+        g += np.einsum("nqj,nrj->qr", R * w[:, None, None], R) * h[None, :]
     g /= n
     if not np.all(np.isfinite(g)):
-        raise SingularGError("sensitivity matrix has non-finite entries "
-                             "(weight exponent overflow?)")
+        raise SingularGError("sensitivity matrix has non-finite entries")
 
     # two-sided equilibration before factorizing; the raw scales span
     # many orders of magnitude for vertex-concentrated models
@@ -326,16 +345,11 @@ def influence(z, pi0, reference, c: float, kstar: int,
                              f"exceeds {G_COND_MAX:.0e}")
     lu, piv = scipy.linalg.lu_factor(g_eq)
 
-    Z = as_matrix(z)
-    if Z.shape[1] != p:
-        raise ValueError("z dimension does not match the reference sample")
+    z_expo = _weight_exponents(Z, pi_vec, c, kstar)
     values = np.empty((Z.shape[0], q))
     for start in range(0, Z.shape[0], _CHUNK):
-        block = Z[start:start + _CHUNK]
-        w1, d1 = score_blocks_batch(block, beta_p)
-        e = w1 @ (h * pi_vec) - d1
-        ta = suff_t_a_batch(block, kstar)
-        wz = np.exp(c * (ta @ pi_vec))
+        _, e = score_blocks_batch(Z[start:start + _CHUNK], x, beta_p)
+        wz = np.exp(z_expo[start:start + _CHUNK] - shift)
         rhs = (wz[:, None] * e) * dr[None, :]
         sol = scipy.linalg.lu_solve((lu, piv), rhs.T)
         values[start:start + _CHUNK] = -(dc[:, None] * sol).T

@@ -23,13 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateRowError,
-    DimensionError,
-    ZeroComponentError,
-)
+from .errors import DegenerateRowError, DimensionError
 
-SUM_TOL = 1e-12
 NEG_TOL = 1e-15
 SYM_TOL = 1e-12
 MIN_P = 3
@@ -69,69 +64,18 @@ def param_labels(p: int) -> list[str]:
     return labels
 
 
-def _clean_vector(u, p_min: int = MIN_P) -> np.ndarray:
-    arr = np.asarray(u, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a 1-d composition, got shape {arr.shape}")
-    if arr.size < p_min:
-        raise DimensionError(f"composition needs at least {p_min} parts, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("composition has non-finite entries")
-    if np.any(arr < -NEG_TOL):
-        raise ValueError("composition has negative entries")
-    arr = np.where(arr < 0.0, 0.0, arr)
-    total = arr.sum()
-    if total <= 0.0:
-        raise ValueError("composition sums to zero")
-    return arr / total
-
-
-@dataclass(frozen=True)
-class Composition:
-    """A single point on the simplex, renormalized to sum exactly to one.
-
-    Entries may be zero (boundary points are legal data); transforms that
-    need the open simplex raise :class:`ZeroComponentError` themselves.
-    """
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        arr = _clean_vector(self.u)
-        arr.flags.writeable = False
-        object.__setattr__(self, "u", arr)
-
-    @property
-    def p(self) -> int:
-        return self.u.size
-
-    @property
-    def is_interior(self) -> bool:
-        return bool(np.all(self.u > 0.0))
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.u if not copy else self.u.copy()
-        return self.u.astype(dtype)
-
-
 def as_matrix(data) -> np.ndarray:
     """Coerce data to an (n, p) array of row-normalized compositions.
 
-    Accepts a Composition, a 1-d or 2-d array, or a sequence of either.
-    Rows are validated (finite, nonnegative, positive sum) and divided by
-    their sums, mirroring what :class:`Composition` does for one point.
+    Accepts a 1-d or 2-d array or a sequence of rows.  Rows are
+    validated (finite, nonnegative, positive sum) and divided by their
+    sums.  This is the package's only composition validator, called once
+    where data enters (the fits, ``influence`` and the contamination
+    outlier); the statistics below that boundary take its result as
+    given, because renormalizing a normalized row can change its last
+    bits.
     """
-    if isinstance(data, Composition):
-        mat = data.u[None, :].copy()
-    elif isinstance(data, np.ndarray) and data.ndim == 2:
-        mat = data.astype(float, copy=True)
-    elif isinstance(data, np.ndarray) and data.ndim == 1:
-        mat = data.astype(float, copy=True)[None, :]
-    else:
-        rows = [row.u if isinstance(row, Composition) else np.asarray(row, dtype=float)
-                for row in data]
-        mat = np.atleast_2d(np.array(rows, dtype=float))
+    mat = np.atleast_2d(np.array(data, dtype=float))
     if mat.ndim != 2:
         raise DimensionError(f"expected 2-d data, got shape {mat.shape}")
     n, p = mat.shape
@@ -314,25 +258,3 @@ def unpack(pi, kstar: int | None = None, beta_p: float = 0.0) -> RPPIParams:
         a[i, j] = a[j, i] = vec[d + slot]
     beta = np.append(vec[d + n_off:] - 1.0, beta_p)
     return RPPIParams(a_l=a, beta=beta, kstar=kstar if kstar is not None else d)
-
-
-def alr(u) -> np.ndarray:
-    """Additive log-ratio transform, last component as reference.
-
-    Accepts a Composition, a single vector, or an (n, p) array; returns
-    y with trailing dimension p-1.  Any zero component raises, since the
-    transform needs the open simplex.
-    """
-    arr = u.u if isinstance(u, Composition) else np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ZeroComponentError("alr needs strictly positive components")
-    return np.log(arr[..., :-1] / arr[..., -1:])
-
-
-def alr_inverse(y) -> np.ndarray:
-    """Map y in R^{p-1} back to the open simplex (stable for large |y|)."""
-    arr = np.asarray(y, dtype=float)
-    z = np.concatenate([arr, np.zeros(arr.shape[:-1] + (1,))], axis=-1)
-    z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)

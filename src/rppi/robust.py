@@ -118,15 +118,6 @@ def _raw_weight_factors(U: np.ndarray, akk: np.ndarray, c: float) -> np.ndarray:
     return np.exp(expo - expo.max())
 
 
-def windham_weights(data, akk: np.ndarray, c: float) -> np.ndarray:
-    """Normalized exponential-tilt weights for the given A_KK block."""
-    U = as_matrix(data)
-    if akk.shape[0] > U.shape[1] - 1:
-        raise DimensionError("A_KK block larger than the non-reference part")
-    raw = _raw_weight_factors(U, np.asarray(akk, dtype=float), c)
-    return raw / raw.sum()
-
-
 @dataclass(frozen=True)
 class RobustFitResult:
     """Converged weighted fit, with the diagnostics needed downstream."""
@@ -152,7 +143,11 @@ class RobustFitResult:
 
 def _iterate(U: np.ndarray, config: RobustConfig, base, pi_init, beta_p: float,
              ridge: float, restarts: int) -> RobustFitResult:
-    """One run of the reweighting iteration from a given start."""
+    """One run of the reweighting iteration from a given start.
+
+    ``U`` is the validated composition matrix from :func:`fit_robust`;
+    its rows are used as given.
+    """
     n, p = U.shape
     c = config.c
     mask = kk_mask(p, config.kstar)
@@ -263,7 +258,9 @@ def fit_robust(data, config: RobustConfig, base_weights=None,
     default initializer (the unweighted fit).  If a start fails (the
     weighted system degenerates or oscillates), progressively harsher
     conservative restarts are tried before giving up; raises
-    NonConvergenceError when every start exhausts ``max_iter``.
+    NonConvergenceError when every start exhausts ``max_iter``.  Rows
+    of ``data`` are validated and normalized here, once, by
+    :func:`rppi.model.as_matrix`.
     """
     U = as_matrix(data)
     n, p = U.shape

@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionError, LowAcceptanceError
-from .model import Composition, CountDataset, RPPIParams, as_matrix
+from .model import CountDataset, RPPIParams, as_matrix
 
 ACCEPT_FLOOR = 1e-6
 FEAS_TOL = 1e-9
@@ -214,7 +214,7 @@ def round_proportions(u, m) -> np.ndarray:
     the marginal distortion matches the rounding model.  Ties round
     half-to-even.
     """
-    arr = u.u if isinstance(u, Composition) else np.asarray(u, dtype=float)
+    arr = np.asarray(u, dtype=float)
     m_arr = np.asarray(m, dtype=float)
     if arr.ndim == 2 and m_arr.ndim == 1:
         m_arr = m_arr[:, None]
@@ -224,17 +224,19 @@ def round_proportions(u, m) -> np.ndarray:
 
 
 def contaminate(data, fraction: float, outlier, seed=None) -> np.ndarray:
-    """Replace round(fraction * n) randomly chosen rows by ``outlier``."""
-    U = as_matrix(data)
-    n = U.shape[0]
+    """Replace round(fraction * n) randomly chosen rows by ``outlier``.
+
+    Rows of ``data`` are copied as given; ``outlier`` is validated here.
+    """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    z = Composition(np.asarray(outlier, dtype=float)).u
-    if z.size != U.shape[1]:
+    out = np.array(data, dtype=float)
+    n, p = out.shape
+    z = as_matrix(outlier)
+    if z.shape != (1, p):
         raise DimensionError("outlier length does not match the data")
     k = int(np.rint(fraction * n))
-    out = U.copy()
     if k:
         idx = rng_from(seed).choice(n, size=k, replace=False)
-        out[idx] = z
+        out[idx] = z[0]
     return out

@@ -25,12 +25,14 @@ Each piece is written once:
 
 * R and S are defined in :func:`r_matrix_batch` and
   :func:`s_matrix_batch`;
-* the per-row blocks W1 and d1 are built in :func:`score_blocks_batch`
-  (used where every row's block is needed, as in the influence
-  function);
-* :func:`rppi.estimator.assemble` is the weighted reduction of the same
-  algebra over rows, contracting R against the weights directly so that
-  the n (q x q) per-row W1 never exist in memory.
+* the per-row residual W1(u) x - d1(u) is built in
+  :func:`score_blocks_batch` (used where every row's residual is
+  needed, as in the influence function);
+* :func:`rppi.estimator.assemble` is the weighted reduction over rows.
+
+Both contract R directly, so the n (q x q) per-row W1 never exist.
+Every function here evaluates exactly the (n, p) rows it is given, as
+validated once by :func:`rppi.model.as_matrix` where data enters.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ZeroComponentError
-from .model import as_matrix, pair_indices
+from .model import pair_indices
 
 
 @lru_cache(maxsize=None)
@@ -51,17 +52,6 @@ def _pair_arrays(p: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def suff_t_batch(U) -> np.ndarray:
-    """Sufficient statistic vectors, shape (n, q).  Needs interior points."""
-    U = as_matrix(U)
-    if np.any(U[:, :-1] <= 0.0):
-        raise ZeroComponentError("log statistics need strictly positive components")
-    d = U.shape[1] - 1
-    I, J = _pair_arrays(U.shape[1])
-    V = U[:, :d]
-    return np.concatenate([V * V, 2.0 * V[:, I] * V[:, J], np.log(V)], axis=1)
-
-
 def suff_t_a_batch(U, kstar: int) -> np.ndarray:
     """Polynomial part of t restricted to the leading K block, shape (n, q).
 
@@ -70,7 +60,6 @@ def suff_t_a_batch(U, kstar: int) -> np.ndarray:
     t_a(u)' pi = u_K' A_KK u_K.  Being a polynomial, this is defined on
     the whole closed simplex.
     """
-    U = as_matrix(U)
     n, p = U.shape
     d = p - 1
     if not 1 <= kstar <= d:
@@ -92,7 +81,6 @@ def r_matrix_batch(U) -> np.ndarray:
         pair a_ij rows:       2 u_i u_j (delta_i. + delta_j. - 2 u_.)
         log rows:             delta_i. - u_.
     """
-    U = as_matrix(U)
     n, p = U.shape
     d = p - 1
     I, J = _pair_arrays(p)
@@ -120,7 +108,6 @@ def s_matrix_batch(U) -> np.ndarray:
     The quadratic-in-delta forms expand to the same polynomials case by
     case (column equal to i, equal to j, or neither).
     """
-    U = as_matrix(U)
     n, p = U.shape
     d = p - 1
     I, J = _pair_arrays(p)
@@ -136,19 +123,16 @@ def s_matrix_batch(U) -> np.ndarray:
     return np.concatenate([s_a, s_b, s_c], axis=1)
 
 
-def score_blocks_batch(U: np.ndarray, beta_p: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """W1 and d1 for every row of U: shapes (n, q, q) and (n, q).
+def score_blocks_batch(U: np.ndarray, x: np.ndarray,
+                       beta_p: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """R and the per-row residual W1 x - d1: shapes (n, q, p-1), (n, q).
 
-    ``U`` must already be a validated (n, p) composition matrix, as
-    :func:`rppi.model.as_matrix` returns; it is not renormalized here,
-    because renormalizing a normalized row can change its last bits.
-    Kept unchunked; callers stream over chunks themselves when n is
-    large.
+    The residual is formed as R (R' x) - d1, so the per-row W1 = R R'
+    never exists.  Kept unchunked; callers stream over chunks themselves
+    when n is large.
     """
-    d = U.shape[1] - 1
     R = r_matrix_batch(U)
     S = s_matrix_batch(U)
-    V = U[:, :d]
-    w1 = np.einsum("nqj,nrj->nqr", R, R)
-    d1 = (1.0 + beta_p) * np.einsum("nqj,nj->nq", R, V) - S.sum(axis=2)
-    return w1, d1
+    d1 = (1.0 + beta_p) * np.einsum("nqj,nj->nq", R, U[:, :-1]) - S.sum(axis=2)
+    e = np.einsum("nqj,nj->nq", R, np.einsum("nqj,q->nj", R, x)) - d1
+    return R, e

@@ -49,8 +49,7 @@ def test_criterion_02_population_estimating_identity():
     at n = 100000."""
     pi0 = pack(P3_PARAMS).pi
     U, _ = sample_rppi(P3_PARAMS, 100_000, seed=np.random.SeedSequence(202))
-    W1, D1 = score_blocks_batch(U)
-    resid = np.einsum("nqr,r->nq", W1, pi0) - D1
+    _, resid = score_blocks_batch(U, pi0)
     mean = resid.mean(axis=0)
     se = resid.std(axis=0, ddof=1) / np.sqrt(U.shape[0])
     assert np.all(np.abs(mean) < 3.0 * se)

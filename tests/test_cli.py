@@ -12,7 +12,7 @@ import pytest
 import rppi
 import rppi.cli
 from rppi.cli import main
-from rppi.dataio import params_to_dict, read_json, write_json, write_table
+from rppi.dataio import params_to_dict, read_json, read_table, write_json, write_table
 from rppi.errors import (
     BootstrapDegradedError,
     LowAcceptanceError,
@@ -22,6 +22,7 @@ from rppi.errors import (
 )
 from rppi.inference import bootstrap_se
 from rppi.model import RPPIParams
+from rppi.robust import RobustConfig, fit_robust
 from rppi.sampling import sample_counts, sample_rppi
 
 
@@ -96,6 +97,27 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
     code = main(["fit", str(bad), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "line" in capsys.readouterr().err
+
+
+def test_fit_normalizes_proportion_rows_once(tmp_path):
+    U, _ = sample_rppi(TEST_PARAMS, 120, seed=np.random.SeedSequence(84))
+    scaled = U * np.random.default_rng(85).uniform(0.5, 2.0, size=(120, 1))
+    path = tmp_path / "scaled.csv"
+    write_table(path, scaled)
+    out = run_fit(str(path), tmp_path)
+    fit = fit_robust(read_table(path).matrix, RobustConfig(c=0.5, kstar=2))
+    assert read_json(out + ".json")["pi"] == fit.pi_hat.pi.tolist()
+
+
+def test_stray_quote_in_a_long_table_exits_2(tmp_path, capsys):
+    U = np.random.default_rng(86).dirichlet((2.0, 2.0, 2.0), size=20_000)
+    lines = [",".join(map(repr, row)) for row in U.tolist()]
+    lines[2] = '"' + lines[2]  # the quoted field runs on to the end of the file
+    path = tmp_path / "quote.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["fit", str(path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: unreadable table at line 3:")
 
 
 def _raises(exc):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rppi.dataio import (
     SCHEMA_VERSION,
@@ -100,6 +102,23 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     empty.write_text("\n")
     with pytest.raises(ParseError):
         read_table(empty)
+
+
+TABLE_PIECES = (b"0", b"1", b"2.5", b"-3", b"1e999", b"nan", b"x", b" ", b",",
+                b";", b"\t", b"\n", b"\r", b'"', b"\x00", b"\xff", b"\xc3\xa9")
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary(max_size=200)
+       | st.lists(st.sampled_from(TABLE_PIECES), max_size=60).map(b"".join))
+def test_read_table_raises_nothing_but_parse_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(raw)
+    try:
+        table = read_table(path)
+    except ParseError:
+        return
+    assert table.matrix.ndim == 2 and np.all(np.isfinite(table.matrix))
 
 
 def test_json_round_trip_and_determinism(tmp_path):

@@ -5,8 +5,9 @@ import pytest
 
 from oracles import naive_blocks
 from rppi.errors import DegeneracyWarning, SingularSystemError
-from rppi.estimator import assemble, fit_alr_sme, fit_from_counts, solve_system
-from rppi.model import CountDataset, RPPIParams, pack, q_dim
+import rppi.estimator as estimator
+from rppi.estimator import assemble, fit_alr_sme, solve_system
+from rppi.model import CountDataset, RPPIParams, pack, proportions, q_dim
 from rppi.sampling import sample_rppi
 
 
@@ -31,6 +32,26 @@ def test_assemble_is_chunk_clean_and_repeatable():
     W2, d2 = assemble(U)
     assert np.abs(W1 - W_ref).max() < 1e-12
     assert W1.tobytes() == W2.tobytes() and d1.tobytes() == d2.tobytes()
+
+
+def test_assemble_evaluates_exactly_the_rows_it_is_given(monkeypatch):
+    rng = np.random.default_rng(29)
+    U = rng.dirichlet((2.0, 1.0, 1.5, 3.0), size=200)
+    # some rows change in their last bits when normalized again
+    assert np.any(U / U.sum(axis=1, keepdims=True) != U)
+    seen = []
+
+    def spy(kernel):
+        def wrapper(rows):
+            seen.append(rows.copy())
+            return kernel(rows)
+        return wrapper
+
+    monkeypatch.setattr(estimator, "r_matrix_batch", spy(estimator.r_matrix_batch))
+    monkeypatch.setattr(estimator, "s_matrix_batch", spy(estimator.s_matrix_batch))
+    assemble(U)
+    assert len(seen) == 2
+    assert all(np.array_equal(rows, U) for rows in seen)
 
 
 def test_solve_system_recovers_a_manufactured_solution():
@@ -110,6 +131,6 @@ def test_fit_from_counts_goes_through_proportions():
     rng = np.random.default_rng(28)
     counts = rng.multinomial(500, [0.2, 0.3, 0.5], size=400)
     counts[0] = (0, 250, 250)  # zeros are data here, not errors
-    fit = fit_from_counts(CountDataset(counts))
+    fit = fit_alr_sme(proportions(CountDataset(counts)))
     assert np.all(np.isfinite(fit.pi_hat.pi))
     assert fit.n_obs == 400

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -16,7 +18,7 @@ from rppi.inference import (
     simplex_grid,
     tune_c,
 )
-from rppi.model import RPPIParams, proportions
+from rppi.model import RPPIParams, pack, proportions
 from rppi.robust import RobustConfig, fit_robust
 from rppi.sampling import sample_counts, sample_rppi
 
@@ -147,6 +149,31 @@ def test_influence_rejects_a_degenerate_reference():
     pi0[-2:] = 1.0  # beta = 0
     with pytest.raises(SingularGError):
         influence([0.1, 0.1, 0.8], pi0, ref, c=0.0, kstar=2)
+
+
+def test_influence_weights_do_not_overflow():
+    # c t_a'pi reaches ~730 on this reference, so unshifted weights
+    # exp(c t_a'pi) overflow and the sensitivity matrix turns non-finite
+    ref = np.random.default_rng(0).dirichlet([60, 2, 2], 4000)
+    params = RPPIParams(a_l=[[400.0, 0.0], [0.0, -5.0]],
+                        beta=[-0.5, -0.2, 0.0], kstar=1)
+    res = influence(simplex_grid(3, 10), pack(params), ref, c=2.0, kstar=1)
+    assert np.all(np.isfinite(res.g_matrix))
+    assert np.all(np.isfinite(res.value))
+
+
+def test_influence_never_holds_per_row_w1():
+    # per-row W1 for one 4096-row chunk at p=10 (q=54) alone is 91 MiB
+    ref = np.random.default_rng(69).dirichlet(np.full(10, 2.0), 4096)
+    params = RPPIParams(a_l=-np.eye(9), beta=np.zeros(10), kstar=2)
+    tracemalloc.start()
+    try:
+        res = influence(ref[:20], params, ref, c=0.5, kstar=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(res.value))
+    assert peak < 100 * 2**20
 
 
 def test_simplex_grid_counts_and_boundary():

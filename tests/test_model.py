@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from rppi.errors import DegenerateRowError, DimensionError, ZeroComponentError
+from rppi.errors import DegenerateRowError, DimensionError
 from rppi.model import (
-    Composition,
     CountDataset,
     ParamVector,
     RPPIParams,
-    alr,
-    alr_inverse,
     as_matrix,
     dim_from_q,
     pack,
@@ -71,42 +68,20 @@ def test_unpack_rejects_nonintegrable_vector():
         unpack(pi)
 
 
-def test_alr_round_trip_and_stability():
-    rng = np.random.default_rng(7)
-    for p in (3, 5):
-        u = rng.dirichlet(np.full(p, 2.0))
-        assert np.allclose(alr_inverse(alr(u)), u)
-    # large coordinates must not overflow on the way back
-    y = np.array([700.0, -700.0, 350.0])
-    u = alr_inverse(y)
-    assert np.all(np.isfinite(u)) and abs(u.sum() - 1.0) < 1e-12
-
-
-def test_alr_rejects_zero_components():
-    with pytest.raises(ZeroComponentError):
-        alr([0.5, 0.5, 0.0])
-
-
-def test_composition_renormalizes_and_is_read_only():
-    comp = Composition([2.0, 1.0, 1.0])
-    assert abs(np.asarray(comp).sum() - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        np.asarray(comp)[0] = 0.3
-
-
 def test_composition_rejects_negatives_and_short_vectors():
     with pytest.raises(ValueError):
-        Composition([0.7, 0.5, -0.2])
+        as_matrix([0.7, 0.5, -0.2])
     with pytest.raises(DimensionError):
-        Composition([0.5, 0.5])
+        as_matrix([0.5, 0.5])
 
 
 def test_as_matrix_accepts_rows_and_normalizes():
     M = as_matrix([[1.0, 1.0, 2.0], [3.0, 1.0, 0.0]])
     assert M.shape == (2, 3)
     assert np.allclose(M.sum(axis=1), 1.0)
-    single = as_matrix(Composition([0.2, 0.3, 0.5]))
+    single = as_matrix([2.0, 1.0, 1.0])
     assert single.shape == (1, 3)
+    assert np.array_equal(single[0], [0.5, 0.25, 0.25])
 
 
 def test_as_matrix_rejects_bad_shapes():

@@ -4,12 +4,7 @@ import pytest
 from rppi.errors import DimensionError, NonConvergenceError
 from rppi.estimator import assemble, fit_alr_sme
 from rppi.model import RPPIParams, pack
-from rppi.robust import (
-    RobustConfig,
-    fit_robust,
-    kk_mask,
-    windham_weights,
-)
+from rppi.robust import RobustConfig, fit_robust, kk_mask
 from rppi.sampling import sample_rppi
 from rppi.study import DATASET2_OUTLIER, dataset2_truth
 
@@ -70,8 +65,8 @@ def test_converged_fit_satisfies_the_weighted_equation():
     cfg = RobustConfig(c=0.7, kstar=2)
     fit = fit_robust(U, cfg)
     # recompute the equation pieces independently of the fit loop
-    akk = fit.params.a_kk
-    w = windham_weights(U, akk, cfg.c)
+    uk = U[:, :2]
+    w = np.exp(cfg.c * np.einsum("nk,kl,nl->n", uk, fit.params.a_kk, uk))
     W, d = assemble(U, weights=w)
     h = np.where(kk_mask(3, 2), 1.0 + cfg.c, 1.0)
     residual = np.abs(W @ (h * fit.pi_hat.pi) - d).max()

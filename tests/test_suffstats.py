@@ -1,15 +1,12 @@
 import numpy as np
-import pytest
 
 from oracles import fd_stat_jacobian, fd_stat_second, packed_stat_ref
-from rppi.errors import ZeroComponentError
-from rppi.model import q_dim
+from rppi.model import pair_indices, q_dim
 from rppi.suffstats import (
     r_matrix_batch,
     s_matrix_batch,
     score_blocks_batch,
     suff_t_a_batch,
-    suff_t_batch,
 )
 
 
@@ -18,17 +15,32 @@ def interior_points(rng, p, n):
 
 
 def test_suff_t_matches_definition():
+    # with K the whole non-reference block, t_a is the quadratic part of t
     rng = np.random.default_rng(10)
     for p in (3, 4, 5, 6):
         U = interior_points(rng, p, 5)
-        T = suff_t_batch(U)
+        d = p - 1
+        Ta = suff_t_a_batch(U, d)
         for i, u in enumerate(U):
-            assert np.allclose(T[i], packed_stat_ref(u), atol=1e-14)
+            assert np.allclose(Ta[i, :-d], packed_stat_ref(u)[:-d], atol=1e-14)
+        assert np.all(Ta[:, -d:] == 0.0)
 
 
-def test_suff_t_rejects_zero_in_leading_block():
-    with pytest.raises(ZeroComponentError):
-        suff_t_batch(np.array([[0.2, 0.3, 0.5], [0.0, 0.5, 0.5]]))
+def test_kernels_evaluate_exactly_the_rows_they_are_given():
+    rng = np.random.default_rng(17)
+    U = rng.dirichlet((2.0, 1.0, 1.5, 3.0), size=200)
+    # some rows change in their last bits when normalized again
+    assert np.any(U / U.sum(axis=1, keepdims=True) != U)
+    d = 3
+    q = q_dim(4)
+    V = U[:, :d]
+    step = np.eye(d)[None, :, :] - V[:, None, :]
+    curv = (V * (1.0 - V))[:, None, :]
+    R = r_matrix_batch(U)
+    S = s_matrix_batch(U)
+    assert np.array_equal(R[:, :d], 2.0 * (V * V)[:, :, None] * step)
+    assert np.array_equal(R[:, q - d:], step)
+    assert np.array_equal(S[:, q - d:], np.broadcast_to(-curv, (200, d, d)))
 
 
 def test_r_matrix_matches_finite_differences():
@@ -61,12 +73,10 @@ def test_batch_versions_stack_the_single_ones():
     U = interior_points(rng, 4, 20)
     Rb = r_matrix_batch(U)
     Sb = s_matrix_batch(U)
-    Tb = suff_t_batch(U)
     for i in range(U.shape[0]):
         row = U[i:i + 1]
         assert np.array_equal(Rb[i], r_matrix_batch(row)[0])
         assert np.array_equal(Sb[i], s_matrix_batch(row)[0])
-        assert np.array_equal(Tb[i], suff_t_batch(row)[0])
 
 
 def test_masked_statistic_zeroes_everything_outside_kk():
@@ -74,7 +84,7 @@ def test_masked_statistic_zeroes_everything_outside_kk():
     U = interior_points(rng, 5, 6)
     kstar = 2
     Ta = suff_t_a_batch(U, kstar)
-    T = suff_t_batch(U)
+    T = np.array([packed_stat_ref(u) for u in U])
     d = 4
     # diagonal entries: first kstar live, rest zero
     assert np.array_equal(Ta[:, :kstar], T[:, :kstar])
@@ -82,7 +92,6 @@ def test_masked_statistic_zeroes_everything_outside_kk():
     # log block always zero
     assert np.all(Ta[:, -d:] == 0.0)
     # pair entries live only when both indices sit inside K
-    from rppi.model import pair_indices
     for col, (i, j) in enumerate(pair_indices(5)):
         got = Ta[:, d + col]
         if i < kstar and j < kstar:
@@ -95,25 +104,23 @@ def test_masked_statistic_zeroes_everything_outside_kk():
 def test_score_blocks_shapes_and_symmetry():
     rng = np.random.default_rng(15)
     U = interior_points(rng, 4, 3)
-    W1, D1 = score_blocks_batch(U)
     q = q_dim(4)
-    assert W1.shape == (3, q, q)
-    assert D1.shape == (3, q)
-    for w1 in W1:
-        assert np.allclose(w1, w1.T)
+    R, E = score_blocks_batch(U, np.ones(q))
+    assert R.shape == (3, q, 3)
+    assert E.shape == (3, q)
+    for r in R:
         # W1 = sum_j R[:, j] R[:, j]' is positive semidefinite
-        assert np.linalg.eigvalsh(w1).min() > -1e-12
+        assert np.linalg.eigvalsh(r @ r.T).min() > -1e-12
 
 
 def test_score_blocks_match_their_construction():
     rng = np.random.default_rng(16)
     U = interior_points(rng, 4, 12)
-    W1, D1 = score_blocks_batch(U, beta_p=0.3)
-    Rb = r_matrix_batch(U)
+    x = rng.normal(size=q_dim(4))
+    R, E = score_blocks_batch(U, x, beta_p=0.3)
+    assert np.array_equal(R, r_matrix_batch(U))
     Sb = s_matrix_batch(U)
     for i in range(U.shape[0]):
-        R = Rb[i]
-        S = Sb[i]
-        assert np.allclose(W1[i], R @ R.T, atol=1e-14)
-        want = 1.3 * (R @ U[i, :-1]) - S.sum(axis=1)
-        assert np.allclose(D1[i], want, atol=1e-13)
+        W1 = R[i] @ R[i].T
+        d1 = 1.3 * (R[i] @ U[i, :-1]) - Sb[i].sum(axis=1)
+        assert np.allclose(E[i], W1 @ x - d1, rtol=1e-12, atol=1e-13)
