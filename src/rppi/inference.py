@@ -23,7 +23,6 @@ from functools import partial
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 from ._parallel import parallel_map
 from .errors import (
@@ -31,6 +30,7 @@ from .errors import (
     BootstrapDegradedError,
     RPPIError,
     SingularGError,
+    WeightError,
 )
 from .model import (
     CountDataset,
@@ -292,9 +292,10 @@ def influence(z, pi0, reference, c: float, kstar: int,
     expectation; both it and ``z`` are validated here.  Boundary points
     are fine: every ingredient is polynomial.  All weights exp(c t_a'pi)
     are divided by the largest one on the reference, which leaves the
-    influence function unchanged and keeps them from overflowing.
-    Raises SingularGError when the sensitivity matrix is (numerically)
-    singular.
+    influence function unchanged and keeps the reference's weights from
+    overflowing.  Raises SingularGError when the sensitivity matrix is
+    (numerically) singular, and WeightError when a z point's weight
+    exceeds the float range even after that scaling.
     """
     if isinstance(pi0, RPPIParams):
         pi_vec = pack(pi0).pi
@@ -343,15 +344,20 @@ def influence(z, pi0, reference, c: float, kstar: int,
     if not np.isfinite(cond) or cond > G_COND_MAX:
         raise SingularGError(f"sensitivity matrix condition {cond:.3e} "
                              f"exceeds {G_COND_MAX:.0e}")
-    lu, piv = scipy.linalg.lu_factor(g_eq)
 
     z_expo = _weight_exponents(Z, pi_vec, c, kstar)
+    over = np.nonzero(z_expo - shift > np.log(np.finfo(float).max))[0]
+    if over.size:
+        i = int(over[0])
+        raise WeightError(
+            f"weight of z row {i} overflows: its exponent exceeds the reference "
+            f"maximum by {z_expo[i] - shift:.1f}")
     values = np.empty((Z.shape[0], q))
     for start in range(0, Z.shape[0], _CHUNK):
         _, e = score_blocks_batch(Z[start:start + _CHUNK], x, beta_p)
         wz = np.exp(z_expo[start:start + _CHUNK] - shift)
         rhs = (wz[:, None] * e) * dr[None, :]
-        sol = scipy.linalg.lu_solve((lu, piv), rhs.T)
+        sol = np.linalg.solve(g_eq, rhs.T)
         values[start:start + _CHUNK] = -(dc[:, None] * sol).T
     return InfluenceResult(
         z=Z, value=values, g_matrix=g, c=float(c), kstar=int(kstar),

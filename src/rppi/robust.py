@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonConvergenceError, SingularSystemError
-from .estimator import assemble, solve_system
+from .estimator import ScoreStats, assemble, score_stats, solve_system
 from .model import (
     ParamVector,
     RPPIParams,
@@ -141,12 +141,13 @@ class RobustFitResult:
         return self.pi_hat.labels
 
 
-def _iterate(U: np.ndarray, config: RobustConfig, base, pi_init, beta_p: float,
-             ridge: float, restarts: int) -> RobustFitResult:
+def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, base,
+             pi_init, beta_p: float, ridge: float, restarts: int) -> RobustFitResult:
     """One run of the reweighting iteration from a given start.
 
-    ``U`` is the validated composition matrix from :func:`fit_robust`;
-    its rows are used as given.
+    ``U`` is the validated composition matrix from :func:`fit_robust`
+    and ``stats`` its score statistics; only the weights change between
+    iterations.
     """
     n, p = U.shape
     c = config.c
@@ -154,7 +155,7 @@ def _iterate(U: np.ndarray, config: RobustConfig, base, pi_init, beta_p: float,
     outside = ~mask
 
     if pi_init is None:
-        w_hat, d_hat = assemble(U, weights=base, beta_p=beta_p)
+        w_hat, d_hat = assemble(stats, base)
         pi_prev, cond, _, _ = solve_system(w_hat, d_hat, ridge=ridge)
     else:
         pi_prev = np.array(pi_init, dtype=float)
@@ -167,7 +168,7 @@ def _iterate(U: np.ndarray, config: RobustConfig, base, pi_init, beta_p: float,
         akk = _akk_from_pi(pi_prev, p, config.kstar)
         factors = _raw_weight_factors(U, akk, c)
         eff = factors if base is None else base * factors
-        w_hat, d_hat = assemble(U, weights=eff, beta_p=beta_p)
+        w_hat, d_hat = assemble(stats, eff)
         pi_tilde, cond, _, _ = solve_system(w_hat, d_hat, ridge=ridge)
         pi_new = (pi_tilde + c * np.where(outside, pi_prev, 0.0)) / (1.0 + c)
         if damped:
@@ -193,7 +194,7 @@ def _iterate(U: np.ndarray, config: RobustConfig, base, pi_init, beta_p: float,
     factors = _raw_weight_factors(U, akk, c)
     eff = factors if base is None else base * factors
     weights = eff / eff.sum()
-    w_fin, d_fin = assemble(U, weights=eff, beta_p=beta_p)
+    w_fin, d_fin = assemble(stats, eff)
     h = np.where(mask, 1.0 + c, 1.0)
     residual = float(np.max(np.abs(w_fin @ (h * pi_hat) - d_fin)))
     try:
@@ -278,10 +279,11 @@ def fit_robust(data, config: RobustConfig, base_weights=None,
     else:
         starts = [None]
     starts.extend(_failover_inits(U, config))
+    stats = score_stats(U, beta_p)
     last_error = None
     for restarts, start in enumerate(starts):
         try:
-            return _iterate(U, config, base, start, beta_p, ridge, restarts)
+            return _iterate(U, stats, config, base, start, beta_p, ridge, restarts)
         except (SingularSystemError, NonConvergenceError) as exc:
             last_error = exc
     raise last_error

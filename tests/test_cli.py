@@ -20,6 +20,7 @@ from rppi.errors import (
     SingularGError,
     SingularSystemError,
 )
+from rppi.estimator import CHUNK
 from rppi.inference import bootstrap_se
 from rppi.model import RPPIParams
 from rppi.robust import RobustConfig, fit_robust
@@ -418,13 +419,34 @@ def test_installed_distribution_exposes_console_script():
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import and only `tune` needs it
+    # scipy is slow to import and only `tune` needs it, for scipy.stats
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, rppi.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, rppi.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
         capture_output=True, text=True, env=code_under_test_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_fit_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # p = 8 over more than two chunks: a threaded GEMM of this size
+    # splits its columns differently with the thread count
+    rng = np.random.default_rng(86)
+    U = rng.dirichlet(np.linspace(1.0, 4.0, 8), size=2 * CHUNK + 100)
+    path = tmp_path / "wide.csv"
+    write_table(path, U)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rppi.cli", "fit", str(path), "--c", "0.5",
+             "--kstar", "2", "--out", str(out)],
+            capture_output=True, text=True,
+            env=dict(code_under_test_env(), OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([Path(str(out) + ext).read_bytes() for ext in (".json", ".csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_module_entry_point_matches(tmp_path, params_json, rppi_script):

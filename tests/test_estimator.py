@@ -6,7 +6,7 @@ import pytest
 from oracles import naive_blocks
 from rppi.errors import DegeneracyWarning, SingularSystemError
 import rppi.estimator as estimator
-from rppi.estimator import assemble, fit_alr_sme, solve_system
+from rppi.estimator import assemble, fit_alr_sme, score_stats, solve_system
 from rppi.model import CountDataset, RPPIParams, pack, proportions, q_dim
 from rppi.sampling import sample_rppi
 
@@ -19,7 +19,7 @@ def test_assemble_matches_naive_accumulation():
     U = rng.dirichlet((2.0, 3.0, 1.5, 1.0), size=300)
     for weights in (None, rng.uniform(0.1, 2.0, size=300)):
         W_ref, d_ref = naive_blocks(U, weights=weights, beta_p=0.1)
-        W, d = assemble(U, weights=weights, beta_p=0.1)
+        W, d = assemble(score_stats(U, 0.1), weights)
         assert np.abs(W - W_ref).max() < 1e-12
         assert np.abs(d - d_ref).max() < 1e-12
 
@@ -28,13 +28,13 @@ def test_assemble_is_chunk_clean_and_repeatable():
     rng = np.random.default_rng(22)
     U = rng.dirichlet((2.0, 1.0, 1.0), size=4100)  # crosses the chunk size
     W_ref, d_ref = naive_blocks(U)
-    W1, d1 = assemble(U)
-    W2, d2 = assemble(U)
+    W1, d1 = assemble(score_stats(U))
+    W2, d2 = assemble(score_stats(U))
     assert np.abs(W1 - W_ref).max() < 1e-12
     assert W1.tobytes() == W2.tobytes() and d1.tobytes() == d2.tobytes()
 
 
-def test_assemble_evaluates_exactly_the_rows_it_is_given(monkeypatch):
+def test_score_stats_evaluates_exactly_the_rows_it_is_given(monkeypatch):
     rng = np.random.default_rng(29)
     U = rng.dirichlet((2.0, 1.0, 1.5, 3.0), size=200)
     # some rows change in their last bits when normalized again
@@ -49,7 +49,7 @@ def test_assemble_evaluates_exactly_the_rows_it_is_given(monkeypatch):
 
     monkeypatch.setattr(estimator, "r_matrix_batch", spy(estimator.r_matrix_batch))
     monkeypatch.setattr(estimator, "s_matrix_batch", spy(estimator.s_matrix_batch))
-    assemble(U)
+    score_stats(U)
     assert len(seen) == 2
     assert all(np.array_equal(rows, U) for rows in seen)
 
@@ -77,6 +77,21 @@ def test_solve_system_survives_wild_scale_disparity():
     pi, cond, _, _ = solve_system(W, W @ target)
     assert np.abs((pi - target) / target).max() < 1e-8
     assert cond < 1e3  # condition is reported for the equilibrated system
+
+
+def test_solve_system_reports_the_2_norm_condition_number():
+    rng = np.random.default_rng(30)
+    for _ in range(50):
+        q = int(rng.integers(2, 20))
+        B = rng.normal(size=(q, q))
+        scales = 10.0 ** rng.uniform(-4.0, 4.0, size=q)
+        core = B @ B.T + rng.uniform(1e-3, 1.0) * np.eye(q)
+        W = scales[:, None] * core * scales[None, :]
+        s = 1.0 / np.sqrt(np.diag(W))
+        want = np.linalg.cond(W * s[:, None] * s[None, :])
+        assert want < 1e6
+        _, cond, _, _ = solve_system(W, W @ rng.normal(size=q))
+        assert cond == pytest.approx(want, rel=1e-8)
 
 
 def test_solve_system_pins_vanished_coordinates():

@@ -9,6 +9,7 @@ from rppi.errors import (
     BootstrapDegradedError,
     InsufficientDataError,
     SingularGError,
+    WeightError,
 )
 from rppi.inference import (
     bootstrap_se,
@@ -160,6 +161,18 @@ def test_influence_weights_do_not_overflow():
     res = influence(simplex_grid(3, 10), pack(params), ref, c=2.0, kstar=1)
     assert np.all(np.isfinite(res.g_matrix))
     assert np.all(np.isfinite(res.value))
+
+
+def test_influence_rejects_a_z_weight_beyond_the_float_range():
+    # the vertex z = (1, 0, 0) has weight exp(778.5) relative to the
+    # largest on this reference, which no float holds
+    ref = np.random.default_rng(0).dirichlet([2, 2, 60], 4000)
+    params = RPPIParams(a_l=[[400.0, 0.0], [0.0, -5.0]],
+                        beta=[-0.5, -0.2, 0.0], kstar=1)
+    z = simplex_grid(3, 4)
+    assert z[14].tolist() == [1.0, 0.0, 0.0]
+    with pytest.raises(WeightError, match="z row 14 "):
+        influence(z, pack(params), ref, c=2.0, kstar=1)
 
 
 def test_influence_never_holds_per_row_w1():

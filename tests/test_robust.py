@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rppi.errors import DimensionError, NonConvergenceError
-from rppi.estimator import assemble, fit_alr_sme
+import rppi.estimator as estimator
+from rppi.errors import DimensionError, NonConvergenceError, SingularSystemError
+from rppi.estimator import assemble, fit_alr_sme, score_stats
 from rppi.model import RPPIParams, pack
 from rppi.robust import RobustConfig, fit_robust, kk_mask
 from rppi.sampling import sample_rppi
@@ -67,7 +70,7 @@ def test_converged_fit_satisfies_the_weighted_equation():
     # recompute the equation pieces independently of the fit loop
     uk = U[:, :2]
     w = np.exp(cfg.c * np.einsum("nk,kl,nl->n", uk, fit.params.a_kk, uk))
-    W, d = assemble(U, weights=w)
+    W, d = assemble(score_stats(U), w)
     h = np.where(kk_mask(3, 2), 1.0 + cfg.c, 1.0)
     residual = np.abs(W @ (h * fit.pi_hat.pi) - d).max()
     assert residual < 1e-6 * max(np.abs(d).max(), 1e-30)
@@ -101,6 +104,22 @@ def test_contaminated_start_triggers_the_restart_ladder():
     assert abs(beta1 - truth.beta[0]) < 0.3
 
 
+def test_restarting_fit_evaluates_the_kernels_once_per_chunk(monkeypatch):
+    truth, U = contaminated_sample()
+    monkeypatch.setattr(estimator, "CHUNK", 32)
+    rows = []
+    kernel = estimator.r_matrix_batch
+
+    def spy(chunk):
+        rows.append(len(chunk))
+        return kernel(chunk)
+
+    monkeypatch.setattr(estimator, "r_matrix_batch", spy)
+    fit = fit_robust(U, RobustConfig(c=0.5, kstar=4))
+    assert fit.restarts > 0
+    assert rows == [32, 32, 30]  # ceil(94 / 32) chunks, each evaluated once
+
+
 def test_restart_ladder_reports_nonconvergence_when_capped():
     truth, U = contaminated_sample()
     with pytest.raises(NonConvergenceError) as err:
@@ -115,3 +134,36 @@ def test_explicit_init_is_honored():
     warm = fit_robust(U, cfg, init=ref.pi_hat)
     assert warm.iterations <= 2
     assert np.abs(warm.pi_hat.pi - ref.pi_hat.pi).max() < 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(3, 5),
+       n=st.integers(100, 400), kstar=st.integers(1, 4))
+def test_fits_do_not_depend_on_row_order(seed, p, n, kstar):
+    rng = np.random.default_rng(seed)
+    U = rng.dirichlet(rng.uniform(1.0, 5.0, size=p), size=n)
+    perm = rng.permutation(n)
+
+    # plain fit: only the summation order changes.  Sums of n terms are
+    # off by at most n eps relative, which the equilibrated solve
+    # amplifies by at most its condition number (once for W, once for d)
+    a, b = fit_alr_sme(U), fit_alr_sme(U[perm])
+    scale = np.sqrt(np.diag(a.w_hat))
+    bound = 2.0 * a.condition_number * n * np.finfo(float).eps
+    assert (np.linalg.norm(scale * (a.pi_hat.pi - b.pi_hat.pi))
+            <= bound * np.linalg.norm(scale * a.pi_hat.pi))
+
+    # weighted fit: each run stops once a step changes pi by at most tol
+    # relative, which leaves it within 50 tol of the fixed point for any
+    # contraction rate up to 0.98
+    cfg = RobustConfig(c=0.5, kstar=min(kstar, p - 1))
+    try:
+        a = fit_robust(U, cfg)
+    except (SingularSystemError, NonConvergenceError) as exc:
+        # some weighted systems degenerate; then in either row order
+        with pytest.raises(type(exc)):
+            fit_robust(U[perm], cfg)
+        return
+    b = fit_robust(U[perm], cfg)
+    assert (np.max(np.abs(a.pi_hat.pi - b.pi_hat.pi))
+            <= 100 * cfg.tol * np.max(np.abs(a.pi_hat.pi)))
