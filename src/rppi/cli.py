@@ -100,7 +100,10 @@ def cmd_sample(args) -> int:
                   "method": args.method}
     if args.m_file is not None or args.m is not None:
         if args.m_file is not None:
-            totals = dataio.read_table(args.m_file).matrix.ravel()
+            table = dataio.read_table(args.m_file)
+            if not table.is_counts:
+                raise ParseError(f"{args.m_file} must hold whole-number totals")
+            totals = table.matrix.ravel()
         else:
             if args.n is None:
                 raise ParseError("--m needs --n to say how many rows")

@@ -117,14 +117,19 @@ def read_table(path) -> TableData:
 
 
 def write_table(path, matrix, names=None) -> None:
-    """Write a matrix as CSV with shortest round-trip formatting."""
+    """Write a matrix as CSV with shortest round-trip formatting.
+
+    Integer cells are written as ``str(int)`` and every other cell as
+    ``repr(float)``, the same text as :func:`_fmt`, but a whole row is
+    joined at once.  Only the header goes through ``csv`` (for quoting).
+    """
     arr = np.asarray(matrix)
+    if not np.issubdtype(arr.dtype, np.integer):
+        arr = arr.astype(float)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         if names is not None:
-            writer.writerow(list(names))
-        for row in arr:
-            writer.writerow([_fmt(v) for v in row])
+            csv.writer(fh, lineterminator="\n").writerow(list(names))
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in arr.tolist())
 
 
 def _jsonable(obj):

@@ -8,7 +8,10 @@ form over a polytope is attained at a critical point of one of its
 faces; enumerating subsets T of active coordinates and solving the
 stationarity condition A_TT x proportional to 1 on each sum-one face
 gives M exactly (up to roundoff in the small solves), so acceptance
-exp(Q - M) never exceeds one.
+exp(Q - M) never exceeds one.  There are 2^(p-1) faces, so the faces of
+one size are solved in stacks of ``FACE_CHUNK`` (k*k*8*FACE_CHUNK
+bytes each); a stack with a singular face falls back to one solve per
+face, and the maximum equals a face-by-face loop bit for bit.
 
 When the acceptance rate makes rejection impractical, an independence
 Metropolis-Hastings chain with the same proposal has acceptance ratio
@@ -19,7 +22,7 @@ autocorrelated draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .model import CountDataset, RPPIParams, as_matrix
 
 ACCEPT_FLOOR = 1e-6
 FEAS_TOL = 1e-9
+FACE_CHUNK = 4096
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -55,29 +59,46 @@ def quad_max_simplex(a_l) -> float:
     by singletons, whose value is the diagonal entry.  Marginally
     infeasible critical points are kept (tolerance on the inclusive
     side), which can only enlarge the envelope, never undercut it.
+
+    Faces of one size k are taken ``FACE_CHUNK`` at a time and their
+    A_TT solved as one stack, which holds k*k*8*FACE_CHUNK bytes (8 MB at
+    k = 16).  A stack with a singular member is solved again one face at
+    a time, skipping the singular ones.  Each face still gets its own
+    LAPACK solve and the maximum does not depend on order, so the result
+    equals a face-by-face loop bit for bit.
     """
     a = np.asarray(a_l, dtype=float)
     d = a.shape[0]
     if a.shape != (d, d):
         raise DimensionError(f"interaction matrix must be square, got {a.shape}")
-    best = 0.0
-    best = max(best, float(np.max(np.diag(a))))
-    ones_cache = [np.ones(k) for k in range(d + 1)]
+    best = max(0.0, float(np.max(np.diag(a))))
     for size in range(2, d + 1):
-        for subset in combinations(range(d), size):
-            idx = np.asarray(subset)
-            att = a[np.ix_(idx, idx)]
-            try:
-                z = np.linalg.solve(att, ones_cache[size])
-            except np.linalg.LinAlgError:
-                continue
-            s = z.sum()
-            if s == 0.0 or not np.all(np.isfinite(z)):
-                continue
-            x = z / s
-            if np.all(x >= -FEAS_TOL):
-                best = max(best, 1.0 / s)
+        ones = np.ones((size, 1))
+        faces = combinations(range(d), size)
+        while chunk := list(islice(faces, FACE_CHUNK)):
+            idx = np.array(chunk)
+            z = _solve_faces(a[idx[:, :, None], idx[:, None, :]], ones)
+            s = z.sum(axis=1)
+            ok = (s != 0.0) & np.isfinite(z).all(axis=1)
+            z, s = z[ok], s[ok]
+            feasible = (z / s[:, None] >= -FEAS_TOL).all(axis=1)
+            if feasible.any():
+                best = max(best, float(np.max(1.0 / s[feasible])))
     return best
+
+
+def _solve_faces(stack: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """Solutions of stack[i] z = 1, one row each; NaN rows where singular."""
+    try:
+        return np.linalg.solve(stack, ones)[..., 0]
+    except np.linalg.LinAlgError:
+        z = np.full(stack.shape[:2], np.nan)
+        for i, att in enumerate(stack):
+            try:
+                z[i] = np.linalg.solve(att, ones)[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return z
 
 
 @dataclass(frozen=True)
@@ -192,11 +213,13 @@ def sample_counts(params: RPPIParams, m, seed=None, n: int | None = None) -> Cou
     if m_arr.ndim == 0:
         if n is None:
             raise DimensionError("scalar m needs an explicit n")
-        m_arr = np.full(n, int(m_arr))
+        m_arr = np.full(n, m_arr)
     if m_arr.ndim != 1:
         raise DimensionError(f"m must be a vector of totals, got shape {m_arr.shape}")
     if np.any(m_arr < 1):
         raise ValueError("multinomial totals must be >= 1")
+    if not np.all(np.isfinite(m_arr) & (m_arr == np.floor(m_arr))):
+        raise ValueError("multinomial totals must be whole numbers")
     m_arr = m_arr.astype(np.int64)
     latent_seed, count_seed = spawn_seeds(seed, 2)
     U, _ = sample_rppi(params, m_arr.size, seed=latent_seed)

@@ -152,3 +152,27 @@ def quad_max_grid(a_l, resolution=120):
     d = a_l.shape[0]
     V = closed_simplex_grid_ref(d + 1, resolution)[:, :d]
     return float(np.einsum("ni,ij,nj->n", V, a_l, V).max())
+
+
+def quad_max_faces_ref(a_l, feas_tol=1e-9):
+    """Envelope maximum by one small solve per face, in a plain loop."""
+    a = np.asarray(a_l, dtype=float)
+    d = a.shape[0]
+    best = 0.0
+    best = max(best, float(np.max(np.diag(a))))
+    ones_cache = [np.ones(k) for k in range(d + 1)]
+    for size in range(2, d + 1):
+        for subset in combinations(range(d), size):
+            idx = np.asarray(subset)
+            att = a[np.ix_(idx, idx)]
+            try:
+                z = np.linalg.solve(att, ones_cache[size])
+            except np.linalg.LinAlgError:
+                continue
+            s = z.sum()
+            if s == 0.0 or not np.all(np.isfinite(z)):
+                continue
+            x = z / s
+            if np.all(x >= -feas_tol):
+                best = max(best, 1.0 / s)
+    return best

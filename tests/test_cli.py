@@ -206,6 +206,16 @@ def test_sample_continuous_and_counts(params_json, tmp_path):
     assert np.all(counts.sum(axis=1) == 250)
 
 
+def test_sample_m_file_rejects_fractional_totals(params_json, tmp_path, capsys):
+    totals = tmp_path / "m.csv"
+    totals.write_text("2.5\n3\n4.9\n")
+    code = main(["sample", params_json, "--m-file", str(totals), "--seed", "7",
+                 "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "whole-number totals" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_sample_same_seed_same_bytes(params_json, tmp_path):
     out = str(tmp_path / "s")
     main(["sample", params_json, "--n", "25", "--seed", "3", "--out", out])

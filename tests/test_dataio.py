@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from rppi.dataio import (
     SCHEMA_VERSION,
+    _fmt,
     bootstrap_csv_rows,
     bootstrap_to_dict,
     config_from_dict,
@@ -51,6 +54,35 @@ def test_table_round_trip_preserves_floats_exactly(tmp_path):
     assert back.names == ("x", "y", "z")
     assert not back.is_counts
     assert np.array_equal(back.matrix, M)
+
+
+def test_write_table_bytes_match_per_cell_formatting(tmp_path):
+    def reference(path, matrix, names=None):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            if names is not None:
+                writer.writerow(list(names))
+            for row in np.asarray(matrix):
+                writer.writerow([_fmt(v) for v in row])
+
+    special = np.array([[np.nan, np.inf, -np.inf, -0.0],
+                        [5e-324, 1e16, 1e22, 0.1 + 0.2],
+                        [1e-300, -2.5, 0.0, 1.0 / 3.0]])
+    rng = np.random.default_rng(72)
+    cases = [
+        (special, None),
+        (special.astype(np.float32), ("a", "b", "c", "d")),
+        (rng.dirichlet(np.ones(4), size=50), None),
+        (rng.integers(0, 10**6, size=(20, 3), dtype=np.int64), ("x1", "x2", "x3")),
+        (rng.random((6, 2)) < 0.5, None),
+        (np.array([[1.5, 2.0]]), ("a,b", 'say "c"')),
+    ]
+    for i, (matrix, names) in enumerate(cases):
+        write_table(tmp_path / f"got{i}.csv", matrix, names=names)
+        reference(tmp_path / f"want{i}.csv", matrix, names=names)
+        got = (tmp_path / f"got{i}.csv").read_bytes()
+        assert got == (tmp_path / f"want{i}.csv").read_bytes(), matrix.dtype
+    assert got.startswith(b'"a,b","say ""c"""\n')
 
 
 def test_integer_tables_are_recognized_as_counts(tmp_path):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_ks, quad_max_grid, quadrature_expectation
+from oracles import brute_ks, quad_max_faces_ref, quad_max_grid, quadrature_expectation
+from rppi import sampling
 from rppi.errors import DimensionError, LowAcceptanceError
 from rppi.model import RPPIParams
 from rppi.sampling import (
@@ -37,6 +40,45 @@ def test_quad_max_dominates_a_dense_grid():
             assert M >= quad_max_grid(A, 60) - 1e-9
 
 
+def envelope_cases():
+    rng = np.random.default_rng(54)
+    for d in range(2, 13):
+        for scale in (0.1, 3.0, 100.0):
+            B = rng.normal(scale=scale, size=(d, d))
+            yield (B + B.T) / 2.0
+        dup = (B + B.T) / 2.0
+        dup[:, -1] = dup[:, 0]
+        dup[-1, :] = dup[0, :]
+        yield dup  # every face holding both copies is singular
+        yield -(B @ B.T)
+        yield np.outer(B[0], B[0])
+        yield np.zeros((d, d))
+
+
+def test_quad_max_equals_the_face_by_face_loop(monkeypatch):
+    for A in envelope_cases():
+        want = quad_max_faces_ref(A)
+        assert quad_max_simplex(A) == want
+        with monkeypatch.context() as m:
+            # chunk edges, partial last chunks, singular-stack fallback
+            m.setattr(sampling, "FACE_CHUNK", 3)
+            assert quad_max_simplex(A) == want
+
+
+def test_quad_max_solves_each_face_size_in_one_stack(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    B = np.random.default_rng(55).normal(size=(10, 10))
+    quad_max_simplex((B + B.T) / 2.0)
+    assert len(calls) == 9  # face sizes 2..10, each at most C(10, 5) = 252 faces
+
+
 def test_rejection_sampler_is_deterministic_and_interior():
     U1, rep1 = sample_rppi(TEST_PARAMS, 500, seed=np.random.SeedSequence(42))
     U2, rep2 = sample_rppi(TEST_PARAMS, 500, seed=np.random.SeedSequence(42))
@@ -61,6 +103,23 @@ def test_rejection_moments_match_quadrature():
         got = vals.mean(axis=0)
         se = vals.std(axis=0, ddof=1) / np.sqrt(vals.shape[0])
         assert np.all(np.abs(got - want) < 4.0 * se + 1e-12)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(diag=st.tuples(*[st.floats(-2.0, 2.0)] * 2), off=st.floats(-2.0, 2.0),
+       beta=st.tuples(*[st.floats(-0.5, 2.0)] * 3))
+@example(diag=(1.5, 0.5), off=-1.0, beta=(0.0, 0.0, 0.0))  # M at a vertex
+@example(diag=(1.0, 1.0), off=2.0, beta=(0.5, -0.3, 1.0))  # M inside an edge
+@example(diag=(-1.0, -1.0), off=2.0, beta=(1.0, 1.0, 0.0))  # indefinite, M > 0
+def test_rejection_moments_match_quadrature_on_random_models(diag, off, beta):
+    # |Q| <= 2 on the simplex slice, so acceptance stays above exp(-4)
+    params = RPPIParams(a_l=[[diag[0], off], [off, diag[1]]], beta=beta)
+    U, _ = sample_rppi(params, 20_000, seed=np.random.SeedSequence(56))
+    for f in (lambda pts: pts, lambda pts: pts ** 2):
+        want = quadrature_expectation(params, f)
+        vals = f(U)
+        se = vals.std(axis=0, ddof=1) / np.sqrt(vals.shape[0])
+        assert np.all(np.abs(vals.mean(axis=0) - want) < 5.0 * se)
 
 
 def test_zero_interaction_reduces_to_dirichlet():
@@ -111,6 +170,13 @@ def test_sample_counts_row_totals_and_determinism():
         sample_counts(TEST_PARAMS, 200)  # scalar total without n
     with pytest.raises(ValueError):
         sample_counts(TEST_PARAMS, [0, 10])
+
+
+def test_sample_counts_rejects_fractional_totals():
+    with pytest.raises(ValueError, match="whole numbers"):
+        sample_counts(TEST_PARAMS, [2.5, 3.0, 4.9], seed=np.random.SeedSequence(53))
+    with pytest.raises(ValueError, match="whole numbers"):
+        sample_counts(TEST_PARAMS, 2.5, n=3, seed=np.random.SeedSequence(53))
 
 
 def test_round_proportions_snaps_to_the_grid():
