@@ -100,10 +100,11 @@ def cmd_sample(args) -> int:
                   "method": args.method}
     if args.m_file is not None or args.m is not None:
         if args.m_file is not None:
-            table = dataio.read_table(args.m_file)
-            if not table.is_counts:
-                raise ParseError(f"{args.m_file} must hold whole-number totals")
-            totals = table.matrix.ravel()
+            totals = dataio.read_table(args.m_file).matrix
+            if totals.shape[1] != 1:
+                raise ParseError(f"{args.m_file} must have one column of totals, "
+                                 f"got {totals.shape[1]}")
+            totals = totals[:, 0]
         else:
             if args.n is None:
                 raise ParseError("--m needs --n to say how many rows")

@@ -46,6 +46,9 @@ class TableData:
         return CountDataset(x=self.matrix.astype(np.int64))
 
 
+WRITE_ROWS = 4096
+
+
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -121,15 +124,20 @@ def write_table(path, matrix, names=None) -> None:
 
     Integer cells are written as ``str(int)`` and every other cell as
     ``repr(float)``, the same text as :func:`_fmt`, but a whole row is
-    joined at once.  Only the header goes through ``csv`` (for quoting).
+    joined at once.  Rows are converted to Python numbers ``WRITE_ROWS``
+    at a time, so the writer holds one block of them, not the table.
+    Only the header goes through ``csv`` (for quoting).
     """
     arr = np.asarray(matrix)
-    if not np.issubdtype(arr.dtype, np.integer):
-        arr = arr.astype(float)
+    as_float = not np.issubdtype(arr.dtype, np.integer)
     with open(path, "w", newline="") as fh:
         if names is not None:
             csv.writer(fh, lineterminator="\n").writerow(list(names))
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in arr.tolist())
+        for start in range(0, len(arr), WRITE_ROWS):
+            block = arr[start:start + WRITE_ROWS]
+            if as_float:
+                block = block.astype(float)
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
 def _jsonable(obj):

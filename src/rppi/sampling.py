@@ -73,7 +73,7 @@ def quad_max_simplex(a_l) -> float:
         raise DimensionError(f"interaction matrix must be square, got {a.shape}")
     best = max(0.0, float(np.max(np.diag(a))))
     for size in range(2, d + 1):
-        ones = np.ones((size, 1))
+        ones = np.ones((1, size, 1))
         faces = combinations(range(d), size)
         while chunk := list(islice(faces, FACE_CHUNK)):
             idx = np.array(chunk)
@@ -88,14 +88,19 @@ def quad_max_simplex(a_l) -> float:
 
 
 def _solve_faces(stack: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """Solutions of stack[i] z = 1, one row each; NaN rows where singular."""
+    """Solutions of stack[i] z = 1, one row each; NaN rows where singular.
+
+    ``ones`` has shape (1, k, 1), the rank of ``stack``, so every numpy
+    version reads it as one right-hand-side matrix broadcast over the
+    stack (numpy 1.x would read a (k, 1) array as a stack of vectors).
+    """
     try:
         return np.linalg.solve(stack, ones)[..., 0]
     except np.linalg.LinAlgError:
         z = np.full(stack.shape[:2], np.nan)
         for i, att in enumerate(stack):
             try:
-                z[i] = np.linalg.solve(att, ones)[:, 0]
+                z[i] = np.linalg.solve(att, ones[0])[:, 0]
             except np.linalg.LinAlgError:
                 pass
         return z

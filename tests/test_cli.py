@@ -212,7 +212,17 @@ def test_sample_m_file_rejects_fractional_totals(params_json, tmp_path, capsys):
     code = main(["sample", params_json, "--m-file", str(totals), "--seed", "7",
                  "--out", str(tmp_path / "s")])
     assert code == 2
-    assert "whole-number totals" in capsys.readouterr().err
+    assert "whole numbers" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_sample_m_file_needs_one_column(params_json, tmp_path, capsys):
+    totals = tmp_path / "m.csv"
+    totals.write_text("5,6\n7,8\n")
+    code = main(["sample", params_json, "--m-file", str(totals), "--seed", "7",
+                 "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "one column of totals, got 2" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 

@@ -56,7 +56,7 @@ def test_table_round_trip_preserves_floats_exactly(tmp_path):
     assert np.array_equal(back.matrix, M)
 
 
-def test_write_table_bytes_match_per_cell_formatting(tmp_path):
+def test_write_table_bytes_match_per_cell_formatting(tmp_path, monkeypatch):
     def reference(path, matrix, names=None):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -78,11 +78,15 @@ def test_write_table_bytes_match_per_cell_formatting(tmp_path):
         (np.array([[1.5, 2.0]]), ("a,b", 'say "c"')),
     ]
     for i, (matrix, names) in enumerate(cases):
-        write_table(tmp_path / f"got{i}.csv", matrix, names=names)
         reference(tmp_path / f"want{i}.csv", matrix, names=names)
-        got = (tmp_path / f"got{i}.csv").read_bytes()
-        assert got == (tmp_path / f"want{i}.csv").read_bytes(), matrix.dtype
-    assert got.startswith(b'"a,b","say ""c"""\n')
+        want = (tmp_path / f"want{i}.csv").read_bytes()
+        write_table(tmp_path / f"got{i}.csv", matrix, names=names)
+        assert (tmp_path / f"got{i}.csv").read_bytes() == want, matrix.dtype
+        with monkeypatch.context() as m:
+            m.setattr("rppi.dataio.WRITE_ROWS", 7)  # block edges, partial last block
+            write_table(tmp_path / f"got{i}.csv", matrix, names=names)
+        assert (tmp_path / f"got{i}.csv").read_bytes() == want, matrix.dtype
+    assert want.startswith(b'"a,b","say ""c"""\n')
 
 
 def test_integer_tables_are_recognized_as_counts(tmp_path):

@@ -70,13 +70,20 @@ def test_quad_max_solves_each_face_size_in_one_stack(monkeypatch):
     solve = np.linalg.solve
 
     def counting(a, b):
-        calls.append(np.shape(a))
+        calls.append((np.ndim(a), np.ndim(b)))
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting)
     B = np.random.default_rng(55).normal(size=(10, 10))
     quad_max_simplex((B + B.T) / 2.0)
     assert len(calls) == 9  # face sizes 2..10, each at most C(10, 5) = 252 faces
+    # b has a's rank, which numpy 1.x and 2.x both read as a matrix of
+    # right-hand sides (numpy 1.x reads rank ndim(a) - 1 as vectors)
+    assert calls == [(3, 3)] * 9
+    calls.clear()
+    B[:, 1], B[1, :] = B[:, 0], B[0, :]  # singular faces: the one-by-one fallback
+    quad_max_simplex((B + B.T) / 2.0)
+    assert all(nd_a == nd_b for nd_a, nd_b in calls) and (2, 2) in calls
 
 
 def test_rejection_sampler_is_deterministic_and_interior():
