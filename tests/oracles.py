@@ -176,3 +176,50 @@ def quad_max_faces_ref(a_l, feas_tol=1e-9):
             if np.all(x >= -feas_tol):
                 best = max(best, 1.0 / s)
     return best
+
+
+def influence_ref(z, pi0, reference, c, kstar, beta_p=0.0):
+    """Influence function at each row of z, one observation at a time.
+
+    Straight from the definitions: W1 = R R' and d1 per row, the
+    unshifted weight exp(c u_K' A_KK u_K), H = diag(1 + c on the A_KK
+    entries, 1 elsewhere), the sensitivity matrix as the plain mean
+    G = (1/n) sum_i w_i (W1_i H + c e_i t_a,i') with e = W1 H pi - d1,
+    and IF(z) = -G^{-1} w(z) e(z).  Uses the package's per-row R and S
+    (checked against finite differences elsewhere) and nothing else.
+    """
+    from rppi.suffstats import r_matrix_batch, s_matrix_batch
+
+    pi0 = np.asarray(pi0, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    p = reference.shape[1]
+    d = p - 1
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    in_kk = [i < kstar for i in range(d)] + [j < kstar for _, j in pairs] + [False] * d
+    h = np.array([1.0 + c if live else 1.0 for live in in_kk])
+
+    def t_a(u):
+        parts = [u[i] ** 2 if i < kstar else 0.0 for i in range(d)]
+        parts += [2.0 * u[i] * u[j] if j < kstar else 0.0 for i, j in pairs]
+        return np.array(parts + [0.0] * d)
+
+    def pieces(u):
+        row = np.asarray(u, dtype=float)[None, :]
+        R = r_matrix_batch(row)[0]
+        S = s_matrix_batch(row)[0]
+        W1 = R @ R.T
+        d1 = (1.0 + beta_p) * (R @ row[0, :-1]) - S.sum(axis=1)
+        ta = t_a(row[0])
+        return W1, W1 @ (h * pi0) - d1, ta, math.exp(c * float(ta @ pi0))
+
+    q = pi0.size
+    G = np.zeros((q, q))
+    for u in reference:
+        W1, e, ta, w = pieces(u)
+        G += w * (W1 * h[None, :] + c * np.outer(e, ta))
+    G /= reference.shape[0]
+    out = []
+    for u in np.atleast_2d(np.asarray(z, dtype=float)):
+        _, e, _, w = pieces(u)
+        out.append(-np.linalg.solve(G, w * e))
+    return np.array(out)

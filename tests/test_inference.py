@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from oracles import closed_simplex_grid_ref, influence_ref
+import rppi.estimator as estimator
 import rppi.inference as inference
 from rppi.errors import (
     BootstrapDegradedError,
@@ -19,7 +21,7 @@ from rppi.inference import (
     simplex_grid,
     tune_c,
 )
-from rppi.model import RPPIParams, pack, proportions
+from rppi.model import RPPIParams, as_matrix, pack, proportions
 from rppi.robust import RobustConfig, fit_robust
 from rppi.sampling import sample_counts, sample_rppi
 
@@ -132,6 +134,41 @@ def test_influence_mean_vanishes_at_the_empirical_fit():
     res = influence(U, fit.pi_hat, U, c=cfg.c, kstar=cfg.kstar)
     scale = np.abs(res.value).max()
     assert np.abs(res.value.mean(axis=0)).max() < 1e-8 * scale
+
+
+P4_PARAMS = RPPIParams(a_l=[[-2.0, 0.5, 0.3], [0.5, -1.5, 0.2], [0.3, 0.2, -1.0]],
+                       beta=[-0.3, 0.2, 0.1, 0.0], kstar=3)
+
+
+def influence_case(p, n, seed):
+    params = TEST_PARAMS if p == 3 else P4_PARAMS
+    ref, _ = sample_rppi(params, n, seed=np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
+    # the lattice holds the vertices and edges; add interior points
+    z = np.vstack([closed_simplex_grid_ref(p, 4), rng.dirichlet(np.ones(p), 5)])
+    return pack(params).pi, ref, z
+
+
+@pytest.mark.parametrize("p,kstar", [(3, 2), (3, 1), (4, 3), (4, 2)])
+@pytest.mark.parametrize("c", [0.0, 0.7])
+def test_influence_matches_the_per_row_oracle(p, kstar, c):
+    pi0, ref, z = influence_case(p, 200, 70 + p + kstar)
+    got = influence(z, pi0, ref, c=c, kstar=kstar, beta_p=0.2).value
+    want = influence_ref(z, pi0, ref, c, kstar, beta_p=0.2)
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-8 * scale
+
+
+def test_influence_is_invariant_to_row_order_and_chunk_size(monkeypatch):
+    pi0, ref, z = influence_case(4, 500, 76)
+    base = influence(z, pi0, ref, c=0.7, kstar=2).value
+    scale = np.abs(base).max()
+    perm = np.random.default_rng(77).permutation(ref.shape[0])
+    permuted = influence(z, pi0, ref[perm], c=0.7, kstar=2).value
+    assert np.abs(permuted - base).max() <= 1e-10 * scale
+    monkeypatch.setattr(estimator, "CHUNK", 32)
+    chunked = influence(z, pi0, ref, c=0.7, kstar=2).value
+    assert np.abs(chunked - base).max() <= 1e-10 * scale
 
 
 def test_influence_is_finite_across_the_closed_simplex():
