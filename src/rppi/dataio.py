@@ -86,12 +86,13 @@ def _records(fh):
 def read_table(path) -> TableData:
     """Read a delimited table of compositions or counts.
 
-    Anything malformed, undecodable bytes included, raises ParseError.
+    A leading UTF-8 byte order mark is skipped.  Anything malformed,
+    undecodable bytes included, raises ParseError.
     """
     rows: list[list[float]] = []
     names = None
     width = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, cells in _records(fh):
             try:
                 values = [float(cell) for cell in cells]

@@ -14,6 +14,9 @@ a vertex.
 The blocks depend only on the rows, so :func:`score_stats` evaluates
 R and d1 once per dataset and :func:`assemble` reduces any weights over
 them; a reweighting loop pays for the kernels once, not per iteration.
+:func:`residuals` gives the per-row residual W1 x - d1 from the same
+cache.  The fits and :func:`rppi.inference.influence` use these three,
+so :func:`score_stats` is the only caller of the kernels.
 
 Accumulation detail: fixed-size chunks are reduced with Neumaier
 compensated summation in a fixed order, and each chunk's contraction
@@ -137,6 +140,19 @@ def assemble(stats: ScoreStats, weights=None) -> tuple[np.ndarray, np.ndarray]:
     w_hat = w_tot + w_comp
     w_hat = 0.5 * (w_hat + w_hat.T)
     return w_hat, d_tot + d_comp
+
+
+def residuals(stats: ScoreStats, x: np.ndarray, start: int = 0,
+              stop: int | None = None) -> np.ndarray:
+    """Residuals W1(u_i) x - d1(u_i) of rows start:stop (start >= 0), shape (rows, q).
+
+    Formed as R (R' x) - d1 from the cached R, so no per-row W1 exists.
+    """
+    d = stats.r.shape[1] // len(stats)
+    d1 = stats.d1[start:stop]
+    m, q = d1.shape
+    r = stats.r[:, start * d:(start + m) * d].reshape(q, m, d)
+    return np.einsum("qnj,nj->nq", r, np.einsum("qnj,q->nj", r, x)) - d1
 
 
 def solve_system(w_hat: np.ndarray, d_hat: np.ndarray, ridge: float = 0.0,

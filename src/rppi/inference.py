@@ -42,14 +42,14 @@ from .model import (
     proportions,
     q_dim,
 )
-from .robust import RobustConfig, RobustFitResult, fit_robust, kk_mask
+from . import estimator
+from .robust import RobustConfig, RobustFitResult, fit_robust, kk_mask, weight_exponents
 from .sampling import round_proportions, sample_counts, sample_rppi, spawn_seeds
-from .suffstats import score_blocks_batch, suff_t_a_batch
+from .suffstats import suff_t_a_batch
 # unused here, but bench/tracing.py installs kernel spans at these names
 from .suffstats import r_matrix_batch, s_matrix_batch  # noqa: F401
 
 G_COND_MAX = 1e12
-_CHUNK = 4096
 
 
 def ks_truncated(observed, simulated, quantile: float = 0.95) -> tuple[float, float]:
@@ -258,9 +258,10 @@ def bootstrap_se(fit: RobustFitResult, data: CountDataset, b: int = 200,
 class InfluenceResult:
     """Influence function values and the sensitivity matrix behind them.
 
-    ``g_matrix`` is the sensitivity matrix scaled by exp(-shift), where
-    shift is the largest weight exponent c t_a(u)' pi over the reference
-    sample (see :func:`influence`).
+    ``g_matrix`` is the sensitivity matrix with the reference weights
+    divided by their sum, sum_i w_i (W1_i H + c e_i t_a,i') / sum_i w_i,
+    which is the plain mean over the reference divided by the mean
+    weight (see :func:`influence`).
     """
 
     z: np.ndarray
@@ -275,13 +276,6 @@ class InfluenceResult:
         return float(np.max(np.abs(self.value)))
 
 
-def _weight_exponents(U: np.ndarray, pi_vec: np.ndarray, c: float,
-                      kstar: int) -> np.ndarray:
-    """c t_a(u)' pi for every row of U, in fixed chunks."""
-    return c * np.concatenate([suff_t_a_batch(U[start:start + _CHUNK], kstar) @ pi_vec
-                               for start in range(0, U.shape[0], _CHUNK)])
-
-
 def influence(z, pi0, reference, c: float, kstar: int,
               beta_p: float = 0.0) -> InfluenceResult:
     """Influence function of the weighted estimator at point(s) z.
@@ -290,9 +284,10 @@ def influence(z, pi0, reference, c: float, kstar: int,
     at which sensitivity is linearized; ``reference`` is the sample
     whose empirical measure plays the model distribution in the
     expectation; both it and ``z`` are validated here.  Boundary points
-    are fine: every ingredient is polynomial.  All weights exp(c t_a'pi)
-    are divided by the largest one on the reference, which leaves the
-    influence function unchanged and keeps the reference's weights from
+    are fine: every ingredient is polynomial.  Statistics, weights and
+    reduction are the fit's own.  Reference weights are divided by their
+    sum and z weights by the reference's mean weight, which leaves the
+    influence function unchanged and keeps the weights from
     overflowing.  Raises SingularGError when the sensitivity matrix is
     (numerically) singular, and WeightError when a z point's weight
     exceeds the float range even after that scaling.
@@ -313,18 +308,19 @@ def influence(z, pi0, reference, c: float, kstar: int,
         raise ValueError("z dimension does not match the reference sample")
     h = np.where(kk_mask(p, kstar), 1.0 + c, 1.0)
     x = h * pi_vec
-    expo = _weight_exponents(ref, pi_vec, c, kstar)
+    expo = weight_exponents(ref, pi_vec, kstar, c)
     shift = float(expo.max())
+    w = np.exp(expo - shift)
+    total = w.sum()
+    w_hat = w / total
 
-    g = np.zeros((q, q))
-    for start in range(0, n, _CHUNK):
-        block = ref[start:start + _CHUNK]
-        R, e = score_blocks_batch(block, x, beta_p)
-        ta = suff_t_a_batch(block, kstar)
-        w = np.exp(expo[start:start + _CHUNK] - shift)
-        g += c * np.einsum("n,nq,nr->qr", w, e, ta)
-        g += np.einsum("nqj,nrj->qr", R * w[:, None, None], R) * h[None, :]
-    g /= n
+    stats = estimator.score_stats(ref, beta_p)
+    g = estimator.assemble(stats, w)[0] * h[None, :]
+    for start in range(0, n, estimator.CHUNK):
+        stop = start + estimator.CHUNK
+        e = estimator.residuals(stats, x, start, stop)
+        ta = suff_t_a_batch(ref[start:stop], kstar)
+        g += c * np.einsum("n,nq,nr->qr", w_hat[start:stop], e, ta)
     if not np.all(np.isfinite(g)):
         raise SingularGError("sensitivity matrix has non-finite entries")
 
@@ -345,20 +341,21 @@ def influence(z, pi0, reference, c: float, kstar: int,
         raise SingularGError(f"sensitivity matrix condition {cond:.3e} "
                              f"exceeds {G_COND_MAX:.0e}")
 
-    z_expo = _weight_exponents(Z, pi_vec, c, kstar)
-    over = np.nonzero(z_expo - shift > np.log(np.finfo(float).max))[0]
+    z_expo = weight_exponents(Z, pi_vec, kstar, c)
+    over = np.nonzero(z_expo - shift > np.log(np.finfo(float).max * (total / n)))[0]
     if over.size:
         i = int(over[0])
         raise WeightError(
             f"weight of z row {i} overflows: its exponent exceeds the reference "
             f"maximum by {z_expo[i] - shift:.1f}")
     values = np.empty((Z.shape[0], q))
-    for start in range(0, Z.shape[0], _CHUNK):
-        _, e = score_blocks_batch(Z[start:start + _CHUNK], x, beta_p)
-        wz = np.exp(z_expo[start:start + _CHUNK] - shift)
+    for start in range(0, Z.shape[0], estimator.CHUNK):
+        stop = start + estimator.CHUNK
+        e = estimator.residuals(estimator.score_stats(Z[start:stop], beta_p), x)
+        wz = np.exp(z_expo[start:stop] - shift) * (n / total)
         rhs = (wz[:, None] * e) * dr[None, :]
         sol = np.linalg.solve(g_eq, rhs.T)
-        values[start:start + _CHUNK] = -(dc[:, None] * sol).T
+        values[start:stop] = -(dc[:, None] * sol).T
     return InfluenceResult(
         z=Z, value=values, g_matrix=g, c=float(c), kstar=int(kstar),
         n_reference=n,

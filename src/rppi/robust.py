@@ -92,30 +92,33 @@ def kk_mask(p: int, kstar: int) -> np.ndarray:
     return mask
 
 
-def _akk_from_pi(pi: np.ndarray, p: int, kstar: int) -> np.ndarray:
-    """Extract A_KK from a packed vector without full validation.
+def weight_exponents(U: np.ndarray, pi: np.ndarray, kstar: int, c: float) -> np.ndarray:
+    """Weight exponents c u_K' A_KK u_K of every row of U, for the fit and
+    :func:`rppi.inference.influence` alike.
 
-    Mid-iteration vectors may be outside the parameter space (for
-    example 1 + beta <= 0), so this must not construct RPPIParams.
+    A_KK is read from the packed pi without validation: mid-iteration
+    vectors may be outside the parameter space (for example 1 + beta <= 0).
     """
-    d = p - 1
+    p = U.shape[1]
     akk = np.zeros((kstar, kstar))
     akk[np.diag_indices(kstar)] = pi[:kstar]
     for slot, (i, j) in enumerate(pair_indices(p)):
         if j < kstar:
-            akk[i, j] = akk[j, i] = pi[d + slot]
-    return akk
+            akk[i, j] = akk[j, i] = pi[p - 1 + slot]
+    uk = U[:, :kstar]
+    return c * np.einsum("nk,kl,nl->n", uk, akk, uk)
 
 
-def _raw_weight_factors(U: np.ndarray, akk: np.ndarray, c: float) -> np.ndarray:
-    """Unnormalized weight factors exp(c u_K' A_KK u_K), max-shifted.
+def _raw_weight_factors(U: np.ndarray, pi: np.ndarray, kstar: int, c: float,
+                        base) -> np.ndarray:
+    """Unnormalized weights exp(c u_K' A_KK u_K), max-shifted, times ``base``.
 
     The shift cancels in the normalized weighted averages and keeps the
     exponentials in (0, 1].  At c = 0 every factor is exactly 1.0.
     """
-    uk = U[:, : akk.shape[0]]
-    expo = c * np.einsum("nk,kl,nl->n", uk, akk, uk)
-    return np.exp(expo - expo.max())
+    expo = weight_exponents(U, pi, kstar, c)
+    factors = np.exp(expo - expo.max())
+    return factors if base is None else base * factors
 
 
 @dataclass(frozen=True)
@@ -165,9 +168,7 @@ def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, base,
     non_monotone = 0
     damped = False
     for iteration in range(1, config.max_iter + 1):
-        akk = _akk_from_pi(pi_prev, p, config.kstar)
-        factors = _raw_weight_factors(U, akk, c)
-        eff = factors if base is None else base * factors
+        eff = _raw_weight_factors(U, pi_prev, config.kstar, c, base)
         w_hat, d_hat = assemble(stats, eff)
         pi_tilde, cond, _, _ = solve_system(w_hat, d_hat, ridge=ridge)
         pi_new = (pi_tilde + c * np.where(outside, pi_prev, 0.0)) / (1.0 + c)
@@ -190,9 +191,7 @@ def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, base,
         )
 
     pi_hat = pi_prev
-    akk = _akk_from_pi(pi_hat, p, config.kstar)
-    factors = _raw_weight_factors(U, akk, c)
-    eff = factors if base is None else base * factors
+    eff = _raw_weight_factors(U, pi_hat, config.kstar, c, base)
     weights = eff / eff.sum()
     w_fin, d_fin = assemble(stats, eff)
     h = np.where(mask, 1.0 + c, 1.0)

@@ -26,17 +26,16 @@ Each piece is written once:
 * R and S are defined in :func:`r_matrix_batch` and
   :func:`s_matrix_batch`;
 * d1 is formed from them in :func:`d1_batch`;
-* :func:`rppi.estimator.score_stats` evaluates them once per dataset
-  and keeps R and d1, and :func:`rppi.estimator.assemble` is the
-  weighted reduction over that cache;
-* the per-row residual W1(u) x - d1(u) is built in
-  :func:`score_blocks_batch` (used where every row's residual is
-  needed, as in the influence function).
+* :func:`rppi.estimator.score_stats` is their only caller: it
+  evaluates them once per dataset and keeps R and d1;
+* :func:`rppi.estimator.assemble` is the weighted reduction over that
+  cache (the fits and the influence function), and
+  :func:`rppi.estimator.residuals` the per-row residual W1(u) x - d1(u)
+  (the influence function).
 
-All of them contract R directly, so the n (q x q) per-row W1 never
-exist.  Every function here evaluates exactly the (n, p) rows it is
-given, as validated once by :func:`rppi.model.as_matrix` where data
-enters.
+Both contract R directly, so the n (q x q) per-row W1 never exist.
+Every function here evaluates exactly the (n, p) rows it is given, as
+validated once by :func:`rppi.model.as_matrix` where data enters.
 """
 
 from __future__ import annotations
@@ -132,16 +131,3 @@ def d1_batch(U: np.ndarray, R: np.ndarray, S: np.ndarray,
     """Per-row d1(u) = (1 + beta_p) R u_L - sum_j S[:, j]: shape (n, q)."""
     return (1.0 + beta_p) * np.einsum("nqj,nj->nq", R, U[:, :-1]) - S.sum(axis=2)
 
-
-def score_blocks_batch(U: np.ndarray, x: np.ndarray,
-                       beta_p: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """R and the per-row residual W1 x - d1: shapes (n, q, p-1), (n, q).
-
-    The residual is formed as R (R' x) - d1, so the per-row W1 = R R'
-    never exists.  Kept unchunked; callers stream over chunks themselves
-    when n is large.
-    """
-    R = r_matrix_batch(U)
-    d1 = d1_batch(U, R, s_matrix_batch(U), beta_p)
-    e = np.einsum("nqj,nj->nq", R, np.einsum("nqj,q->nj", R, x)) - d1
-    return R, e

@@ -15,13 +15,13 @@ from oracles import (
 )
 from rppi.cli import main
 from rppi.dataio import params_to_dict, write_json, write_table
-from rppi.estimator import fit_alr_sme
+from rppi.estimator import fit_alr_sme, residuals, score_stats
 from rppi.inference import influence, simplex_grid
 from rppi.model import RPPIParams, pack, proportions
 from rppi.robust import RobustConfig, fit_robust
 from rppi.sampling import sample_counts, sample_rppi, sample_rppi_mcmc, spawn_seeds
 from rppi.study import dataset2_truth, preset_scenario, run_study
-from rppi.suffstats import r_matrix_batch, s_matrix_batch, score_blocks_batch
+from rppi.suffstats import r_matrix_batch, s_matrix_batch
 
 
 P3_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]],
@@ -49,7 +49,7 @@ def test_criterion_02_population_estimating_identity():
     at n = 100000."""
     pi0 = pack(P3_PARAMS).pi
     U, _ = sample_rppi(P3_PARAMS, 100_000, seed=np.random.SeedSequence(202))
-    _, resid = score_blocks_batch(U, pi0)
+    resid = residuals(score_stats(U), pi0)
     mean = resid.mean(axis=0)
     se = resid.std(axis=0, ddof=1) / np.sqrt(U.shape[0])
     assert np.all(np.abs(mean) < 3.0 * se)

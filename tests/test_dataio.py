@@ -140,6 +140,20 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         read_table(empty)
 
 
+def test_a_byte_order_mark_is_not_part_of_the_table(tmp_path):
+    rows = b"0.2,0.3,0.5\r\n0.1,0.1,0.8\r\n0.6,0.2,0.2\r\n"
+    headerless = tmp_path / "bom.csv"
+    headerless.write_bytes(b"\xef\xbb\xbf" + rows)
+    table = read_table(headerless)
+    assert table.names is None
+    assert table.matrix.tolist() == [[0.2, 0.3, 0.5], [0.1, 0.1, 0.8], [0.6, 0.2, 0.2]]
+    headed = tmp_path / "bom_header.csv"
+    headed.write_bytes(b"\xef\xbb\xbfa,b,c\r\n" + rows)
+    table = read_table(headed)
+    assert table.names == ("a", "b", "c")
+    assert table.matrix.shape == (3, 3)
+
+
 TABLE_PIECES = (b"0", b"1", b"2.5", b"-3", b"1e999", b"nan", b"x", b" ", b",",
                 b";", b"\t", b"\n", b"\r", b'"', b"\x00", b"\xff", b"\xc3\xa9")
 

@@ -159,6 +159,26 @@ def test_influence_matches_the_per_row_oracle(p, kstar, c):
     assert np.abs(got - want).max() <= 1e-8 * scale
 
 
+def test_influence_evaluates_each_row_once_through_the_estimator(monkeypatch):
+    pi0, ref, z = influence_case(4, 300, 75)
+    seen = {"r": [], "s": []}
+
+    def spy(key, kernel):
+        def wrapped(U):
+            seen[key].append(U.copy())
+            return kernel(U)
+        return wrapped
+
+    monkeypatch.setattr(estimator, "CHUNK", 64)
+    monkeypatch.setattr(estimator, "r_matrix_batch", spy("r", estimator.r_matrix_batch))
+    monkeypatch.setattr(estimator, "s_matrix_batch", spy("s", estimator.s_matrix_batch))
+    influence(z, pi0, ref, c=0.7, kstar=2)
+    rows = as_matrix(np.vstack([ref, z]))
+    for key in ("r", "s"):
+        assert seen[key], "no kernel was evaluated through rppi.estimator"
+        assert np.array_equal(np.vstack(seen[key]), rows)
+
+
 def test_influence_is_invariant_to_row_order_and_chunk_size(monkeypatch):
     pi0, ref, z = influence_case(4, 500, 76)
     base = influence(z, pi0, ref, c=0.7, kstar=2).value
@@ -210,6 +230,12 @@ def test_influence_rejects_a_z_weight_beyond_the_float_range():
     assert z[14].tolist() == [1.0, 0.0, 0.0]
     with pytest.raises(WeightError, match="z row 14 "):
         influence(z, pack(params), ref, c=2.0, kstar=1)
+    # 705 above the largest reference exponent fits a float, but the z
+    # weights are divided by the reference's mean weight, about exp(-8.1)
+    u1 = ref[:, 0] / ref.sum(axis=1)
+    c = 705.0 / (400.0 * (1.0 - np.max(u1 * u1)))
+    with pytest.raises(WeightError, match="z row 14 .* by 705.0"):
+        influence(z, pack(params), ref, c=c, kstar=1)
 
 
 def test_influence_never_holds_per_row_w1():

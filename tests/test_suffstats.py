@@ -1,13 +1,9 @@
 import numpy as np
 
 from oracles import fd_stat_jacobian, fd_stat_second, packed_stat_ref
+from rppi.estimator import residuals, score_stats
 from rppi.model import pair_indices, q_dim
-from rppi.suffstats import (
-    r_matrix_batch,
-    s_matrix_batch,
-    score_blocks_batch,
-    suff_t_a_batch,
-)
+from rppi.suffstats import r_matrix_batch, s_matrix_batch, suff_t_a_batch
 
 
 def interior_points(rng, p, n):
@@ -105,10 +101,12 @@ def test_score_blocks_shapes_and_symmetry():
     rng = np.random.default_rng(15)
     U = interior_points(rng, 4, 3)
     q = q_dim(4)
-    R, E = score_blocks_batch(U, np.ones(q))
-    assert R.shape == (3, q, 3)
+    stats = score_stats(U)
+    E = residuals(stats, np.ones(q))
+    assert stats.r.shape == (q, 3 * 3)
     assert E.shape == (3, q)
-    for r in R:
+    for i in range(3):
+        r = stats.r[:, 3 * i:3 * i + 3]
         # W1 = sum_j R[:, j] R[:, j]' is positive semidefinite
         assert np.linalg.eigvalsh(r @ r.T).min() > -1e-12
 
@@ -117,8 +115,11 @@ def test_score_blocks_match_their_construction():
     rng = np.random.default_rng(16)
     U = interior_points(rng, 4, 12)
     x = rng.normal(size=q_dim(4))
-    R, E = score_blocks_batch(U, x, beta_p=0.3)
-    assert np.array_equal(R, r_matrix_batch(U))
+    stats = score_stats(U, beta_p=0.3)
+    E = residuals(stats, x)
+    R = r_matrix_batch(U)
+    assert np.array_equal(stats.r, R.transpose(1, 0, 2).reshape(q_dim(4), -1))
+    assert np.array_equal(residuals(stats, x, 5, 9), E[5:9])
     Sb = s_matrix_batch(U)
     for i in range(U.shape[0]):
         W1 = R[i] @ R[i].T
