@@ -483,3 +483,71 @@ def test_module_entry_point_matches(tmp_path, params_json, rppi_script):
     for ext in (".csv", ".json"):
         assert ((tmp_path / ("mod" + ext)).read_bytes()
                 == (tmp_path / ("script" + ext)).read_bytes())
+
+
+# The exact keys of every JSON report.  A renamed or added result field
+# changes the files users read, so it must show up here as a deliberate
+# schema change.
+HEADER_KEYS = {"schema_version", "kind"}
+PARAMS_KEYS = HEADER_KEYS | {"p", "kstar", "a_l", "beta"}
+CONFIG_KEYS = {"c", "kstar", "tol", "max_iter", "damping", "patience"}
+REPORT_KEYS = {
+    "fit": HEADER_KEYS | {"invocation", "p", "labels", "pi", "params", "config",
+                          "beta_p", "n_obs", "iterations", "converged",
+                          "weight_cv", "residual", "condition_number"},
+    "sample": HEADER_KEYS | {"invocation", "report"},
+    "tune": HEADER_KEYS | {"invocation", "grid", "alpha", "components",
+                           "recommended_c", "entries"},
+    "bootstrap": HEADER_KEYS | {"invocation", "b_requested", "b_used", "n_failed",
+                                "labels", "point", "se", "ratio"},
+    "rmse_table": HEADER_KEYS | {"invocation", "scenario", "replicates", "labels",
+                                 "estimators", "truth", "rmse", "failures",
+                                 "flagged"},
+    "influence": HEADER_KEYS | {"invocation", "c", "kstar", "n_reference",
+                                "n_points", "sup_norm"},
+}
+
+
+def test_report_schema_is_pinned(counts_csv, params_json, tmp_path):
+    from rppi.dataio import scenario_to_dict
+    from rppi.study import preset_scenario
+
+    out = {name: str(tmp_path / name) for name in
+           ("fit", "sample", "tune", "bootstrap", "rmse_table", "influence")}
+    for argv in (
+        ["fit", counts_csv, "--c", "0.5", "--kstar", "2"],
+        ["sample", params_json, "--n", "40", "--seed", "7"],
+        ["tune", counts_csv, "--kstar", "2", "--grid", "0,0.5",
+         "--sim-size", "800", "--seed", "5"],
+        ["bootstrap", out["fit"] + ".json", counts_csv, "--b", "8",
+         "--seed", "9", "--threads", "1"],
+        ["study", "sim5", "--replicates", "2", "--grid", "0", "--seed", "1",
+         "--threads", "1"],
+        ["influence", out["fit"] + ".json", "--grid-resolution", "4",
+         "--ref-size", "500", "--seed", "13"],
+    ):
+        name = "rmse_table" if argv[0] == "study" else argv[0]
+        assert main(argv + ["--out", out[name]]) == 0
+    payloads = {name: read_json(path + ".json") for name, path in out.items()}
+    for kind, payload in payloads.items():
+        assert set(payload) == REPORT_KEYS[kind], kind
+        assert payload["kind"] == kind and payload["schema_version"] == 1
+    assert set(payloads["fit"]["config"]) == CONFIG_KEYS
+    assert set(payloads["fit"]["params"]) == PARAMS_KEYS
+    assert payloads["fit"]["params"]["kind"] == "params"
+    report = payloads["sample"]["report"]
+    assert set(report) == HEADER_KEYS | {"method", "n_requested", "n_proposals",
+                                         "acceptance_rate", "envelope_constant"}
+    assert report["kind"] == "sampler_report"
+    assert set(payloads["tune"]["entries"][0]) == {
+        "c", "converged", "error", "weight_cv", "ks_stats", "ks_pvalues"}
+
+    scenario = scenario_to_dict(preset_scenario("sim7", replicates=2))
+    assert set(scenario) == HEADER_KEYS | {
+        "name", "truth", "n", "replicates", "data_mode", "m", "contamination",
+        "outlier", "seed", "estimators"}
+    assert scenario["kind"] == "scenario"
+    assert set(scenario["truth"]) == PARAMS_KEYS
+    assert {frozenset(e) for e in scenario["estimators"]} == {
+        frozenset({"label", "config"})}
+    assert set(scenario["estimators"][0]["config"]) == CONFIG_KEYS
