@@ -130,7 +130,7 @@ def cmd_sample(args) -> int:
     dataio.write_json(args.out + ".json", {
         "schema_version": dataio.SCHEMA_VERSION, "kind": "sample",
         "invocation": invocation,
-        "report": dataio.sampler_report_to_dict(report),
+        "report": dataio.report_to_dict("sampler_report", report),
     })
     print(f"sample: wrote {args.n} rows, acceptance rate "
           f"{report.acceptance_rate:.4f}")
@@ -155,7 +155,8 @@ def cmd_tune(args) -> int:
         "alpha": args.alpha, "quantile": args.quantile,
         "beta_p": args.beta_p, "tol": args.tol, "max_iter": args.max_iter,
     }
-    dataio.write_json(args.out + ".json", dataio.tune_to_dict(report, invocation))
+    dataio.write_json(args.out + ".json",
+                      dataio.report_to_dict("tune", report, invocation))
     dataio.write_csv_rows(args.out + ".csv", dataio.tune_csv_rows(report))
     if report.recommended_c is None:
         print("tune: no candidate produced a usable fit")
@@ -215,7 +216,8 @@ def cmd_study(args) -> int:
         "command": "study", "scenario": args.scenario,
         "replicates": scenario.replicates, "seed": scenario.seed,
     }
-    dataio.write_json(args.out + ".json", dataio.rmse_to_dict(table, invocation))
+    dataio.write_json(args.out + ".json",
+                      dataio.report_to_dict("rmse_table", table, invocation))
     dataio.write_csv_rows(args.out + ".csv", dataio.rmse_csv_rows(table))
     print(f"study {scenario.name}: {scenario.replicates} replicates, "
           f"failures {list(table.failures)}")
@@ -253,9 +255,9 @@ def cmd_influence(args) -> int:
         "n_reference": result.n_reference, "n_points": int(z.shape[0]),
         "sup_norm": result.sup_norm,
     })
-    dataio.write_csv_rows(
-        args.out + ".csv",
-        dataio.influence_csv_rows(result.z, result.value, fit.labels))
+    header = [f"z_{j + 1}" for j in range(p)] + [f"if_{label}" for label in fit.labels]
+    dataio.write_table(args.out + ".csv", np.hstack([result.z, result.value]),
+                       names=header)
     print(f"influence: {z.shape[0]} points, sup |IF| = {result.sup_norm:.6e}")
     return 0
 

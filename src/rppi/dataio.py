@@ -10,13 +10,22 @@ most often in the first non-blank line, comma on a tie), optional
 single header row, one composition or count vector per line.  A file
 whose every value is a nonnegative integer is taken to be counts;
 anything else is read as proportions.
+
+Payloads: a JSON report is :func:`report_to_dict` of its result
+dataclass (``schema_version``, ``kind``, every field, then any extra or
+replaced keys and the invocation), so a new field reaches the file
+without a second edit here.  ``fit_to_dict`` and ``bootstrap_to_dict``
+list their keys by hand because their results carry per-row arrays
+(``final_weights``, ``d_hat``, the replicate ``estimates``) that the
+files leave out.  The ``*_from_dict`` readers coerce types and raise
+ParseError, since their input comes from outside the program.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +34,6 @@ from .errors import ParseError
 from .inference import BootstrapReport, TuneReport
 from .model import CountDataset, ParamVector, RPPIParams
 from .robust import RobustConfig, RobustFitResult
-from .sampling import SamplerReport
 from .study import RmseTable, StudyScenario
 
 SCHEMA_VERSION = 1
@@ -171,15 +179,19 @@ def read_json(path) -> dict:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def report_to_dict(kind: str, report, invocation: dict | None = None, **extra) -> dict:
+    """The JSON payload of a result dataclass: ``schema_version``, ``kind``,
+    every field of ``report``, then ``extra`` (which adds or replaces
+    keys) and ``invocation`` when given."""
+    payload = {"schema_version": SCHEMA_VERSION, "kind": kind,
+               **asdict(report), **extra}
+    if invocation is not None:
+        payload["invocation"] = invocation
+    return payload
+
+
 def params_to_dict(params: RPPIParams) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "params",
-        "p": params.p,
-        "kstar": params.kstar,
-        "a_l": params.a_l,
-        "beta": params.beta,
-    }
+    return report_to_dict("params", params, p=params.p)
 
 
 def params_from_dict(payload: dict) -> RPPIParams:
@@ -191,17 +203,6 @@ def params_from_dict(payload: dict) -> RPPIParams:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad params payload: {exc}") from exc
-
-
-def config_to_dict(config: RobustConfig) -> dict:
-    return {
-        "c": config.c,
-        "kstar": config.kstar,
-        "tol": config.tol,
-        "max_iter": config.max_iter,
-        "damping": config.damping,
-        "patience": config.patience,
-    }
 
 
 def config_from_dict(payload: dict) -> RobustConfig:
@@ -226,7 +227,7 @@ def fit_to_dict(fit: RobustFitResult, invocation: dict | None = None) -> dict:
         "labels": list(fit.labels),
         "pi": fit.pi_hat.pi,
         "params": params_to_dict(fit.params) if fit.params is not None else None,
-        "config": config_to_dict(fit.config),
+        "config": asdict(fit.config),
         "beta_p": fit.beta_p,
         "n_obs": fit.n_obs,
         "iterations": fit.iterations,
@@ -281,43 +282,6 @@ def fit_csv_rows(fit: RobustFitResult) -> list[list[str]]:
     return rows
 
 
-def sampler_report_to_dict(report: SamplerReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "sampler_report",
-        "method": report.method,
-        "n_requested": report.n_requested,
-        "n_proposals": report.n_proposals,
-        "acceptance_rate": report.acceptance_rate,
-        "envelope_constant": report.envelope_constant,
-    }
-
-
-def tune_to_dict(report: TuneReport, invocation: dict | None = None) -> dict:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "tune",
-        "grid": list(report.grid),
-        "alpha": report.alpha,
-        "components": list(report.components),
-        "recommended_c": report.recommended_c,
-        "entries": [
-            {
-                "c": e.c,
-                "converged": e.converged,
-                "error": e.error,
-                "weight_cv": e.weight_cv,
-                "ks_stats": list(e.ks_stats),
-                "ks_pvalues": list(e.ks_pvalues),
-            }
-            for e in report.entries
-        ],
-    }
-    if invocation is not None:
-        payload["invocation"] = invocation
-    return payload
-
-
 def tune_csv_rows(report: TuneReport) -> list[list[str]]:
     header = ["c", "converged", "weight_cv"]
     for j in report.components:
@@ -362,24 +326,6 @@ def bootstrap_csv_rows(report: BootstrapReport) -> list[list[str]]:
     return rows
 
 
-def rmse_to_dict(table: RmseTable, invocation: dict | None = None) -> dict:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "rmse_table",
-        "scenario": table.scenario,
-        "replicates": table.replicates,
-        "labels": list(table.labels),
-        "estimators": list(table.estimators),
-        "truth": table.truth,
-        "rmse": table.rmse,
-        "failures": list(table.failures),
-        "flagged": list(table.flagged),
-    }
-    if invocation is not None:
-        payload["invocation"] = invocation
-    return payload
-
-
 def rmse_csv_rows(table: RmseTable) -> list[list[str]]:
     rows = [["parameter"] + list(table.estimators)]
     for i, label in enumerate(table.labels):
@@ -394,23 +340,10 @@ def write_csv_rows(path, rows: list[list[str]]) -> None:
 
 
 def scenario_to_dict(scenario: StudyScenario) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "scenario",
-        "name": scenario.name,
-        "truth": params_to_dict(scenario.truth),
-        "n": scenario.n,
-        "replicates": scenario.replicates,
-        "data_mode": scenario.data_mode,
-        "m": scenario.m,
-        "contamination": scenario.contamination,
-        "outlier": list(scenario.outlier) if scenario.outlier is not None else None,
-        "seed": scenario.seed,
-        "estimators": [
-            {"label": label, "config": config_to_dict(cfg)}
-            for label, cfg in scenario.estimators
-        ],
-    }
+    return report_to_dict(
+        "scenario", scenario, truth=params_to_dict(scenario.truth),
+        estimators=[{"label": label, "config": asdict(cfg)}
+                    for label, cfg in scenario.estimators])
 
 
 def scenario_from_dict(payload: dict) -> StudyScenario:
@@ -434,12 +367,3 @@ def scenario_from_dict(payload: dict) -> StudyScenario:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad scenario payload: {exc}") from exc
-
-
-def influence_csv_rows(z: np.ndarray, values: np.ndarray, labels) -> list[list[str]]:
-    p = z.shape[1]
-    header = [f"z_{j + 1}" for j in range(p)] + [f"if_{label}" for label in labels]
-    rows = [header]
-    for zi, vi in zip(z, values):
-        rows.append([_fmt(v) for v in zi] + [_fmt(v) for v in vi])
-    return rows

@@ -164,7 +164,10 @@ def solve_system(w_hat: np.ndarray, d_hat: np.ndarray, ridge: float = 0.0,
     an exactly zero diagonal (which only arise from exact zeros in the
     data, e.g. an all-zero component column) are dropped from the solve
     and their parameters pinned to zero, with a DegeneracyWarning.
+    A ``ridge`` that is negative or not finite raises ValueError.
     """
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     q = w_hat.shape[0]
     if w_hat.shape != (q, q) or d_hat.shape != (q,):
         raise SingularSystemError("system blocks have inconsistent shapes")

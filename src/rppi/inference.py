@@ -289,8 +289,9 @@ def influence(z, pi0, reference, c: float, kstar: int,
     sum and z weights by the reference's mean weight, which leaves the
     influence function unchanged and keeps the weights from
     overflowing.  Raises SingularGError when the sensitivity matrix is
-    (numerically) singular, and WeightError when a z point's weight
-    exceeds the float range even after that scaling.
+    (numerically) singular, and WeightError when a z point's weight, or
+    its weighted residual, exceeds the float range even after that
+    scaling.
     """
     if isinstance(pi0, RPPIParams):
         pi_vec = pack(pi0).pi
@@ -356,6 +357,10 @@ def influence(z, pi0, reference, c: float, kstar: int,
         rhs = (wz[:, None] * e) * dr[None, :]
         sol = np.linalg.solve(g_eq, rhs.T)
         values[start:stop] = -(dc[:, None] * sol).T
+    bad = np.nonzero(~np.isfinite(values).all(axis=1))[0]
+    if bad.size:
+        raise WeightError(f"influence at z row {int(bad[0])} is not finite: its "
+                          "weighted residual or its solve overflows")
     return InfluenceResult(
         z=Z, value=values, g_matrix=g, c=float(c), kstar=int(kstar),
         n_reference=n,

@@ -100,6 +100,16 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ridge", ["-5", "nan"])
+def test_fit_rejects_a_negative_or_non_finite_ridge(ridge, data_csv, tmp_path,
+                                                    capsys):
+    out = tmp_path / "x"
+    code = main(["fit", data_csv, "--ridge", ridge, "--out", str(out)])
+    assert code == 2
+    assert "ridge must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_fit_normalizes_proportion_rows_once(tmp_path):
     U, _ = sample_rppi(TEST_PARAMS, 120, seed=np.random.SeedSequence(84))
     scaled = U * np.random.default_rng(85).uniform(0.5, 2.0, size=(120, 1))

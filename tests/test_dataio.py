@@ -1,4 +1,5 @@
 import csv
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from rppi.dataio import (
     bootstrap_csv_rows,
     bootstrap_to_dict,
     config_from_dict,
-    config_to_dict,
     fit_csv_rows,
     fit_from_dict,
     fit_to_dict,
@@ -19,12 +19,11 @@ from rppi.dataio import (
     params_to_dict,
     read_json,
     read_table,
+    report_to_dict,
     rmse_csv_rows,
-    rmse_to_dict,
     scenario_from_dict,
     scenario_to_dict,
     tune_csv_rows,
-    tune_to_dict,
     write_csv_rows,
     write_json,
     write_table,
@@ -198,7 +197,7 @@ def test_params_dict_round_trip():
 
 def test_config_dict_round_trip():
     cfg = RobustConfig(c=0.7, kstar=3, tol=1e-9, max_iter=321)
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(asdict(cfg)) == cfg
 
 
 def test_fit_dict_round_trip_keeps_the_essentials():
@@ -227,12 +226,12 @@ def test_report_payloads_carry_schema_and_tables(tmp_path):
 
     tune = tune_c(data, (0.0, 0.5), kstar=2, sim_size=800,
                   seed=np.random.SeedSequence(74))
-    tpayload = tune_to_dict(tune)
+    tpayload = report_to_dict("tune", tune)
     assert tpayload["schema_version"] == SCHEMA_VERSION
     assert len(tune_csv_rows(tune)) == 1 + len(tune.entries)
 
     table = run_study(preset_scenario("sim5", replicates=2, cs=(0.0,)))
-    spayload = rmse_to_dict(table)
+    spayload = report_to_dict("rmse_table", table)
     assert spayload["schema_version"] == SCHEMA_VERSION
     srows = rmse_csv_rows(table)
     assert len(srows) == 1 + len(table.labels) + 1  # header + rows + failures

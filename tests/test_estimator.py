@@ -8,6 +8,7 @@ from rppi.errors import DegeneracyWarning, SingularSystemError
 import rppi.estimator as estimator
 from rppi.estimator import assemble, fit_alr_sme, score_stats, solve_system
 from rppi.model import CountDataset, RPPIParams, pack, proportions, q_dim
+from rppi.robust import RobustConfig, fit_robust
 from rppi.sampling import sample_rppi
 
 
@@ -113,6 +114,20 @@ def test_solve_system_raises_on_numerically_singular_input():
     W = np.outer(v, v) + 1e-16 * np.eye(5)
     with pytest.raises(SingularSystemError):
         solve_system(W, v)
+
+
+@pytest.mark.parametrize("ridge", [-5.0, -1e-300, float("nan"), float("inf")])
+def test_solve_system_rejects_a_negative_or_non_finite_ridge(ridge):
+    # a skipped ridge would give the ridge-0 answer under another name
+    W = np.eye(5) + 0.1
+    with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+        solve_system(W, np.ones(5), ridge=ridge)
+    U, _ = sample_rppi(RPPIParams(a_l=-np.eye(2), beta=np.zeros(3)), 50,
+                       seed=np.random.SeedSequence(26))
+    with pytest.raises(ValueError, match="ridge"):
+        fit_alr_sme(U, ridge=ridge)
+    with pytest.raises(ValueError, match="ridge"):
+        fit_robust(U, RobustConfig(c=0.5, kstar=2), ridge=ridge)
 
 
 def test_fit_recovers_truth_on_large_samples():

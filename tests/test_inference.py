@@ -238,6 +238,20 @@ def test_influence_rejects_a_z_weight_beyond_the_float_range():
         influence(z, pack(params), ref, c=c, kstar=1)
 
 
+def test_influence_rejects_a_weighted_residual_beyond_the_float_range():
+    # 700 above the largest reference exponent, the vertex's weight fits a
+    # float after the scaling, but weight times residual does not
+    ref = np.random.default_rng(0).dirichlet([2, 2, 60], 4000)
+    params = RPPIParams(a_l=[[400.0, 0.0], [0.0, -5.0]],
+                        beta=[-0.5, -0.2, 0.0], kstar=1)
+    u1 = ref[:, 0] / ref.sum(axis=1)
+    c = 700.0 / (400.0 * (1.0 - np.max(u1 * u1)))
+    z = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+    assert np.all(np.isfinite(influence(z[:1], pack(params), ref, c=c, kstar=1).value))
+    with pytest.raises(WeightError, match="z row 1 is not finite"):
+        influence(z, pack(params), ref, c=c, kstar=1)
+
+
 def test_influence_never_holds_per_row_w1():
     # per-row W1 for one 4096-row chunk at p=10 (q=54) alone is 91 MiB
     ref = np.random.default_rng(69).dirichlet(np.full(10, 2.0), 4096)
