@@ -9,7 +9,6 @@ stays importable from its own module (``rppi.suffstats``,
 
 from .errors import RPPIError
 from .model import CountDataset, ParamVector, RPPIParams, pack, proportions, unpack
-from .estimator import FitResult, fit_alr_sme
 from .robust import RobustConfig, RobustFitResult, fit_robust
 from .sampling import sample_counts, sample_rppi, sample_rppi_mcmc
 from .inference import bootstrap_se, influence, tune_c

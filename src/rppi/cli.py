@@ -88,7 +88,8 @@ def cmd_fit(args) -> int:
     dataio.write_json(args.out + ".json", dataio.fit_to_dict(fit, invocation))
     dataio.write_csv_rows(args.out + ".csv", dataio.fit_csv_rows(fit))
     print(f"fit: n={fit.n_obs} p={fit.pi_hat.p} c={args.c:g} "
-          f"iterations={fit.iterations} residual={fit.residual:.3e} "
+          f"iterations={fit.iterations} restarts={fit.restarts} "
+          f"residual={fit.residual:.3e} "
           f"cond={fit.condition_number:.3e}")
     return 0
 
@@ -99,6 +100,9 @@ def cmd_sample(args) -> int:
     invocation = {"command": "sample", "params": args.params, "seed": seed,
                   "method": args.method}
     if args.m_file is not None or args.m is not None:
+        if args.method == "mcmc":
+            raise ParseError("--m/--m-file draw counts by rejection; "
+                             "--method mcmc applies to continuous samples only")
         if args.m_file is not None:
             totals = dataio.read_table(args.m_file).matrix
             if totals.shape[1] != 1:
@@ -290,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--m-file", default=None,
                    help="CSV of per-row totals (counts mode)")
     q.add_argument("--method", choices=("rejection", "mcmc"),
-                   default="rejection")
+                   default="rejection",
+                   help="sampler for continuous draws (counts mode: rejection only)")
     q.add_argument("--burn-in", type=int, default=10_000)
     q.add_argument("--thin", type=int, default=10)
     q.add_argument("--seed", type=int, default=None)

@@ -212,8 +212,6 @@ def config_from_dict(payload: dict) -> RobustConfig:
             kstar=int(payload["kstar"]),
             tol=float(payload.get("tol", 1e-8)),
             max_iter=int(payload.get("max_iter", 500)),
-            damping=float(payload.get("damping", 0.5)),
-            patience=int(payload.get("patience", 50)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad config payload: {exc}") from exc
@@ -231,6 +229,7 @@ def fit_to_dict(fit: RobustFitResult, invocation: dict | None = None) -> dict:
         "beta_p": fit.beta_p,
         "n_obs": fit.n_obs,
         "iterations": fit.iterations,
+        "restarts": fit.restarts,
         "converged": fit.converged,
         "weight_cv": fit.weight_cv,
         "residual": fit.residual,
@@ -267,6 +266,7 @@ def fit_from_dict(payload: dict) -> RobustFitResult:
             d_hat=np.array([]),
             n_obs=int(payload.get("n_obs", 0)),
             beta_p=beta_p,
+            restarts=int(payload.get("restarts", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad fit payload: {exc}") from exc

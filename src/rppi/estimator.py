@@ -6,16 +6,18 @@ linear system: with per-observation blocks W1(u) and d1(u) from
 
     W_hat = sum_i w_i W1(u_i),    d_hat = sum_i w_i d1(u_i)
 
-give the estimator as the solution of W_hat pi = d_hat.  No iteration,
-no tuning; the only numerical care needed is conditioning, because the
-statistics mix scales like u^6 against O(1) when compositions sit near
-a vertex.
+give the plain estimator as the solution of W_hat pi = d_hat.  No
+iteration, no tuning; the only numerical care needed is conditioning,
+because the statistics mix scales like u^6 against O(1) when
+compositions sit near a vertex.  This module holds the pieces; the one
+fit entry point is :func:`rppi.robust.fit_robust`, whose c = 0 case is
+exactly this solve.
 
 The blocks depend only on the rows, so :func:`score_stats` evaluates
 R and d1 once per dataset and :func:`assemble` reduces any weights over
 them; a reweighting loop pays for the kernels once, not per iteration.
 :func:`residuals` gives the per-row residual W1 x - d1 from the same
-cache.  The fits and :func:`rppi.inference.influence` use these three,
+cache.  The fit and :func:`rppi.inference.influence` use these three,
 so :func:`score_stats` is the only caller of the kernels.
 
 Accumulation detail: fixed-size chunks are reduced with Neumaier
@@ -38,15 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyWarning, SingularSystemError, WeightError
-from .model import (
-    ParamVector,
-    RPPIParams,
-    as_matrix,
-    dim_from_q,
-    param_labels,
-    q_dim,
-    unpack,
-)
+from .model import dim_from_q, param_labels, q_dim
 from .suffstats import d1_batch, r_matrix_batch, s_matrix_batch
 
 CHUNK = 4096
@@ -156,11 +150,10 @@ def residuals(stats: ScoreStats, x: np.ndarray, start: int = 0,
 
 
 def solve_system(w_hat: np.ndarray, d_hat: np.ndarray, ridge: float = 0.0,
-                 ) -> tuple[np.ndarray, float, float, tuple[int, ...]]:
+                 ) -> tuple[np.ndarray, float]:
     """Solve W_hat pi = d_hat with diagonal equilibration.
 
-    Returns (pi, condition number of the equilibrated system, relative
-    residual, indices of structurally degenerate parameters).  Rows with
+    Returns (pi, condition number of the equilibrated system).  Rows with
     an exactly zero diagonal (which only arise from exact zeros in the
     data, e.g. an all-zero component column) are dropped from the solve
     and their parameters pinned to zero, with a DegeneracyWarning.
@@ -203,63 +196,4 @@ def solve_system(w_hat: np.ndarray, d_hat: np.ndarray, ridge: float = 0.0,
     z = vec @ ((vec.T @ (scale * dk)) / lam)
     pi = np.zeros(q)
     pi[keep] = scale * z
-    denom = max(float(np.max(np.abs(d_hat))), 1e-300)
-    residual = float(np.max(np.abs(w_hat @ pi - d_hat))) / denom
-    return pi, cond, residual, tuple(int(i) for i in degenerate)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Outcome of one score matching fit.
-
-    ``params`` is None when the point estimate is not a valid model
-    (non-integrable exponents); the packed vector is always available.
-    """
-
-    pi_hat: ParamVector
-    params: RPPIParams | None
-    w_hat: np.ndarray
-    d_hat: np.ndarray
-    condition_number: float
-    residual: float
-    n_obs: int
-    beta_p: float
-    degenerate: tuple[int, ...] = ()
-
-    @property
-    def labels(self) -> list[str]:
-        return self.pi_hat.labels
-
-
-def fit_alr_sme(data, weights=None, kstar: int | None = None,
-                beta_p: float = 0.0, ridge: float = 0.0) -> FitResult:
-    """Fit the model to compositions (rows of ``data``) in one solve.
-
-    Rows are validated and normalized here, once, by
-    :func:`rppi.model.as_matrix`.
-
-    ``kstar`` only annotates the returned parameters (block bookkeeping
-    for downstream weighting); it does not affect the estimate.
-    """
-    U = as_matrix(data)
-    w_hat, d_hat = assemble(score_stats(U, beta_p), weights)
-    pi, cond, residual, degenerate = solve_system(w_hat, d_hat, ridge=ridge)
-    try:
-        params = unpack(pi, kstar=kstar, beta_p=beta_p)
-    except ValueError:
-        # grossly disturbed data can push the point estimate outside the
-        # parameter space (some 1 + beta <= 0); keep the vector, drop the
-        # structured view
-        params = None
-    return FitResult(
-        pi_hat=ParamVector(pi),
-        params=params,
-        w_hat=w_hat,
-        d_hat=d_hat,
-        condition_number=cond,
-        residual=residual,
-        n_obs=U.shape[0],
-        beta_p=beta_p,
-        degenerate=degenerate,
-    )
-
+    return pi, cond

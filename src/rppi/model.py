@@ -70,7 +70,7 @@ def as_matrix(data) -> np.ndarray:
     Accepts a 1-d or 2-d array or a sequence of rows.  Rows are
     validated (finite, nonnegative, positive sum) and divided by their
     sums.  This is the package's only composition validator, called once
-    where data enters (the fits, ``influence`` and the contamination
+    where data enters (the fit, ``influence`` and the contamination
     outlier); the statistics below that boundary take its result as
     given, because renormalizing a normalized row can change its last
     bits.
@@ -190,21 +190,6 @@ class RPPIParams:
     @property
     def q(self) -> int:
         return q_dim(self.p)
-
-    @property
-    def a_kk(self) -> np.ndarray:
-        k = self.kstar
-        return self.a_l[:k, :k]
-
-    @property
-    def a_rr(self) -> np.ndarray:
-        k = self.kstar
-        return self.a_l[k:, k:]
-
-    @property
-    def a_kr(self) -> np.ndarray:
-        k = self.kstar
-        return self.a_l[:k, k:]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ iteration:
 Step 3 is algebraically the blockwise correction (divide the KK block
 by 1 + c, shift the remaining blocks by c times their previous values
 and divide), written directly on the packed vector so that c = 0
-reduces bit-for-bit to the unweighted estimator.
+reduces bit-for-bit to the unweighted estimator: every weight is 1.0,
+the first step repeats the unweighted solve and the loop stops there.
+So :func:`fit_robust` is the package's one fit, plain and weighted.
 
 At a fixed point, H pi_hat = pi_tilde with H = diag(1 + c on the A_KK
 entries, 1 elsewhere), so the weighted estimating equation
@@ -47,23 +49,21 @@ from .model import (
 )
 
 _TINY = 1e-300
+# Once PATIENCE relative changes have grown instead of shrunk, every
+# later step is scaled by DAMPING: a cheap guard against oscillation
+# that leaves the fixed point unchanged.
+DAMPING = 0.5
+PATIENCE = 50
 
 
 @dataclass(frozen=True)
 class RobustConfig:
-    """Settings for the reweighting iteration.
-
-    ``damping`` scales the step once ``patience`` non-monotone relative
-    changes have accumulated (a cheap guard against oscillation; the
-    fixed point is unaffected).
-    """
+    """Settings for the reweighting iteration (c = 0 is the plain fit)."""
 
     c: float
     kstar: int
     tol: float = 1e-8
     max_iter: int = 500
-    damping: float = 0.5
-    patience: int = 50
 
     def __post_init__(self):
         if not (np.isfinite(self.c) and self.c >= 0.0):
@@ -74,10 +74,6 @@ class RobustConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
 
 
 def kk_mask(p: int, kstar: int) -> np.ndarray:
@@ -159,7 +155,7 @@ def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, base,
 
     if pi_init is None:
         w_hat, d_hat = assemble(stats, base)
-        pi_prev, cond, _, _ = solve_system(w_hat, d_hat, ridge=ridge)
+        pi_prev, cond = solve_system(w_hat, d_hat, ridge=ridge)
     else:
         pi_prev = np.array(pi_init, dtype=float)
         cond = float("nan")
@@ -170,14 +166,14 @@ def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, base,
     for iteration in range(1, config.max_iter + 1):
         eff = _raw_weight_factors(U, pi_prev, config.kstar, c, base)
         w_hat, d_hat = assemble(stats, eff)
-        pi_tilde, cond, _, _ = solve_system(w_hat, d_hat, ridge=ridge)
+        pi_tilde, cond = solve_system(w_hat, d_hat, ridge=ridge)
         pi_new = (pi_tilde + c * np.where(outside, pi_prev, 0.0)) / (1.0 + c)
         if damped:
-            pi_new = pi_prev + config.damping * (pi_new - pi_prev)
+            pi_new = pi_prev + DAMPING * (pi_new - pi_prev)
         rel = float(np.max(np.abs(pi_new - pi_prev))) / max(float(np.max(np.abs(pi_prev))), _TINY)
         if trace and rel > trace[-1]:
             non_monotone += 1
-            if non_monotone >= config.patience:
+            if non_monotone >= PATIENCE:
                 damped = True
         trace.append(rel)
         pi_prev = pi_new
@@ -252,6 +248,7 @@ def fit_robust(data, config: RobustConfig, base_weights=None,
                ridge: float = 0.0) -> RobustFitResult:
     """Run the reweighting iteration to convergence.
 
+    With ``config.c`` = 0 the result is the plain score matching fit.
     ``base_weights`` (optional, unnormalized) multiply the data
     weights throughout; they express a reweighted empirical measure,
     e.g. for contamination sensitivity checks.  ``init`` overrides the

@@ -29,7 +29,7 @@ Each piece is written once:
 * :func:`rppi.estimator.score_stats` is their only caller: it
   evaluates them once per dataset and keeps R and d1;
 * :func:`rppi.estimator.assemble` is the weighted reduction over that
-  cache (the fits and the influence function), and
+  cache (the fit and the influence function), and
   :func:`rppi.estimator.residuals` the per-row residual W1(u) x - d1(u)
   (the influence function).
 

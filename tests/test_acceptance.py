@@ -15,9 +15,9 @@ from oracles import (
 )
 from rppi.cli import main
 from rppi.dataio import params_to_dict, write_json, write_table
-from rppi.estimator import fit_alr_sme, residuals, score_stats
+from rppi.estimator import assemble, residuals, score_stats, solve_system
 from rppi.inference import influence, simplex_grid
-from rppi.model import RPPIParams, pack, proportions
+from rppi.model import RPPIParams, as_matrix, pack, proportions
 from rppi.robust import RobustConfig, fit_robust
 from rppi.sampling import sample_counts, sample_rppi, sample_rppi_mcmc, spawn_seeds
 from rppi.study import dataset2_truth, preset_scenario, run_study
@@ -26,6 +26,11 @@ from rppi.suffstats import r_matrix_batch, s_matrix_batch
 
 P3_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]],
                        beta=[-0.3, 0.2, 0.0], kstar=2)
+
+
+def plain_fit(U) -> np.ndarray:
+    """The unweighted estimate: the one fit path at c = 0."""
+    return fit_robust(U, RobustConfig(c=0.0, kstar=U.shape[1] - 1)).pi_hat.pi
 
 
 def test_criterion_01_kernel_matches_finite_differences():
@@ -64,7 +69,7 @@ def test_criterion_03_rmse_decreases_with_sample_size():
         errs = []
         for s in spawn_seeds(np.random.SeedSequence(203), 50):
             U, _ = sample_rppi(P3_PARAMS, n, seed=s)
-            errs.append(fit_alr_sme(U).pi_hat.pi - pi0)
+            errs.append(plain_fit(U) - pi0)
         rmse[n] = np.sqrt(np.mean(np.square(errs), axis=0))
     assert np.all(rmse[500] > rmse[2000])
     assert np.all(rmse[2000] > rmse[8000])
@@ -78,11 +83,11 @@ def test_criterion_04_count_rounding_vanishes_with_resolution():
     for child in np.random.SeedSequence(204).spawn(50):
         latent_seed, count_seed = child.spawn(2)
         U, _ = sample_rppi(P3_PARAMS, 200, seed=latent_seed)
-        base = fit_alr_sme(U).pi_hat.pi
+        base = plain_fit(U)
         rng = np.random.default_rng(count_seed)
         for m in gaps:
             x = rng.multinomial(np.full(200, m), U)
-            gap = fit_alr_sme(x / m).pi_hat.pi - base
+            gap = plain_fit(x / m) - base
             gaps[m].append(np.linalg.norm(gap))
     means = {m: np.mean(v) for m, v in gaps.items()}
     assert means[10] > means[1000] > means[100_000]
@@ -106,9 +111,9 @@ def test_criterion_05_weighted_fixed_point_and_c0_reduction():
         fit = fit_robust(U, RobustConfig(c=c, kstar=kstar))
         assert fit.residual < 1e-6 * max(np.abs(fit.d_hat).max(), 1e-300)
         if k % 10 == 0:
-            plain = fit_alr_sme(U)
+            plain, _ = solve_system(*assemble(score_stats(as_matrix(U))))
             zero = fit_robust(U, RobustConfig(c=0.0, kstar=kstar))
-            assert zero.pi_hat.pi.tobytes() == plain.pi_hat.pi.tobytes()
+            assert zero.pi_hat.pi.tobytes() == plain.tobytes()
 
 
 def test_criterion_06_desk_scale_study_reproduces_the_pattern():
@@ -168,11 +173,11 @@ def test_criterion_08_zero_heavy_data_fit_stably():
     data = sample_counts(truth, 1000, n=94, seed=np.random.SeedSequence(208))
     U = proportions(data)
     assert np.all((U == 0.0).any(axis=1))  # the regime under test
-    base = fit_alr_sme(U).pi_hat.pi
+    base = plain_fit(U)
     assert np.all(np.isfinite(base))
     robust = fit_robust(U, RobustConfig(c=1.25, kstar=4))
     assert np.all(np.isfinite(robust.pi_hat.pi))
-    perturbed = fit_alr_sme(np.where(U == 0.0, 1e-9, U)).pi_hat.pi
+    perturbed = plain_fit(np.where(U == 0.0, 1e-9, U))
     rel = np.linalg.norm(perturbed - base) / np.linalg.norm(base)
     assert rel < 1e-5
 

@@ -69,9 +69,10 @@ def test_fit_writes_json_and_csv(data_csv, tmp_path, capsys):
     assert payload["schema_version"] == 1
     assert payload["invocation"]["c"] == 0.5
     assert len(payload["pi"]) == 5
+    assert payload["restarts"] == 0
     text = (tmp_path / "fit.csv").read_text()
     assert text.startswith("parameter")
-    assert "fit:" in capsys.readouterr().out
+    assert " restarts=0 " in capsys.readouterr().out
 
 
 def test_fit_is_byte_reproducible(data_csv, tmp_path):
@@ -251,6 +252,21 @@ def test_sample_mcmc_path(params_json, tmp_path):
                  "--out", out])
     assert code == 0
     assert read_json(out + ".json")["report"]["method"] == "independence-mh"
+
+
+@pytest.mark.parametrize("size", [["--n", "50", "--m", "300"], ["--m-file"]])
+def test_sample_counts_refuse_the_mcmc_method(size, params_json, tmp_path, capsys):
+    # counts are drawn by rejection; a run must not record another method
+    if size == ["--m-file"]:
+        totals = tmp_path / "m.csv"
+        totals.write_text("m\n50\n70\n")
+        size = size + [str(totals)]
+    code = main(["sample", params_json, *size, "--method", "mcmc", "--seed", "7",
+                 "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "--method mcmc" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_sample_needs_a_size(params_json, tmp_path, capsys):
@@ -500,11 +516,12 @@ def test_module_entry_point_matches(tmp_path, params_json, rppi_script):
 # schema change.
 HEADER_KEYS = {"schema_version", "kind"}
 PARAMS_KEYS = HEADER_KEYS | {"p", "kstar", "a_l", "beta"}
-CONFIG_KEYS = {"c", "kstar", "tol", "max_iter", "damping", "patience"}
+CONFIG_KEYS = {"c", "kstar", "tol", "max_iter"}
 REPORT_KEYS = {
     "fit": HEADER_KEYS | {"invocation", "p", "labels", "pi", "params", "config",
-                          "beta_p", "n_obs", "iterations", "converged",
-                          "weight_cv", "residual", "condition_number"},
+                          "beta_p", "n_obs", "iterations", "restarts",
+                          "converged", "weight_cv", "residual",
+                          "condition_number"},
     "sample": HEADER_KEYS | {"invocation", "report"},
     "tune": HEADER_KEYS | {"invocation", "grid", "alpha", "components",
                            "recommended_c", "entries"},

@@ -1,5 +1,5 @@
 import csv
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -198,6 +198,8 @@ def test_params_dict_round_trip():
 def test_config_dict_round_trip():
     cfg = RobustConfig(c=0.7, kstar=3, tol=1e-9, max_iter=321)
     assert config_from_dict(asdict(cfg)) == cfg
+    # older files also carry "damping" and "patience"; unknown keys are ignored
+    assert config_from_dict({**asdict(cfg), "damping": 0.5, "patience": 50}) == cfg
 
 
 def test_fit_dict_round_trip_keeps_the_essentials():
@@ -210,6 +212,9 @@ def test_fit_dict_round_trip_keeps_the_essentials():
     assert np.allclose(back.pi_hat.pi, fit.pi_hat.pi)
     assert back.config == fit.config
     assert back.beta_p == fit.beta_p
+    assert fit_from_dict(fit_to_dict(replace(fit, restarts=2))).restarts == 2
+    del payload["restarts"]  # a file from before the field was written
+    assert fit_from_dict(payload).restarts == 0
     rows = fit_csv_rows(fit)
     assert rows[0][0] == "parameter"
     assert len(rows) == 1 + fit.pi_hat.q

@@ -6,13 +6,18 @@ import pytest
 from oracles import naive_blocks
 from rppi.errors import DegeneracyWarning, SingularSystemError
 import rppi.estimator as estimator
-from rppi.estimator import assemble, fit_alr_sme, score_stats, solve_system
-from rppi.model import CountDataset, RPPIParams, pack, proportions, q_dim
+from rppi.estimator import assemble, score_stats, solve_system
+from rppi.model import CountDataset, RPPIParams, pack, param_labels, proportions, q_dim
 from rppi.robust import RobustConfig, fit_robust
 from rppi.sampling import sample_rppi
 
 
 TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]], beta=[-0.3, 0.2, 0.0])
+
+
+def plain_fit(U):
+    """The unweighted fit: the one fit path at c = 0."""
+    return fit_robust(U, RobustConfig(c=0.0, kstar=U.shape[1] - 1))
 
 
 def test_assemble_matches_naive_accumulation():
@@ -61,10 +66,13 @@ def test_solve_system_recovers_a_manufactured_solution():
     B = rng.normal(size=(q, q))
     W = B @ B.T + 0.5 * np.eye(q)
     target = rng.normal(size=q)
-    pi, cond, residual, degenerate = solve_system(W, W @ target)
+    d = W @ target
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegeneracyWarning)  # nothing is pinned
+        pi, cond = solve_system(W, d)
     assert np.abs(pi - target).max() < 1e-9
-    assert cond >= 1.0 and residual < 1e-12
-    assert degenerate == ()
+    assert cond >= 1.0
+    assert np.abs(W @ pi - d).max() < 1e-12 * np.abs(d).max()
 
 
 def test_solve_system_survives_wild_scale_disparity():
@@ -75,7 +83,7 @@ def test_solve_system_survives_wild_scale_disparity():
     B = rng.normal(size=(q, q))
     W = scales[:, None] * (B @ B.T + np.eye(q)) * scales[None, :]
     target = rng.normal(size=q) / scales
-    pi, cond, _, _ = solve_system(W, W @ target)
+    pi, cond = solve_system(W, W @ target)
     assert np.abs((pi - target) / target).max() < 1e-8
     assert cond < 1e3  # condition is reported for the equilibrated system
 
@@ -91,7 +99,7 @@ def test_solve_system_reports_the_2_norm_condition_number():
         s = 1.0 / np.sqrt(np.diag(W))
         want = np.linalg.cond(W * s[:, None] * s[None, :])
         assert want < 1e6
-        _, cond, _, _ = solve_system(W, W @ rng.normal(size=q))
+        _, cond = solve_system(W, W @ rng.normal(size=q))
         assert cond == pytest.approx(want, rel=1e-8)
 
 
@@ -103,9 +111,10 @@ def test_solve_system_pins_vanished_coordinates():
     W[2, :] = 0.0
     W[:, 2] = 0.0
     d = W @ rng.normal(size=q)
-    with pytest.warns(DegeneracyWarning):
-        pi, _, _, degenerate = solve_system(W, d)
-    assert degenerate == (2,)
+    with pytest.warns(DegeneracyWarning) as caught:
+        pi, _ = solve_system(W, d)
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith(f"statistics for {param_labels(3)[2]} vanish")
     assert pi[2] == 0.0
 
 
@@ -124,21 +133,20 @@ def test_solve_system_rejects_a_negative_or_non_finite_ridge(ridge):
         solve_system(W, np.ones(5), ridge=ridge)
     U, _ = sample_rppi(RPPIParams(a_l=-np.eye(2), beta=np.zeros(3)), 50,
                        seed=np.random.SeedSequence(26))
-    with pytest.raises(ValueError, match="ridge"):
-        fit_alr_sme(U, ridge=ridge)
-    with pytest.raises(ValueError, match="ridge"):
-        fit_robust(U, RobustConfig(c=0.5, kstar=2), ridge=ridge)
+    for c in (0.0, 0.5):
+        with pytest.raises(ValueError, match="ridge"):
+            fit_robust(U, RobustConfig(c=c, kstar=2), ridge=ridge)
 
 
 def test_fit_recovers_truth_on_large_samples():
     U, _ = sample_rppi(TEST_PARAMS, 40_000, seed=np.random.SeedSequence(26))
-    fit = fit_alr_sme(U)
+    fit = plain_fit(U)
     pi0 = pack(TEST_PARAMS).pi
     rel = np.abs(fit.pi_hat.pi - pi0) / np.maximum(np.abs(pi0), 1.0)
     assert rel.max() < 0.15
     assert fit.params is not None
     assert fit.n_obs == 40_000
-    assert fit.residual < 1e-10
+    assert fit.residual < 1e-10 * np.abs(fit.d_hat).max()
 
 
 def test_fit_keeps_vector_but_drops_params_outside_the_space():
@@ -150,7 +158,7 @@ def test_fit_keeps_vector_but_drops_params_outside_the_space():
     U = U / U.sum(axis=1, keepdims=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegeneracyWarning)
-        fit = fit_alr_sme(U)
+        fit = plain_fit(U)
     assert np.all(np.isfinite(fit.pi_hat.pi))
     beta_block = fit.pi_hat.pi[-4:] - 1.0
     if np.any(beta_block <= -1.0):
@@ -161,6 +169,6 @@ def test_fit_from_counts_goes_through_proportions():
     rng = np.random.default_rng(28)
     counts = rng.multinomial(500, [0.2, 0.3, 0.5], size=400)
     counts[0] = (0, 250, 250)  # zeros are data here, not errors
-    fit = fit_alr_sme(proportions(CountDataset(counts)))
+    fit = plain_fit(proportions(CountDataset(counts)))
     assert np.all(np.isfinite(fit.pi_hat.pi))
     assert fit.n_obs == 400

@@ -123,16 +123,6 @@ def test_params_validate_beta_and_kstar():
         RPPIParams(a_l=np.eye(2), beta=[0.1, 0.2, 0.0], kstar=5)
 
 
-def test_params_block_views():
-    rng = np.random.default_rng(3)
-    params = RPPIParams(a_l=random_params(rng, 5).a_l,
-                        beta=[0.0, 0.0, 0.0, 0.0, 0.0], kstar=2)
-    assert params.a_kk.shape == (2, 2)
-    assert params.a_rr.shape == (2, 2)
-    assert params.a_kr.shape == (2, 2)
-    assert np.allclose(params.a_kk, params.a_l[:2, :2])
-
-
 def test_param_vector_validation():
     with pytest.raises(DimensionError):
         ParamVector(np.zeros(6))  # no p gives q=6

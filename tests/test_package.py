@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PUBLIC = {
     "RPPIError",
     "RPPIParams", "ParamVector", "CountDataset", "pack", "unpack", "proportions",
-    "fit_alr_sme", "FitResult", "RobustConfig", "RobustFitResult", "fit_robust",
+    "RobustConfig", "RobustFitResult", "fit_robust",
     "sample_rppi", "sample_rppi_mcmc", "sample_counts",
     "tune_c", "bootstrap_se", "influence",
     "StudyScenario", "preset_scenario", "run_study",

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 import rppi.estimator as estimator
 from rppi.errors import DimensionError, NonConvergenceError, SingularSystemError
-from rppi.estimator import assemble, fit_alr_sme, score_stats
-from rppi.model import RPPIParams, pack
+from rppi.estimator import assemble, score_stats, solve_system
+from rppi.model import RPPIParams, as_matrix, pack
 from rppi.robust import RobustConfig, fit_robust, kk_mask
-from rppi.sampling import sample_rppi
-from rppi.study import DATASET2_OUTLIER, dataset2_truth
+from rppi.sampling import contaminate, sample_rppi, spawn_seeds
+from rppi.study import DATASET2_OUTLIER, dataset2_truth, preset_scenario
 
 
 TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]],
@@ -49,9 +49,9 @@ def test_kstar_out_of_range_is_rejected():
 
 def test_c_zero_reduces_to_the_unweighted_fit_bitwise():
     U, _ = sample_rppi(TEST_PARAMS, 500, seed=np.random.SeedSequence(32))
-    plain = fit_alr_sme(U)
+    plain, _ = solve_system(*assemble(score_stats(as_matrix(U))))
     rob = fit_robust(U, RobustConfig(c=0.0, kstar=2))
-    assert rob.pi_hat.pi.tobytes() == plain.pi_hat.pi.tobytes()
+    assert rob.pi_hat.pi.tobytes() == plain.tobytes()
     assert rob.iterations == 1 and rob.restarts == 0
 
 
@@ -69,7 +69,7 @@ def test_converged_fit_satisfies_the_weighted_equation():
     fit = fit_robust(U, cfg)
     # recompute the equation pieces independently of the fit loop
     uk = U[:, :2]
-    w = np.exp(cfg.c * np.einsum("nk,kl,nl->n", uk, fit.params.a_kk, uk))
+    w = np.exp(cfg.c * np.einsum("nk,kl,nl->n", uk, fit.params.a_l[:2, :2], uk))
     W, d = assemble(score_stats(U), w)
     h = np.where(kk_mask(3, 2), 1.0 + cfg.c, 1.0)
     residual = np.abs(W @ (h * fit.pi_hat.pi) - d).max()
@@ -147,8 +147,9 @@ def test_fits_do_not_depend_on_row_order(seed, p, n, kstar):
     # plain fit: only the summation order changes.  Sums of n terms are
     # off by at most n eps relative, which the equilibrated solve
     # amplifies by at most its condition number (once for W, once for d)
-    a, b = fit_alr_sme(U), fit_alr_sme(U[perm])
-    scale = np.sqrt(np.diag(a.w_hat))
+    plain = RobustConfig(c=0.0, kstar=p - 1)
+    a, b = fit_robust(U, plain), fit_robust(U[perm], plain)
+    scale = np.sqrt(np.diag(assemble(score_stats(as_matrix(U)))[0]))
     bound = 2.0 * a.condition_number * n * np.finfo(float).eps
     assert (np.linalg.norm(scale * (a.pi_hat.pi - b.pi_hat.pi))
             <= bound * np.linalg.norm(scale * a.pi_hat.pi))
@@ -167,3 +168,35 @@ def test_fits_do_not_depend_on_row_order(seed, p, n, kstar):
     b = fit_robust(U[perm], cfg)
     assert (np.max(np.abs(a.pi_hat.pi - b.pi_hat.pi))
             <= 100 * cfg.tol * np.max(np.abs(a.pi_hat.pi)))
+
+
+# The root the default start reaches on the sim7 sample below (68
+# iterations, residual 5.6e-10).
+ROOT = np.array([
+    -1507.1896729698374, -10328.06144381779, -6942.102475071378,
+    -264269.4008670999, -65862.33954684189, -9995.111141028163,
+    -16699.242634039718, -13794.401231062422, 32816.979829058015,
+    -57210.80777247753, 0.22657253626523133, 0.08987559874609258,
+    0.4812321262099779, 0.7432510051946252,
+])
+
+
+def test_sim7_sample_with_two_roots_keeps_the_default_start_root():
+    # Study sim7, seed 3, replicate 2, rows built as study._replicate
+    # builds them.  At c = 1.25 the weighted equation has (at least) two
+    # roots here: the default start reaches ROOT after two failed starts,
+    # a warm start from the c = 1.0 fit reaches another.  A solver change
+    # that moves the returned root fails this test.
+    scenario = preset_scenario("sim7", seed=3, replicates=25)
+    latent, _, contam = spawn_seeds(3, 25)[2].spawn(3)
+    U, _ = sample_rppi(scenario.truth, scenario.n, seed=latent)
+    u = contaminate(U, scenario.contamination, np.asarray(scenario.outlier),
+                    seed=contam)
+    cfg = RobustConfig(c=1.25, kstar=4)
+    fit = fit_robust(u, cfg)
+    assert fit.restarts == 2
+    assert np.max(np.abs(fit.pi_hat.pi - ROOT)) <= 1e-6 * np.max(np.abs(ROOT))
+    warm = fit_robust(u, cfg, init=fit_robust(u, RobustConfig(c=1.0, kstar=4)).pi_hat)
+    assert warm.residual < 1e-6 * np.max(np.abs(warm.d_hat))
+    assert np.max(np.abs(warm.pi_hat.pi - ROOT)) > 0.05 * np.max(np.abs(ROOT))
+
