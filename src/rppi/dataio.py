@@ -11,6 +11,15 @@ single header row, one composition or count vector per line.  A file
 whose every value is a nonnegative integer is taken to be counts;
 anything else is read as proportions.
 
+Two parsers, one result: numpy's C reader (``np.loadtxt``) reads a
+table when it accepts every row, and the line-by-line ``_read_strict``
+reads anything it refuses, so every ParseError and its line number come
+from the strict parser.  Both end in the same checks (width, finite
+values, counts).  The floats agree bit for bit: numpy converts a field
+with CPython's ``PyOS_string_to_double``, as ``float()`` does once it
+has stripped whitespace, and what ``float()`` accepts beyond that
+(underscores, non-ASCII digits) numpy refuses.
+
 Payloads: a JSON report is :func:`report_to_dict` of its result
 dataclass (``schema_version``, ``kind``, every field, then any extra or
 replaced keys and the invocation), so a new field reaches the file
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -51,7 +61,7 @@ class TableData:
     def counts(self) -> CountDataset:
         if not self.is_counts:
             raise ParseError("table does not contain integer counts")
-        return CountDataset(x=self.matrix.astype(np.int64))
+        return CountDataset(x=self.matrix)
 
 
 WRITE_ROWS = 4096
@@ -74,7 +84,8 @@ def _sniff_delimiter(fh) -> str:
 
 
 def _records(fh):
-    """(first line, stripped cells) of every non-blank record in ``fh``.
+    """(first line, last line, stripped cells) of every non-blank record in
+    ``fh``.
 
     Malformed or undecodable text raises :class:`ParseError` carrying
     the first line of the record being read.
@@ -85,23 +96,70 @@ def _records(fh):
         for record in reader:
             cells = [cell.strip() for cell in record]
             if any(cells):
-                yield start, cells
+                yield start, reader.line_num, cells
             start = reader.line_num + 1
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ParseError(f"unreadable table at line {start}: {exc}", line=start) from None
+
+
+def _table(matrix: np.ndarray, names, path) -> TableData:
+    """The checks both readers make once a table is parsed."""
+    if matrix.size == 0:
+        raise ParseError(f"no data rows in {path}")
+    width = matrix.shape[1]
+    if names is not None and len(names) != width:
+        raise ParseError(f"header has {len(names)} fields, data rows have {width}")
+    if not np.all(np.isfinite(matrix)):
+        raise ParseError("table contains non-finite values")
+    is_counts = bool(np.all(matrix >= 0) and np.all(matrix == np.floor(matrix)))
+    return TableData(matrix=matrix, is_counts=is_counts, names=names)
+
+
+def _header(path):
+    """(delimiter, names, physical lines the header takes); names is None
+    and the line count 0 when the first non-blank record is data."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        delimiter = _sniff_delimiter(fh)
+        first = next(_records(fh), None)
+    if first is not None:
+        _, stop, cells = first
+        try:
+            for cell in cells:
+                float(cell)
+        except ValueError:  # the header rule of _read_strict
+            return delimiter, tuple(cells), stop
+    return delimiter, None, 0
 
 
 def read_table(path) -> TableData:
     """Read a delimited table of compositions or counts.
 
     A leading UTF-8 byte order mark is skipped.  Anything malformed,
-    undecodable bytes included, raises ParseError.
+    undecodable bytes included, raises ParseError.  ``np.loadtxt`` parses
+    the rows after the header; anything it refuses (a warning included),
+    and every table that fails a check, is read again by
+    :func:`_read_strict`, which raises the error.
     """
+    try:
+        delimiter, names, skip = _header(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            matrix = np.loadtxt(path, delimiter=delimiter, skiprows=skip,
+                                comments=None, quotechar=None, ndmin=2,
+                                dtype=float, encoding="utf-8-sig")
+        return _table(matrix, names, path)
+    except (ValueError, ParseError, Warning):
+        return _read_strict(path)
+
+
+def _read_strict(path) -> TableData:
+    """The line-by-line reader: ``float`` of every stripped ``csv`` cell,
+    and a ParseError with the line of the first record it cannot use."""
     rows: list[list[float]] = []
     names = None
     width = None
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for lineno, cells in _records(fh):
+        for lineno, _, cells in _records(fh):
             try:
                 values = [float(cell) for cell in cells]
             except ValueError:
@@ -117,15 +175,7 @@ def read_table(path) -> TableData:
                     f"line {lineno} has {len(values)} fields, expected {width}",
                     line=lineno)
             rows.append(values)
-    if not rows:
-        raise ParseError(f"no data rows in {path}")
-    if names is not None and len(names) != width:
-        raise ParseError(f"header has {len(names)} fields, data rows have {width}")
-    matrix = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(matrix)):
-        raise ParseError("table contains non-finite values")
-    is_counts = bool(np.all(matrix >= 0) and np.all(matrix == np.floor(matrix)))
-    return TableData(matrix=matrix, is_counts=is_counts, names=names)
+    return _table(np.array(rows, dtype=float), names, path)
 
 
 def write_table(path, matrix, names=None) -> None:

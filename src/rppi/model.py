@@ -117,6 +117,13 @@ class CountDataset:
             raise ValueError("counts must be nonnegative")
         if np.any(as_float != np.floor(as_float)):
             raise ValueError("counts must be integers")
+        # Above 2**53 a float no longer holds every integer, so such
+        # counts are not exact, and their int64 totals can wrap.
+        over = as_float.sum(axis=1) > 2.0**53
+        if np.any(over):
+            bad = int(np.nonzero(over)[0][0])
+            raise ValueError(f"count row {bad} totals {as_float[bad].sum():.6g}, "
+                             "more than 2**53: counts that large are not exact")
         ints = as_float.astype(np.int64)
         totals = ints.sum(axis=1)
         if np.any(totals < 1):

@@ -3,6 +3,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib import metadata
 from pathlib import Path
 
@@ -99,6 +100,19 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
     code = main(["fit", str(bad), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["9e18,9e18,9e18", "1e19,1,1"])
+def test_counts_past_exact_float_integers_exit_2(row, tmp_path, capsys):
+    # 9e18 x 3 wraps an int64 row total; 1e19 does not fit an int64.
+    path = tmp_path / "huge.csv"
+    path.write_text(f"a,b,c\n1,2,3\n{row}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", str(path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "count row 1 totals" in err and "more than 2**53" in err
 
 
 @pytest.mark.parametrize("ridge", ["-5", "nan"])

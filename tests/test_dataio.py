@@ -1,4 +1,5 @@
 import csv
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from rppi.dataio import (
     write_json,
     write_table,
 )
+from rppi import dataio
 from rppi.errors import ParseError
 from rppi.inference import bootstrap_se, tune_c
 from rppi.model import RPPIParams, proportions
@@ -168,6 +170,94 @@ def test_read_table_raises_nothing_but_parse_error(tmp_path_factory, raw):
     except ParseError:
         return
     assert table.matrix.ndim == 2 and np.all(np.isfinite(table.matrix))
+
+
+# Cells the fast reader must refuse or read exactly as ``float`` does:
+# quotes, underscores, comments, non-finite values, non-ASCII digits
+# and spaces.
+ODD_CELLS = ("-0", " 4 ", "1_0", '"1"', "#", "#1", "nan", "inf", "1e999", "x", "",
+             "\u0661", "1\u00a0", "\u20032", "0x10")
+ODD_NAMES = ('"c,d"', '"e', "#", "1_0", "", " z ")
+
+
+@st.composite
+def near_valid_tables(draw):
+    """Raw bytes of a mostly well-formed table with occasional faults."""
+    delimiter = draw(st.sampled_from(",\t;"))
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    width = draw(st.integers(1, 4))
+    number = st.integers(0, 10**6).map(str) | st.floats(-1e3, 1e3).map(repr)
+
+    def rare(common, odd, one_in=12):
+        return draw(st.sampled_from(odd)) if draw(st.integers(0, one_in - 1)) == 0 \
+            else draw(common)
+
+    lines = []
+    if draw(st.booleans()):
+        lines.append(delimiter.join(rare(st.sampled_from("abxyz"), ODD_NAMES)
+                                    for _ in range(rare(st.just(width), (width + 1,)))))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = rare(st.just("row"), ("blank", "space", "delimiters"), one_in=6)
+        if kind == "row":
+            cells = rare(st.just(width), (width - 1, width + 1), one_in=10)
+            lines.append(delimiter.join(rare(number, ODD_CELLS, one_in=30)
+                                        for _ in range(cells)))
+        else:
+            lines.append({"blank": "", "space": " ",
+                          "delimiters": delimiter * width}[kind])
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + text.encode("utf-8")
+
+
+def _outcome(reader, path):
+    try:
+        table = reader(path)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    return "table", table.names, table.is_counts, table.matrix.shape, table.matrix.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=near_valid_tables())
+def test_read_table_agrees_with_the_strict_reader(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "diff.csv"
+    path.write_bytes(raw)
+    assert _outcome(read_table, path) == _outcome(dataio._read_strict, path)
+
+
+def test_plain_tables_never_reach_the_strict_reader(tmp_path, monkeypatch):
+    rng = np.random.default_rng(74)
+    M = rng.dirichlet((1.0, 2.0, 3.0), size=40)
+    comma = tmp_path / "t.csv"
+    write_table(comma, M, names=("x", "y", "z"))
+    tables = {"t.csv": (M, ("x", "y", "z"))}
+    for name, delim in (("t.tsv", "\t"), ("t.ssv", ";")):
+        (tmp_path / name).write_text(comma.read_text().replace(",", delim))
+        tables[name] = (M, ("x", "y", "z"))
+    (tmp_path / "crlf.csv").write_bytes(
+        b"\xef\xbb\xbfa,b,c\r\n" + comma.read_bytes().split(b"\n", 1)[1].replace(b"\n", b"\r\n"))
+    tables["crlf.csv"] = (M, ("a", "b", "c"))
+    counts = rng.integers(0, 50, size=(30, 3))
+    write_table(tmp_path / "counts.csv", counts)
+    tables["counts.csv"] = (counts, None)
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("a,b,c\n")
+
+    with monkeypatch.context() as m:
+        def refuse(path):
+            raise AssertionError(f"{path} fell back to the strict reader")
+        m.setattr(dataio, "_read_strict", refuse)
+        for name, (want, names) in tables.items():
+            table = read_table(tmp_path / name)
+            assert table.names == names
+            assert np.array_equal(table.matrix, want)
+            assert table.is_counts == (name == "counts.csv")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match="no data rows"):
+            read_table(header_only)
+    assert caught == []
 
 
 def test_json_round_trip_and_determinism(tmp_path):

@@ -181,17 +181,22 @@ ROOT = np.array([
 ])
 
 
-def test_sim7_sample_with_two_roots_keeps_the_default_start_root():
-    # Study sim7, seed 3, replicate 2, rows built as study._replicate
-    # builds them.  At c = 1.25 the weighted equation has (at least) two
-    # roots here: the default start reaches ROOT after two failed starts,
-    # a warm start from the c = 1.0 fit reaches another.  A solver change
-    # that moves the returned root fails this test.
+def two_root_sample():
+    """Study sim7, seed 3, replicate 2, rows built as study._replicate
+    builds them."""
     scenario = preset_scenario("sim7", seed=3, replicates=25)
     latent, _, contam = spawn_seeds(3, 25)[2].spawn(3)
     U, _ = sample_rppi(scenario.truth, scenario.n, seed=latent)
-    u = contaminate(U, scenario.contamination, np.asarray(scenario.outlier),
-                    seed=contam)
+    return contaminate(U, scenario.contamination, np.asarray(scenario.outlier),
+                       seed=contam)
+
+
+def test_sim7_sample_with_two_roots_keeps_the_default_start_root():
+    # At c = 1.25 the weighted equation has (at least) two roots here:
+    # the default start reaches ROOT after two failed starts, a warm
+    # start from the c = 1.0 fit reaches another.  A solver change that
+    # moves the returned root fails this test.
+    u = two_root_sample()
     cfg = RobustConfig(c=1.25, kstar=4)
     fit = fit_robust(u, cfg)
     assert fit.restarts == 2
@@ -200,3 +205,15 @@ def test_sim7_sample_with_two_roots_keeps_the_default_start_root():
     assert warm.residual < 1e-6 * np.max(np.abs(warm.d_hat))
     assert np.max(np.abs(warm.pi_hat.pi - ROOT)) > 0.05 * np.max(np.abs(ROOT))
 
+
+def test_damping_slows_the_fit_but_keeps_its_root(monkeypatch):
+    # With PATIENCE = 1 the first relative change that grows switches
+    # on damping, which the default fit of this sample never does.
+    u = two_root_sample()
+    cfg = RobustConfig(c=1.25, kstar=4)
+    plain = fit_robust(u, cfg)
+    monkeypatch.setattr("rppi.robust.PATIENCE", 1)
+    damped = fit_robust(u, cfg)
+    assert damped.iterations > plain.iterations
+    assert damped.restarts == plain.restarts == 2
+    assert np.max(np.abs(damped.pi_hat.pi - ROOT)) <= 1e-6 * np.max(np.abs(ROOT))
