@@ -25,11 +25,18 @@ compensated summation in a fixed order, and each chunk's contraction
 is one einsum over the cached R, without BLAS dispatch, so W_hat and
 d_hat are bit-reproducible whatever the BLAS thread count (a threaded
 GEMM splits its output columns by thread count and rounds their edges
-differently).  The solve equilibrates the system symmetrically by its
-diagonal and diagonalizes it with one symmetric eigendecomposition;
-the condition number reported (and checked against the rejection
-threshold) is that of the equilibrated matrix, which is the meaningful
-one at these scales.
+differently).  The first chunk seeds the sums as chunk + 0.0: that is
+what a compensated step from zero computes, with a correction that
+stays +0.0 because every block is finite, so a table of at most CHUNK
+rows does no compensation pass.  Weights are accepted after one sum
+and one minimum when that sum is positive and finite and no weight is
+negative; anything else goes through the full checks (shape, finite,
+sign, zero sum, a sum past the float range), each with its own error.
+The solve equilibrates the system symmetrically by its diagonal and
+diagonalizes it with one symmetric eigendecomposition; the condition
+number reported (and checked against the rejection threshold) is that
+of the equilibrated matrix, which is the meaningful one at these
+scales.
 """
 
 from __future__ import annotations
@@ -53,14 +60,17 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise WeightError(f"weights must have shape ({n},), got {w.shape}")
+    with np.errstate(all="ignore"):
+        total = w.sum()
+    if 0.0 < total < np.inf and w.min() >= 0.0:
+        return w / total
     if not np.all(np.isfinite(w)):
         raise WeightError("weights have non-finite entries")
     if np.any(w < 0.0):
         raise WeightError("weights must be nonnegative")
-    total = w.sum()
     if total <= 0.0:
         raise WeightError("weights sum to zero")
-    return w / total
+    raise WeightError("weights' sum overflows the float range")
 
 
 def _neumaier_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -119,21 +129,25 @@ def assemble(stats: ScoreStats, weights=None) -> tuple[np.ndarray, np.ndarray]:
     d = nd // n
     w = _normalized_weights(weights, n)
 
-    w_tot = np.zeros((q, q))
-    w_comp = np.zeros((q, q))
-    d_tot = np.zeros(q)
-    d_comp = np.zeros(q)
-    for start in range(0, n, CHUNK):
+    def chunk_sums(start: int) -> tuple[np.ndarray, np.ndarray]:
         stop = min(start + CHUNK, n)
         r = stats.r[:, start * d:stop * d]
         wc = w[start:stop]
-        w_chunk = np.einsum("qk,rk->qr", r, r * np.repeat(wc, d))
-        d_chunk = np.einsum("n,nq->q", wc, stats.d1[start:stop])
-        w_tot = _neumaier_add(w_tot, w_comp, w_chunk)
-        d_tot = _neumaier_add(d_tot, d_comp, d_chunk)
-    w_hat = w_tot + w_comp
-    w_hat = 0.5 * (w_hat + w_hat.T)
-    return w_hat, d_tot + d_comp
+        return (np.einsum("qk,rk->qr", r, r * wc.repeat(d)),
+                np.einsum("n,nq->q", wc, stats.d1[start:stop]))
+
+    w_hat, d_hat = chunk_sums(0)
+    w_hat, d_hat = w_hat + 0.0, d_hat + 0.0  # a compensated step from zero
+    if n > CHUNK:
+        w_comp = np.zeros((q, q))
+        d_comp = np.zeros(q)
+        for start in range(CHUNK, n, CHUNK):
+            w_chunk, d_chunk = chunk_sums(start)
+            w_hat = _neumaier_add(w_hat, w_comp, w_chunk)
+            d_hat = _neumaier_add(d_hat, d_comp, d_chunk)
+        w_hat += w_comp
+        d_hat += d_comp
+    return 0.5 * (w_hat + w_hat.T), d_hat
 
 
 def residuals(stats: ScoreStats, x: np.ndarray, start: int = 0,
@@ -156,8 +170,9 @@ def solve_system(w_hat: np.ndarray, d_hat: np.ndarray, ridge: float = 0.0,
     Returns (pi, condition number of the equilibrated system).  Rows with
     an exactly zero diagonal (which only arise from exact zeros in the
     data, e.g. an all-zero component column) are dropped from the solve
-    and their parameters pinned to zero, with a DegeneracyWarning.
-    A ``ridge`` that is negative or not finite raises ValueError.
+    and their parameters pinned to zero, with a DegeneracyWarning;
+    otherwise the full matrix is equilibrated as it is.  A ``ridge``
+    that is negative or not finite raises ValueError.
     """
     if not 0.0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
@@ -166,21 +181,24 @@ def solve_system(w_hat: np.ndarray, d_hat: np.ndarray, ridge: float = 0.0,
         raise SingularSystemError("system blocks have inconsistent shapes")
     if ridge > 0.0:
         w_hat = w_hat + ridge * np.eye(q)
-    diag = np.diag(w_hat)
-    degenerate = np.nonzero(diag <= 0.0)[0]
-    if degenerate.size:
-        labels = param_labels(dim_from_q(q))
-        names = ", ".join(labels[i] for i in degenerate)
-        warnings.warn(
-            f"statistics for {names} vanish on this data; pinning them to zero",
-            DegeneracyWarning,
-            stacklevel=2,
-        )
+    diag = w_hat.diagonal()
     keep = diag > 0.0
-    wk = w_hat[np.ix_(keep, keep)]
-    dk = d_hat[keep]
-    scale = 1.0 / np.sqrt(np.diag(wk))
-    w_eq = wk * scale[:, None] * scale[None, :]
+    full = bool(keep.all())
+    if not full:
+        degenerate = np.nonzero(diag <= 0.0)[0]
+        if degenerate.size:
+            labels = param_labels(dim_from_q(q))
+            names = ", ".join(labels[i] for i in degenerate)
+            warnings.warn(
+                f"statistics for {names} vanish on this data; pinning them to zero",
+                DegeneracyWarning,
+                stacklevel=2,
+            )
+        w_hat = w_hat[np.ix_(keep, keep)]
+        d_hat = d_hat[keep]
+        diag = diag[keep]
+    scale = 1.0 / np.sqrt(diag)
+    w_eq = w_hat * scale[:, None] * scale[None, :]
     try:
         lam, vec = np.linalg.eigh(w_eq)
     except np.linalg.LinAlgError as exc:
@@ -188,12 +206,14 @@ def solve_system(w_hat: np.ndarray, d_hat: np.ndarray, ridge: float = 0.0,
     # the 2-norm condition number of a positive definite matrix; any
     # other matrix (or none left to solve) is not a usable system
     cond = float(lam[-1] / lam[0]) if lam.size and lam[0] > 0.0 else float("inf")
-    if not np.isfinite(cond) or cond > COND_MAX:
+    if not cond <= COND_MAX:  # also catches inf and nan
         raise SingularSystemError(
             f"equilibrated system condition number {cond:.3e} exceeds {COND_MAX:.0e}",
             condition_number=cond,
         )
-    z = vec @ ((vec.T @ (scale * dk)) / lam)
+    z = scale * (vec @ ((vec.T @ (scale * d_hat)) / lam))
+    if full:
+        return z, cond
     pi = np.zeros(q)
-    pi[keep] = scale * z
+    pi[keep] = z
     return pi, cond

@@ -20,7 +20,8 @@ Step 3 is algebraically the blockwise correction (divide the KK block
 by 1 + c, shift the remaining blocks by c times their previous values
 and divide), written directly on the packed vector so that c = 0
 reduces bit-for-bit to the unweighted estimator: every weight is 1.0,
-the first step repeats the unweighted solve and the loop stops there.
+so a first step would repeat the unweighted solve and stop there, and
+the default start's solve is returned without it.
 So :func:`fit_robust` is the package's one fit, plain and weighted.
 
 At a fixed point, H pi_hat = pi_tilde with H = diag(1 + c on the A_KK
@@ -33,7 +34,10 @@ holds; its residual is reported for verification.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -76,15 +80,28 @@ class RobustConfig:
             raise ValueError("max_iter must be >= 1")
 
 
+@lru_cache(maxsize=None)
+def _akk_index(p: int, kstar: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and packed-vector slots of the A_KK entries."""
+    rows, cols, slots = list(range(kstar)), list(range(kstar)), list(range(kstar))
+    for slot, (i, j) in enumerate(pair_indices(p)):
+        if j < kstar:
+            rows += [i, j]
+            cols += [j, i]
+            slots += [p - 1 + slot] * 2
+    index = tuple(np.array(a, dtype=np.intp) for a in (rows, cols, slots))
+    for a in index:
+        a.flags.writeable = False  # the cache hands these to every caller
+    return index
+
+
 def kk_mask(p: int, kstar: int) -> np.ndarray:
     """Boolean mask over the packed vector selecting the A_KK entries."""
     d = p - 1
     if not 1 <= kstar <= d:
         raise DimensionError(f"kstar must be in [1, {d}], got {kstar}")
     mask = np.zeros(q_dim(p), dtype=bool)
-    mask[:kstar] = True
-    for slot, (i, j) in enumerate(pair_indices(p)):
-        mask[d + slot] = j < kstar
+    mask[_akk_index(p, kstar)[2]] = True
     return mask
 
 
@@ -95,12 +112,9 @@ def weight_exponents(U: np.ndarray, pi: np.ndarray, kstar: int, c: float) -> np.
     A_KK is read from the packed pi without validation: mid-iteration
     vectors may be outside the parameter space (for example 1 + beta <= 0).
     """
-    p = U.shape[1]
+    rows, cols, slots = _akk_index(U.shape[1], kstar)
     akk = np.zeros((kstar, kstar))
-    akk[np.diag_indices(kstar)] = pi[:kstar]
-    for slot, (i, j) in enumerate(pair_indices(p)):
-        if j < kstar:
-            akk[i, j] = akk[j, i] = pi[p - 1 + slot]
+    akk[rows, cols] = pi[slots]
     uk = U[:, :kstar]
     return c * np.einsum("nk,kl,nl->n", uk, akk, uk)
 
@@ -140,26 +154,10 @@ class RobustFitResult:
         return self.pi_hat.labels
 
 
-def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, base,
-             pi_init, beta_p: float, ridge: float, restarts: int) -> RobustFitResult:
-    """One run of the reweighting iteration from a given start.
-
-    ``U`` is the validated composition matrix from :func:`fit_robust`
-    and ``stats`` its score statistics; only the weights change between
-    iterations.
-    """
-    n, p = U.shape
+def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
+              base, pi_prev, ridge: float) -> tuple[np.ndarray, float, int]:
+    """The fixed-point loop from ``pi_prev``: (pi_hat, cond, iterations)."""
     c = config.c
-    mask = kk_mask(p, config.kstar)
-    outside = ~mask
-
-    if pi_init is None:
-        w_hat, d_hat = assemble(stats, base)
-        pi_prev, cond = solve_system(w_hat, d_hat, ridge=ridge)
-    else:
-        pi_prev = np.array(pi_init, dtype=float)
-        cond = float("nan")
-
     trace: list[float] = []
     non_monotone = 0
     damped = False
@@ -170,7 +168,7 @@ def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, base,
         pi_new = (pi_tilde + c * np.where(outside, pi_prev, 0.0)) / (1.0 + c)
         if damped:
             pi_new = pi_prev + DAMPING * (pi_new - pi_prev)
-        rel = float(np.max(np.abs(pi_new - pi_prev))) / max(float(np.max(np.abs(pi_prev))), _TINY)
+        rel = float(np.abs(pi_new - pi_prev).max()) / max(float(np.abs(pi_prev).max()), _TINY)
         if trace and rel > trace[-1]:
             non_monotone += 1
             if non_monotone >= PATIENCE:
@@ -178,20 +176,42 @@ def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, base,
         trace.append(rel)
         pi_prev = pi_new
         if rel <= config.tol:
-            break
-    else:
-        raise NonConvergenceError(
-            f"no convergence after {config.max_iter} iterations "
-            f"(last relative change {trace[-1]:.3e})",
-            trace=trace,
-        )
+            return pi_prev, cond, iteration
+    raise NonConvergenceError(
+        f"no convergence after {config.max_iter} iterations "
+        f"(last relative change {trace[-1]:.3e})",
+        trace=trace,
+    )
 
-    pi_hat = pi_prev
-    eff = _raw_weight_factors(U, pi_hat, config.kstar, c, base)
+
+def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, mask, base,
+             pi_init, beta_p: float, ridge: float, restarts: int) -> RobustFitResult:
+    """One run of the reweighting iteration from a given start.
+
+    ``U`` is the validated composition matrix from :func:`fit_robust`,
+    ``stats`` its score statistics and ``mask`` its :func:`kk_mask`;
+    only the weights change between iterations.
+    """
+    n = U.shape[0]
+    c = config.c
+    if pi_init is None:
+        w_hat, d_hat = assemble(stats, base)
+        pi_hat, cond = solve_system(w_hat, d_hat, ridge=ridge)
+    else:
+        pi_hat = np.array(pi_init, dtype=float)
+    if c == 0.0 and pi_init is None:
+        # every weight factor is exactly 1.0, so the first iteration
+        # would solve this same system and stop: the start is the fit
+        iterations = 1
+        eff = np.ones(n) if base is None else base
+    else:
+        pi_hat, cond, iterations = _reweight(U, stats, config, ~mask, base, pi_hat, ridge)
+        eff = _raw_weight_factors(U, pi_hat, config.kstar, c, base)
+        w_hat, d_hat = assemble(stats, eff)
+
     weights = eff / eff.sum()
-    w_fin, d_fin = assemble(stats, eff)
     h = np.where(mask, 1.0 + c, 1.0)
-    residual = float(np.max(np.abs(w_fin @ (h * pi_hat) - d_fin)))
+    residual = float(np.max(np.abs(w_hat @ (h * pi_hat) - d_hat)))
     try:
         params = unpack(pi_hat, kstar=config.kstar, beta_p=beta_p)
     except ValueError:
@@ -200,20 +220,20 @@ def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, base,
         pi_hat=ParamVector(pi_hat),
         params=params,
         config=config,
-        iterations=iteration,
+        iterations=iterations,
         converged=True,
         final_weights=weights,
         weight_cv=float(np.std(weights) / np.mean(weights)),
         residual=residual,
         condition_number=cond,
-        d_hat=d_fin,
+        d_hat=d_hat,
         n_obs=n,
         beta_p=beta_p,
         restarts=restarts,
     )
 
 
-def _failover_inits(U: np.ndarray, config: RobustConfig) -> list[np.ndarray]:
+def _failover_inits(U: np.ndarray, config: RobustConfig) -> Iterator[np.ndarray]:
     """Conservative restart vectors for when the default start fails.
 
     Gross contamination can corrupt the unweighted initializer so badly
@@ -224,23 +244,22 @@ def _failover_inits(U: np.ndarray, config: RobustConfig) -> list[np.ndarray]:
     block; the ladder of kappa values is scaled so that the top rung
     effectively trims the largest 2% of |u_K|^2 on the first pass.
     Only the starting point changes; the fixed-point equation being
-    solved stays the same.
+    solved stays the same.  A generator, so the quantile is only taken
+    once the default start has failed.
     """
     c = config.c
     if c == 0.0:
-        return []
+        return
     p = U.shape[1]
     d = p - 1
     s = np.sum(U[:, :config.kstar] ** 2, axis=1)
     scale = float(np.quantile(s, 0.98)) + 1e-12
-    inits = []
     for strength in (4.0, 64.0, 1024.0):
         kappa = strength / (c * scale)
         vec = np.zeros(q_dim(p))
         vec[:config.kstar] = -kappa
         vec[d + (d * (d - 1)) // 2:] = 1.0  # beta = 0
-        inits.append(vec)
-    return inits
+        yield vec
 
 
 def fit_robust(data, config: RobustConfig, base_weights=None,
@@ -267,19 +286,15 @@ def fit_robust(data, config: RobustConfig, base_weights=None,
     base = None
     if base_weights is not None:
         base = np.asarray(base_weights, dtype=float)
-    starts: list[np.ndarray | None]
-    if init is not None:
-        if init.q != q_dim(p):
-            raise DimensionError("init vector length does not match the data dimension")
-        starts = [init.pi]
-    else:
-        starts = [None]
-    starts.extend(_failover_inits(U, config))
+    if init is not None and init.q != q_dim(p):
+        raise DimensionError("init vector length does not match the data dimension")
+    first = None if init is None else init.pi
+    mask = kk_mask(p, config.kstar)
     stats = score_stats(U, beta_p)
     last_error = None
-    for restarts, start in enumerate(starts):
+    for restarts, start in enumerate(chain([first], _failover_inits(U, config))):
         try:
-            return _iterate(U, stats, config, base, start, beta_p, ridge, restarts)
+            return _iterate(U, stats, config, mask, base, start, beta_p, ridge, restarts)
         except (SingularSystemError, NonConvergenceError) as exc:
             last_error = exc
     raise last_error

@@ -1,10 +1,11 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from oracles import naive_blocks
-from rppi.errors import DegeneracyWarning, SingularSystemError
+from rppi.errors import DegeneracyWarning, SingularSystemError, WeightError
 import rppi.estimator as estimator
 from rppi.estimator import assemble, score_stats, solve_system
 from rppi.model import CountDataset, RPPIParams, pack, param_labels, proportions, q_dim
@@ -58,6 +59,55 @@ def test_score_stats_evaluates_exactly_the_rows_it_is_given(monkeypatch):
     score_stats(U)
     assert len(seen) == 2
     assert all(np.array_equal(rows, U) for rows in seen)
+
+
+SHAPE = "weights must have shape (50,), got (49,)"
+NON_FINITE = "weights have non-finite entries"
+NEGATIVE = "weights must be nonnegative"
+ZERO_SUM = "weights sum to zero"
+
+
+def _weights(*head, fill=1.0):
+    w = np.full(50, fill)
+    w[:len(head)] = head
+    return w
+
+
+@pytest.mark.parametrize("weights, message", [
+    (np.ones(49), SHAPE),
+    (_weights(np.nan), NON_FINITE),
+    (_weights(np.inf), NON_FINITE),
+    (_weights(-np.inf), NON_FINITE),
+    (_weights(-1.0), NEGATIVE),
+    (np.zeros(50), ZERO_SUM),
+    # the checks run in this order, so each input names the first it fails
+    (np.full(49, np.nan), SHAPE),
+    (_weights(np.inf, -np.inf), NON_FINITE),
+    (_weights(np.nan, -1.0), NON_FINITE),
+    (_weights(-1.0, 1.0, fill=0.0), NEGATIVE),
+    (_weights(1e308, 1e308, -1.0), NEGATIVE),
+])
+def test_assemble_rejects_bad_weights_with_its_first_failed_check(weights, message):
+    stats = score_stats(np.random.default_rng(29).dirichlet((2.0, 2.0, 2.0), size=50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WeightError, match=f"^{re.escape(message)}$"):
+            assemble(stats, weights)
+
+
+def test_weights_whose_sum_overflows_are_an_error_not_a_zero_system():
+    U = np.random.default_rng(30).dirichlet((2.0, 2.0, 2.0), size=50)
+    huge = np.full(50, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WeightError, match="sum overflows"):
+            assemble(score_stats(U), huge)
+        with pytest.raises(WeightError, match="sum overflows"):
+            fit_robust(U, RobustConfig(c=0.0, kstar=2), base_weights=huge)
+        # a large sum that fits a float keeps its plain normalization
+        big = np.full(50, 1e306)
+        w = estimator._normalized_weights(big, 50)
+    assert w.tobytes() == (big / big.sum()).tobytes()
 
 
 def test_solve_system_recovers_a_manufactured_solution():

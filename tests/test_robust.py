@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rppi.estimator as estimator
-from rppi.errors import DimensionError, NonConvergenceError, SingularSystemError
-from rppi.estimator import assemble, score_stats, solve_system
-from rppi.model import RPPIParams, as_matrix, pack
+import rppi.robust as robust
+from rppi.errors import (DegeneracyWarning, DimensionError, NonConvergenceError,
+                         SingularSystemError, WeightError)
+from rppi.estimator import CHUNK, assemble, score_stats, solve_system
+from rppi.model import RPPIParams, as_matrix, pack, pair_indices, q_dim
 from rppi.robust import RobustConfig, fit_robust, kk_mask
 from rppi.sampling import contaminate, sample_rppi, spawn_seeds
 from rppi.study import DATASET2_OUTLIER, dataset2_truth, preset_scenario
@@ -53,6 +57,26 @@ def test_c_zero_reduces_to_the_unweighted_fit_bitwise():
     rob = fit_robust(U, RobustConfig(c=0.0, kstar=2))
     assert rob.pi_hat.pi.tobytes() == plain.tobytes()
     assert rob.iterations == 1 and rob.restarts == 0
+
+
+@pytest.mark.parametrize("with_base", [False, True])
+def test_c_zero_assembles_and_solves_once(monkeypatch, with_base):
+    U, _ = sample_rppi(TEST_PARAMS, 300, seed=np.random.SeedSequence(32))
+    base = np.random.default_rng(32).uniform(0.5, 2.0, 300) if with_base else None
+    calls = []
+
+    def spying(name):
+        fn = getattr(robust, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return spy
+
+    for name in ("assemble", "solve_system"):
+        monkeypatch.setattr(robust, name, spying(name))
+    fit_robust(U, RobustConfig(c=0.0, kstar=2), base_weights=base)
+    assert calls == ["assemble", "solve_system"]
 
 
 def test_uniform_base_weights_change_nothing():
@@ -217,3 +241,154 @@ def test_damping_slows_the_fit_but_keeps_its_root(monkeypatch):
     assert damped.iterations > plain.iterations
     assert damped.restarts == plain.restarts == 2
     assert np.max(np.abs(damped.pi_hat.pi - ROOT)) <= 1e-6 * np.max(np.abs(ROOT))
+
+
+# The reweighting loop written out plainly, as the fit once ran it: full
+# weight validation, Neumaier sums seeded with zeros over every chunk,
+# the np.ix_ solve, A_KK rebuilt by a loop on every call, and the c = 0
+# fit iterated like any other.  fit_robust must match it bit for bit.
+
+def _plain_weights(weights, n):
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise WeightError("shape")
+    if not np.all(np.isfinite(w)):
+        raise WeightError("non-finite")
+    if np.any(w < 0.0):
+        raise WeightError("negative")
+    total = w.sum()
+    if total <= 0.0:
+        raise WeightError("zero sum")
+    return w / total
+
+
+def _plain_assemble(stats, weights):
+    n = len(stats)
+    q, nd = stats.r.shape
+    d = nd // n
+    w = _plain_weights(weights, n)
+    sums = [np.zeros((q, q)), np.zeros(q)]
+    comps = [np.zeros((q, q)), np.zeros(q)]
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        r = stats.r[:, start * d:stop * d]
+        wc = w[start:stop]
+        chunk = (np.einsum("qk,rk->qr", r, r * np.repeat(wc, d)),
+                 np.einsum("n,nq->q", wc, stats.d1[start:stop]))
+        for k in range(2):
+            t = sums[k] + chunk[k]
+            big = np.abs(sums[k]) >= np.abs(chunk[k])
+            comps[k] += np.where(big, (sums[k] - t) + chunk[k], (chunk[k] - t) + sums[k])
+            sums[k] = t
+    w_hat = sums[0] + comps[0]
+    return 0.5 * (w_hat + w_hat.T), sums[1] + comps[1]
+
+
+def _plain_solve(w_hat, d_hat):
+    q = w_hat.shape[0]
+    diag = np.diag(w_hat)
+    if np.any(diag <= 0.0):
+        warnings.warn("pinned", DegeneracyWarning)
+    keep = diag > 0.0
+    wk = w_hat[np.ix_(keep, keep)]
+    scale = 1.0 / np.sqrt(np.diag(wk))
+    lam, vec = np.linalg.eigh(wk * scale[:, None] * scale[None, :])
+    cond = float(lam[-1] / lam[0]) if lam.size and lam[0] > 0.0 else float("inf")
+    if not np.isfinite(cond) or cond > estimator.COND_MAX:
+        raise SingularSystemError("singular")
+    pi = np.zeros(q)
+    pi[keep] = scale * (vec @ ((vec.T @ (scale * d_hat[keep])) / lam))
+    return pi, cond
+
+
+def _plain_factors(U, pi, kstar, c, base):
+    p = U.shape[1]
+    akk = np.zeros((kstar, kstar))
+    akk[np.diag_indices(kstar)] = pi[:kstar]
+    for slot, (i, j) in enumerate(pair_indices(p)):
+        if j < kstar:
+            akk[i, j] = akk[j, i] = pi[p - 1 + slot]
+    expo = c * np.einsum("nk,kl,nl->n", U[:, :kstar], akk, U[:, :kstar])
+    factors = np.exp(expo - expo.max())
+    return factors if base is None else base * factors
+
+
+def _plain_run(U, stats, cfg, base, pi_prev):
+    c, p = cfg.c, U.shape[1]
+    mask = np.zeros(q_dim(p), dtype=bool)
+    mask[:cfg.kstar] = True
+    for slot, (i, j) in enumerate(pair_indices(p)):
+        mask[p - 1 + slot] = j < cfg.kstar
+    if pi_prev is None:
+        pi_prev, cond = _plain_solve(*_plain_assemble(stats, base))
+    trace, non_monotone, damped = [], 0, False
+    for iteration in range(1, cfg.max_iter + 1):
+        eff = _plain_factors(U, pi_prev, cfg.kstar, c, base)
+        pi_tilde, cond = _plain_solve(*_plain_assemble(stats, eff))
+        pi_new = (pi_tilde + c * np.where(~mask, pi_prev, 0.0)) / (1.0 + c)
+        if damped:
+            pi_new = pi_prev + robust.DAMPING * (pi_new - pi_prev)
+        rel = float(np.max(np.abs(pi_new - pi_prev))) / max(float(np.max(np.abs(pi_prev))), 1e-300)
+        if trace and rel > trace[-1]:
+            non_monotone += 1
+            damped = damped or non_monotone >= robust.PATIENCE
+        trace.append(rel)
+        pi_prev = pi_new
+        if rel <= cfg.tol:
+            break
+    else:
+        raise NonConvergenceError("no convergence")
+    eff = _plain_factors(U, pi_prev, cfg.kstar, c, base)
+    w_fin, d_fin = _plain_assemble(stats, eff)
+    h = np.where(mask, 1.0 + c, 1.0)
+    residual = float(np.max(np.abs(w_fin @ (h * pi_prev) - d_fin)))
+    return pi_prev, eff / eff.sum(), residual, cond, iteration
+
+
+def _plain_fit(data, cfg, base=None):
+    U = as_matrix(data)
+    stats = score_stats(U)
+    starts = [None] + list(robust._failover_inits(U, cfg))
+    for restarts, start in enumerate(starts):
+        try:
+            return _plain_run(U, stats, cfg, base, start) + (restarts,)
+        except (SingularSystemError, NonConvergenceError) as exc:
+            error = exc
+    raise error
+
+
+def _zero_column_sample():
+    U = np.random.default_rng(41).dirichlet((2.0, 3.0, 1.5, 2.5), size=200)
+    U[:, 1] = 0.0
+    return U / U.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.filterwarnings("ignore::rppi.errors.DegeneracyWarning")
+@pytest.mark.parametrize("case", ["three-chunks", "two-roots", "c0-base", "c025-base",
+                                  "zero-column"])
+def test_fit_matches_the_plain_loop_bit_for_bit(case):
+    base = None
+    if case == "three-chunks":
+        U = np.random.default_rng(40).dirichlet((2.0, 3.0, 1.5), size=9000)
+        cfg = RobustConfig(c=0.5, kstar=2)
+        assert len(U) > 2 * CHUNK
+    elif case == "two-roots":
+        U, cfg = two_root_sample(), RobustConfig(c=1.25, kstar=4)
+    elif case in ("c0-base", "c025-base"):
+        U, _ = sample_rppi(TEST_PARAMS, 400, seed=np.random.SeedSequence(42))
+        base = np.random.default_rng(42).uniform(0.2, 3.0, 400)
+        cfg = RobustConfig(c=0.0 if case == "c0-base" else 0.25, kstar=2)
+    else:
+        U, cfg = _zero_column_sample(), RobustConfig(c=0.5, kstar=3)
+    fit = fit_robust(U, cfg, base_weights=base)
+    pi, weights, residual, cond, iterations, restarts = _plain_fit(U, cfg, base)
+    assert fit.pi_hat.pi.tobytes() == pi.tobytes()
+    assert fit.final_weights.tobytes() == weights.tobytes()
+    assert (fit.residual, fit.condition_number) == (residual, cond)
+    assert (fit.iterations, fit.restarts) == (iterations, restarts)
+    if case == "two-roots":
+        assert restarts == 2
+    if case == "zero-column":
+        assert pi[1] == 0.0 and fit.iterations > 1
