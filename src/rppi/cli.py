@@ -113,14 +113,16 @@ def cmd_sample(args) -> int:
             if args.n is None:
                 raise ParseError("--m needs --n to say how many rows")
             totals = np.full(args.n, args.m)
-        counts = sample_counts(params, totals, seed=seed)
+        counts, report = sample_counts(params, totals, seed=seed)
         dataio.write_table(args.out + ".csv", counts.x)
         invocation.update(n=int(counts.n), mode="counts")
         dataio.write_json(args.out + ".json", {
             "schema_version": dataio.SCHEMA_VERSION, "kind": "sample",
             "invocation": invocation,
+            "report": dataio.report_to_dict("sampler_report", report),
         })
-        print(f"sample: wrote {counts.n} count rows")
+        print(f"sample: wrote {counts.n} count rows, acceptance rate "
+              f"{report.acceptance_rate:.4f}")
         return 0
     if args.n is None:
         raise ParseError("need --n (or --m/--m-file) to size the sample")

@@ -200,7 +200,7 @@ class BootstrapReport:
 
 def _bootstrap_one(seed, params=None, m=None, config=None, beta_p=0.0):
     try:
-        counts = sample_counts(params, m, seed=seed)
+        counts, _ = sample_counts(params, m, seed=seed)
         refit = fit_robust(proportions(counts), config, beta_p=beta_p)
         return refit.pi_hat.pi
     except RPPIError:

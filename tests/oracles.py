@@ -154,6 +154,18 @@ def quad_max_grid(a_l, resolution=120):
     return float(np.einsum("ni,ij,nj->n", V, a_l, V).max())
 
 
+def quadratic_ref(v, a_l):
+    """v' A v of one row in Python floats: 0 + sum_i sum_j (v_i a_ij) v_j,
+    added in that order (IEEE products and sums, no numpy arithmetic)."""
+    v = [float(x) for x in v]
+    a = np.asarray(a_l, dtype=float).tolist()
+    total = 0.0
+    for i, row in enumerate(a):
+        for j, a_ij in enumerate(row):
+            total += (v[i] * a_ij) * v[j]
+    return total
+
+
 def quad_max_faces_ref(a_l, feas_tol=1e-9):
     """Envelope maximum by one small solve per face, in a plain loop."""
     a = np.asarray(a_l, dtype=float)

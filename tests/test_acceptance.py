@@ -170,7 +170,7 @@ def test_criterion_08_zero_heavy_data_fit_stably():
     estimates, and moving the zeros to 1e-9 shifts the estimate by
     less than 1e-5 in relative norm."""
     truth = dataset2_truth()
-    data = sample_counts(truth, 1000, n=94, seed=np.random.SeedSequence(208))
+    data, _ = sample_counts(truth, 1000, n=94, seed=np.random.SeedSequence(208))
     U = proportions(data)
     assert np.all((U == 0.0).any(axis=1))  # the regime under test
     base = plain_fit(U)
@@ -219,8 +219,8 @@ def test_criterion_10_cli_outputs_are_byte_deterministic(tmp_path):
 
     params_path = str(tmp_path / "params.json")
     write_json(params_path, params_to_dict(P3_PARAMS))
-    counts = sample_counts(P3_PARAMS, 400, n=60,
-                           seed=np.random.SeedSequence(211))
+    counts, _ = sample_counts(P3_PARAMS, 400, n=60,
+                              seed=np.random.SeedSequence(211))
     counts_path = str(tmp_path / "counts.csv")
     write_table(counts_path, counts.x, names=("x1", "x2", "x3"))
 

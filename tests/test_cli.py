@@ -44,7 +44,7 @@ def data_csv(tmp_path):
 
 @pytest.fixture()
 def counts_csv(tmp_path):
-    counts = sample_counts(TEST_PARAMS, 400, n=60, seed=np.random.SeedSequence(82))
+    counts, _ = sample_counts(TEST_PARAMS, 400, n=60, seed=np.random.SeedSequence(82))
     path = tmp_path / "counts.csv"
     write_table(path, counts.x, names=("x1", "x2", "x3"))
     return str(path)
@@ -212,7 +212,7 @@ def test_nonconvergence_exits_4(data_csv, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_sample_continuous_and_counts(params_json, tmp_path):
+def test_sample_continuous_and_counts(params_json, tmp_path, capsys):
     out = str(tmp_path / "s")
     code = main(["sample", params_json, "--n", "40", "--seed", "7",
                  "--out", out])
@@ -223,12 +223,16 @@ def test_sample_continuous_and_counts(params_json, tmp_path):
     assert len(rows) == 40
 
     out2 = str(tmp_path / "sc")
+    capsys.readouterr()
     code = main(["sample", params_json, "--m", "250", "--n", "30",
                  "--seed", "7", "--out", out2])
     assert code == 0
     counts = np.loadtxt(out2 + ".csv", delimiter=",")
     assert counts.shape == (30, 3)
     assert np.all(counts.sum(axis=1) == 250)
+    report = read_json(out2 + ".json")["report"]
+    assert report["method"] == "rejection" and report["n_requested"] == 30
+    assert f"acceptance rate {report['acceptance_rate']:.4f}" in capsys.readouterr().out
 
 
 def test_sample_m_file_rejects_fractional_totals(params_json, tmp_path, capsys):
@@ -580,6 +584,12 @@ def test_report_schema_is_pinned(counts_csv, params_json, tmp_path):
     assert set(report) == HEADER_KEYS | {"method", "n_requested", "n_proposals",
                                          "acceptance_rate", "envelope_constant"}
     assert report["kind"] == "sampler_report"
+    # counts mode carries its rejection sampler's report too
+    assert main(["sample", params_json, "--m", "250", "--n", "30", "--seed", "7",
+                 "--out", str(tmp_path / "counts")]) == 0
+    counts_payload = read_json(str(tmp_path / "counts.json"))
+    assert set(counts_payload) == REPORT_KEYS["sample"]
+    assert set(counts_payload["report"]) == set(report)
     assert set(payloads["tune"]["entries"][0]) == {
         "c", "converged", "error", "weight_cv", "ks_stats", "ks_pvalues"}
 

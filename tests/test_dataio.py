@@ -43,7 +43,7 @@ TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]],
 
 
 def fixture_counts(seed=71):
-    return sample_counts(TEST_PARAMS, 300, n=50, seed=np.random.SeedSequence(seed))
+    return sample_counts(TEST_PARAMS, 300, n=50, seed=np.random.SeedSequence(seed))[0]
 
 
 def test_table_round_trip_preserves_floats_exactly(tmp_path):

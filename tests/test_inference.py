@@ -31,7 +31,7 @@ TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]],
 
 
 def small_counts(seed=61, n=60, m=300):
-    return sample_counts(TEST_PARAMS, m, n=n, seed=np.random.SeedSequence(seed))
+    return sample_counts(TEST_PARAMS, m, n=n, seed=np.random.SeedSequence(seed))[0]
 
 
 def test_ks_truncated_matches_scipy_on_the_truncated_samples():

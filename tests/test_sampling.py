@@ -3,7 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_ks, quad_max_faces_ref, quad_max_grid, quadrature_expectation
+from oracles import (
+    brute_ks,
+    quad_max_faces_ref,
+    quad_max_grid,
+    quadratic_ref,
+    quadrature_expectation,
+)
 from rppi import sampling
 from rppi.errors import DimensionError, LowAcceptanceError
 from rppi.model import RPPIParams
@@ -11,11 +17,13 @@ from rppi.sampling import (
     contaminate,
     quad_max_simplex,
     round_proportions,
+    rng_from,
     sample_counts,
     sample_rppi,
     sample_rppi_mcmc,
     spawn_seeds,
 )
+from rppi.study import dataset2_truth
 
 
 TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]], beta=[-0.3, 0.2, 0.0])
@@ -151,6 +159,116 @@ def test_mcmc_agrees_with_rejection_marginally():
         assert brute_ks(U_rej[:, j], U_mc[:, j]) < 0.05
 
 
+def quad_rows(a_l, n, d, seed):
+    """n rows cycled from a pool of Dirichlet draws, exact zeros and
+    entries near 1e-300, with their reference values row by row."""
+    rng = np.random.default_rng(seed)
+    pool = rng.dirichlet(np.full(d + 1, 0.8), size=97)[:, :d]
+    pool[1::7, 0] = 0.0
+    pool[2::7] = 0.0
+    pool[3::7, -1] = 1e-300
+    pool[4::7, : (d + 1) // 2] = rng.uniform(0.5, 2.0, size=(d + 1) // 2) * 1e-300
+    pool[5::7, 0] = -0.0
+    want = np.array([quadratic_ref(v, a_l) for v in pool])
+    idx = np.arange(n) % pool.shape[0]
+    return pool[idx], want[idx]
+
+
+QUAD_MODELS = [
+    np.array([[-2.0, 1.0], [1.0, -1.0]]),
+    dataset2_truth().a_l,  # entries up to 2e5
+    -np.random.default_rng(57).normal(size=(16, 16)) ** 2 * 30.0,
+]
+
+
+@pytest.mark.parametrize("a_l", QUAD_MODELS, ids=["p3", "p5-dataset2", "p17"])
+def test_quadratic_equals_the_scalar_definition_at_block_edges(a_l):
+    d = a_l.shape[0]
+    chunk = sampling.QUAD_CHUNK
+    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        V, want = quad_rows(a_l, n, d, seed=n)
+        got = sampling._quadratic(V, a_l)
+        assert got.shape == (n,)
+        assert got.tobytes() == want.tobytes(), n
+        # the sampler passes the first d columns of its draws, a strided view
+        wide = np.hstack([V, np.ones((n, 1))])
+        assert sampling._quadratic(wide[:, :d], a_l).tobytes() == want.tobytes(), n
+
+
+def plain_rejection(params, n, seed, max_proposals=10_000_000):
+    """The rejection loop written out: whole-batch einsum and interior mask."""
+    rng = rng_from(seed)
+    d = params.p - 1
+    envelope = quad_max_simplex(params.a_l)
+    kept, n_acc, n_prop = [], 0, 0
+    batch = int(min(max(1024, 2 * n), 65536))
+    while n_acc < n:
+        P = rng.dirichlet(params.beta + 1.0, size=batch)
+        logq = np.einsum("ni,ij,nj->n", P[:, :d], params.a_l, P[:, :d]) - envelope
+        accept = np.log(rng.random(batch)) < logq
+        accept &= (P > 0.0).all(axis=1)
+        got = P[accept]
+        kept.append(got)
+        n_acc += got.shape[0]
+        n_prop += batch
+        if n_prop >= max_proposals and n_acc < n and n_acc / n_prop < sampling.ACCEPT_FLOOR:
+            raise LowAcceptanceError("plain loop gave up")
+        rate_so_far = max(n_acc, 1) / n_prop
+        batch = int(np.clip(1.2 * (n - n_acc) / rate_so_far, 1024, 2_000_000))
+    return np.concatenate(kept)[:n], n_prop, n_acc / n_prop, envelope
+
+
+# Study sim7 at seed 4, replicate 17: its first batch of 1,024 proposals
+# accepts nothing.
+CLIFF_SEED = spawn_seeds(4, 25)[17].spawn(3)[0]
+B17 = np.random.default_rng(58).normal(scale=0.5, size=(16, 16))
+SAMPLER_CASES = [
+    pytest.param(dataset2_truth(), 2000, np.random.SeedSequence(59), id="dataset2"),
+    pytest.param(TEST_PARAMS, 5000, np.random.SeedSequence(60), id="p3"),
+    pytest.param(RPPIParams(a_l=-(B17 @ B17.T), beta=np.linspace(-0.5, 0.5, 17)), 500,
+                 np.random.SeedSequence(61), id="p17-negdef"),
+    pytest.param(dataset2_truth(), 94, CLIFF_SEED, id="cliff-replicate"),
+]
+
+
+@pytest.mark.parametrize("params, n, seed", SAMPLER_CASES)
+def test_rejection_sampler_equals_the_plain_loop_byte_for_byte(params, n, seed):
+    U, report = sample_rppi(params, n, seed=seed)
+    want, n_prop, rate, envelope = plain_rejection(params, n, seed)
+    assert U.tobytes() == want.tobytes()
+    assert report.n_proposals == n_prop
+    assert report.acceptance_rate == rate
+    assert report.envelope_constant == envelope
+
+
+def test_batch_after_an_empty_first_batch_is_sized_from_one_acceptance():
+    # The first 1,024 proposals accept nothing.  Sizing the next batch as
+    # if one had been accepted asks for 115,507 proposals; a floored rate
+    # asked for the 2,000,000 cap.
+    U, report = sample_rppi(dataset2_truth(), 94, seed=CLIFF_SEED)
+    assert U.shape == (94, 5)
+    assert report.n_proposals < 200_000
+
+
+def test_mcmc_equals_the_plain_loop_byte_for_byte():
+    params, n, burn_in, thin = dataset2_truth(), 300, 2000, 3
+    U, report = sample_rppi_mcmc(params, n, seed=np.random.SeedSequence(62),
+                                 burn_in=burn_in, thin=thin)
+    rng = rng_from(np.random.SeedSequence(62))
+    total = burn_in + n * thin
+    P = rng.dirichlet(params.beta + 1.0, size=total)
+    Q = np.einsum("ni,ij,nj->n", P[:, :4], params.a_l, P[:, :4])
+    logu = np.log(rng.random(total))
+    cur, accepted, states = 0, 0, []
+    for t in range(total):
+        if t > 0 and logu[t] < Q[t] - Q[cur]:
+            cur, accepted = t, accepted + 1
+        if t >= burn_in and (t - burn_in) % thin == 0:
+            states.append(cur)
+    assert U.tobytes() == P[states].tobytes()
+    assert report.acceptance_rate == accepted / (total - 1)
+
+
 def test_hopeless_envelope_raises_low_acceptance():
     params = RPPIParams(a_l=[[-5e6, 0.0], [0.0, -5e6]],
                         beta=[4.0, 4.0, 0.0])
@@ -166,12 +284,15 @@ def test_sample_size_validation():
 
 def test_sample_counts_row_totals_and_determinism():
     m = np.array([10, 100, 1000, 50])
-    d1 = sample_counts(TEST_PARAMS, m, seed=np.random.SeedSequence(48))
-    d2 = sample_counts(TEST_PARAMS, m, seed=np.random.SeedSequence(48))
+    d1, rep1 = sample_counts(TEST_PARAMS, m, seed=np.random.SeedSequence(48))
+    d2, rep2 = sample_counts(TEST_PARAMS, m, seed=np.random.SeedSequence(48))
     assert np.array_equal(d1.x, d2.x)
     assert np.array_equal(d1.x.sum(axis=1), m)
-    scalar = sample_counts(TEST_PARAMS, 200, n=25,
-                           seed=np.random.SeedSequence(49))
+    # the report is the one of the rejection run that drew the compositions
+    _, latent = sample_rppi(TEST_PARAMS, 4, seed=np.random.SeedSequence(48).spawn(2)[0])
+    assert rep1 == rep2 == latent
+    scalar, _ = sample_counts(TEST_PARAMS, 200, n=25,
+                              seed=np.random.SeedSequence(49))
     assert scalar.n == 25 and np.all(scalar.m == 200)
     with pytest.raises(DimensionError):
         sample_counts(TEST_PARAMS, 200)  # scalar total without n
