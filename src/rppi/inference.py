@@ -24,6 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import _kstwo
 from ._parallel import parallel_map
 from .errors import (
     InsufficientDataError,
@@ -59,20 +60,34 @@ def ks_truncated(observed, simulated, quantile: float = 0.95) -> tuple[float, fl
     *observed* sample, then compared with the asymptotic two-sample
     test.  Raises InsufficientDataError when fewer than two points
     survive on either side.
+
+    Both numbers are those of ``scipy.stats.ks_2samp(..., method="asymp")``
+    bit for bit: the statistic is computed as there, and the p-value is
+    the Kolmogorov survival function at n = round(n1*n2/(n1 + n2)).
+    That is computed in-house where n > 140, 1 < n*d and n*d**2 < 2.2,
+    and by a lazily imported ``scipy.stats.kstwo.sf`` elsewhere: a
+    p-value below about 0.025, a truncated sample of under about 150
+    points, or an edge case (see :mod:`rppi._kstwo`).
     """
     a = np.asarray(observed, dtype=float).ravel()
     b = np.asarray(simulated, dtype=float).ravel()
     if a.size < 2 or b.size < 2:
         raise InsufficientDataError("need at least two points per sample")
     cut = np.quantile(a, quantile)
-    at = a[a <= cut]
-    bt = b[b <= cut]
+    at = np.sort(a[a <= cut])
+    bt = np.sort(b[b <= cut])
     if at.size < 2 or bt.size < 2:
         raise InsufficientDataError("truncation left fewer than two points")
-    import scipy.stats  # slow to import, and only tune needs it
-
-    res = scipy.stats.ks_2samp(at, bt, method="asymp")
-    return float(res.statistic), float(res.pvalue)
+    # the ECDF difference at each distinct pooled value: repeats of a
+    # value cannot move its extremes, and tune's samples repeat a lot
+    both = np.unique(np.concatenate([at, bt]))
+    diffs = (np.searchsorted(at, both, side="right") / at.size
+             - np.searchsorted(bt, both, side="right") / bt.size)
+    below = np.clip(-diffs.min(), 0, 1)
+    above = diffs.max()
+    d = below if below > above else above
+    m, n = sorted([float(at.size), float(bt.size)], reverse=True)
+    return float(d), _kstwo.sf(d, np.round(m * n / (m + n)))
 
 
 @dataclass(frozen=True)
@@ -128,8 +143,15 @@ def tune_c(data: CountDataset, grid, kstar: int, sim_size: int = 10_000,
     sim_size exceeds n), and KS-compare each requested component (all
     non-reference ones by default).  Recommended is the smallest c whose
     p-values all clear ``alpha``; if none does, the c with the largest
-    worst-case p-value.
+    worst-case p-value.  Raises ValueError before any fit unless
+    ``sim_size >= 2``, ``0 < alpha < 1`` and ``0 < quantile <= 1``.
     """
+    if not sim_size >= 2:
+        raise ValueError(f"sim_size must be at least 2, got {sim_size}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 0.0 < quantile <= 1.0:
+        raise ValueError(f"quantile must lie in (0, 1], got {quantile}")
     u_obs = proportions(data)
     n, p = u_obs.shape
     candidates = tuple(sorted(float(c) for c in grid))

@@ -317,6 +317,42 @@ def test_tune_empty_grid_exits_2(counts_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--sim-size", "0"), ("--sim-size", "-5"), ("--sim-size", "1"),
+    ("--alpha", "nan"), ("--alpha", "0"), ("--alpha", "1"), ("--alpha", "inf"),
+    ("--quantile", "nan"), ("--quantile", "0"), ("--quantile", "1.5"),
+])
+def test_tune_rejects_bad_arguments_before_fitting(counts_csv, tmp_path, capsys,
+                                                   monkeypatch, option, value):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("tune fitted before checking its arguments")
+    monkeypatch.setattr(rppi.inference, "fit_robust", no_fit)
+    code = main(["tune", counts_csv, "--kstar", "2", "--grid", "0,0.5",
+                 option, value, "--out", str(tmp_path / "t")])
+    assert code == 2
+    assert option.lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_tune_on_a_clean_table_does_not_import_scipy(tmp_path):
+    counts, _ = sample_counts(TEST_PARAMS, 500, n=300, seed=np.random.SeedSequence(87))
+    path = tmp_path / "counts.csv"
+    write_table(path, counts.x)
+    out = tmp_path / "tune"
+    # every KS p-value of this table lies where rppi computes it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from rppi.cli import main; "
+         f"code = main(['tune', {str(path)!r}, '--kstar', '2', '--seed', '3', "
+         f"'--out', {str(out)!r}]); "
+         "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True, env=code_under_test_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert len(read_json(str(out) + ".json")["grid"]) == 31
+
+
 def test_bootstrap_round_trip(counts_csv, tmp_path):
     fit_out = run_fit(counts_csv, tmp_path, c="0", name="bfit")
     out = str(tmp_path / "boot")
@@ -483,7 +519,8 @@ def test_installed_distribution_exposes_console_script():
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy is slow to import and only `tune` needs it, for scipy.stats
+    # scipy is slow to import; only `tune` loads scipy.stats, and only for
+    # a p-value in the tail or a table under about 150 rows
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, rppi.cli; "

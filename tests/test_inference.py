@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 from scipy.stats import ks_2samp
 
 from oracles import closed_simplex_grid_ref, influence_ref
+import rppi._kstwo as _kstwo
 import rppi.estimator as estimator
 import rppi.inference as inference
 from rppi.errors import (
@@ -34,15 +36,82 @@ def small_counts(seed=61, n=60, m=300):
     return sample_counts(TEST_PARAMS, m, n=n, seed=np.random.SeedSequence(seed))[0]
 
 
-def test_ks_truncated_matches_scipy_on_the_truncated_samples():
+KS_SAMPLES = {
+    "gamma-200-900": lambda rng: (rng.gamma(2.0, size=200), rng.gamma(2.2, size=900)),
+    # proportions of counts out of 40, as tune compares them: many ties
+    "rounded-ties": lambda rng: (rng.binomial(40, 0.3, size=300) / 40,
+                                 rng.binomial(40, 0.31, size=10_000) / 40),
+    "unequal-sizes": lambda rng: (rng.gamma(2.0, size=170), rng.gamma(2.0, size=60_000)),
+    # a p-value far below 0.025, which scipy computes
+    "tail": lambda rng: (rng.gamma(2.0, size=400), rng.gamma(2.6, size=5_000)),
+}
+
+
+@pytest.mark.parametrize("samples", KS_SAMPLES)
+def test_ks_truncated_matches_scipy_on_the_truncated_samples(samples):
     rng = np.random.default_rng(62)
-    obs = rng.gamma(2.0, size=200)
-    sim = rng.gamma(2.2, size=900)
+    obs, sim = KS_SAMPLES[samples](rng)
     stat, pvalue = ks_truncated(obs, sim, quantile=0.95)
     cut = np.quantile(obs, 0.95)
     want = ks_2samp(obs[obs <= cut], sim[sim <= cut], method="asymp")
     assert stat == want.statistic
     assert pvalue == want.pvalue
+
+
+def kstwo_region(n, d):
+    """Which code computes ``kstwo.sf(d, n)``: the port or scipy."""
+    if n <= 140:
+        return "scipy: n <= 140"
+    if d >= 0.5:
+        return "scipy: d >= 0.5"
+    if n * d <= 1:
+        return "scipy: n d <= 1"
+    if n * d * d >= 2.2:
+        return "scipy: n d^2 >= 2.2"
+    if n <= 100_000 and n * d**1.5 <= 1.4:
+        return "port: Durbin matrix"
+    return "port: Pelz-Good"
+
+
+def kstwo_points(rng, count=25):
+    """``count`` seeded (n, d) points in each region of :func:`kstwo_region`."""
+    def n_in(low, high):
+        return float(np.round(np.exp(rng.uniform(np.log(low), np.log(high)))))
+
+    def log_uniform(low, high):
+        return np.float64(np.exp(rng.uniform(np.log(low), np.log(high))))
+
+    points = {}
+    for _ in range(count):
+        n = n_in(2, 140)
+        points.setdefault("scipy: n <= 140", []).append((n, log_uniform(0.3 / n, 0.99)))
+        n = n_in(141, 1e6)
+        points.setdefault("scipy: d >= 0.5", []).append((n, np.float64(rng.uniform(0.5, 0.99))))
+        n = n_in(141, 1e7)
+        points.setdefault("scipy: n d <= 1", []).append((n, log_uniform(0.3 / n, 1 / n)))
+        n = n_in(141, 1e5)
+        points.setdefault("scipy: n d^2 >= 2.2", []).append(
+            (n, log_uniform(np.sqrt(2.21 / n), min(0.49, np.sqrt(40 / n)))))
+        n = n_in(141, 20_000)
+        points.setdefault("port: Durbin matrix", []).append(
+            (n, log_uniform(1.001 / n, min((1.4 / n) ** (2 / 3), np.sqrt(2.2 / n)))))
+        if rng.random() < 0.5:
+            n = n_in(141, 100_000)
+            low = (1.41 / n) ** (2 / 3)
+        else:
+            n = n_in(100_001, 1e8)
+            low = 1.001 / n
+        points.setdefault("port: Pelz-Good", []).append(
+            (n, log_uniform(low, np.sqrt(2.19 / n))))
+    return points
+
+
+def test_kstwo_sf_matches_scipy_bit_for_bit():
+    for region, cases in kstwo_points(np.random.default_rng(63)).items():
+        assert {kstwo_region(n, d) for n, d in cases} == {region}
+        got = np.array([_kstwo.sf(d, n) for n, d in cases])
+        want = np.array([scipy.stats.kstwo.sf(d, n) for n, d in cases])
+        assert got.tobytes() == want.tobytes(), region
 
 
 def test_ks_truncated_needs_enough_points():
