@@ -13,7 +13,12 @@ on first use.
 The two algorithms are ported from scipy's ``scipy/stats/_ksstats.py``
 (``_kolmogn_DMTW`` and ``_kolmogn_PelzGood``) with the same numpy calls
 in the same order, long-double rescaling included, so that the results
-carry the same bits.  That file is distributed under this notice:
+carry the same bits.  The bit identity was checked against scipy
+1.17.1's ``_ksstats``; scipy 1.10, the declared floor, is covered only
+once its CI job runs.  ``_ksstats`` is private scipy code, so a later
+scipy may change it: ``test_kstwo_sf_matches_scipy_bit_for_bit``
+compares ``sf`` with the installed ``kstwo.sf`` and is the guard that
+catches such a change.  That file is distributed under this notice:
 
     Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
     All rights reserved.

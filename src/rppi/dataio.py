@@ -12,14 +12,13 @@ whose every value is a nonnegative integer is taken to be counts;
 anything else is read as proportions.
 
 Two parsers, one result: numpy's C reader (``np.loadtxt``) reads a
-table when it accepts every row but whitespace-only lines, and the
-line-by-line ``_read_strict`` reads anything it refuses, so every
-ParseError and its line number come from the strict parser.  Both end
-in the same checks (width, finite values, counts).  The floats agree
-bit for bit: numpy converts a field with CPython's
-``PyOS_string_to_double``, as ``float()`` does once it has stripped
-whitespace, and what ``float()`` accepts beyond that (underscores,
-non-ASCII digits) numpy refuses.
+table when it accepts every row, and the line-by-line ``_read_strict``
+reads anything it refuses, so every ParseError and its line number come
+from the strict parser.  Both end in the same checks (width, finite
+values, counts).  The floats agree bit for bit: numpy converts a field
+with CPython's ``PyOS_string_to_double``, as ``float()`` does once it
+has stripped whitespace, and what ``float()`` accepts beyond that
+(underscores, non-ASCII digits) numpy refuses.
 
 Payloads: a JSON report is :func:`report_to_dict` of its result
 dataclass (``schema_version``, ``kind``, every field, then any extra or
@@ -137,34 +136,20 @@ def read_table(path) -> TableData:
 
     A leading UTF-8 byte order mark is skipped.  Anything malformed,
     undecodable bytes included, raises ParseError.  ``np.loadtxt`` parses
-    the rows after the header, once more without the whitespace-only
-    lines if it refuses a table that has some; anything it still refuses
-    (a warning included), and every table that fails a check, is read
-    again by :func:`_read_strict`, which raises the error.
+    the rows after the header; anything it refuses (a warning included),
+    and every table that fails a check, is read again by
+    :func:`_read_strict`, which raises the error.
     """
     try:
         delimiter, names, skip = _header(path)
-        try:
-            matrix = _loadtxt(path, delimiter, skip)
-        except (ValueError, Warning):
-            # universal newlines split lines where np.loadtxt splits them
-            with open(path, encoding="utf-8-sig") as fh:
-                lines = fh.readlines()
-            kept = lines[:skip] + [line for line in lines[skip:] if line.strip()]
-            if len(kept) == len(lines):
-                raise
-            matrix = _loadtxt(kept, delimiter, skip)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            matrix = np.loadtxt(path, delimiter=delimiter, skiprows=skip,
+                                comments=None, quotechar=None, ndmin=2,
+                                dtype=float, encoding="utf-8-sig")
         return _table(matrix, names, path)
     except (ValueError, ParseError, Warning):
         return _read_strict(path)
-
-
-def _loadtxt(source, delimiter: str, skip: int) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # "input contained no data"
-        return np.loadtxt(source, delimiter=delimiter, skiprows=skip,
-                          comments=None, quotechar=None, ndmin=2,
-                          dtype=float, encoding="utf-8-sig")
 
 
 def _read_strict(path) -> TableData:

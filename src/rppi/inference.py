@@ -67,7 +67,8 @@ def ks_truncated(observed, simulated, quantile: float = 0.95) -> tuple[float, fl
     That is computed in-house where n > 140, 1 < n*d and n*d**2 < 2.2,
     and by a lazily imported ``scipy.stats.kstwo.sf`` elsewhere: a
     p-value below about 0.025, a truncated sample of under about 150
-    points, or an edge case (see :mod:`rppi._kstwo`).
+    points, or an edge case (see :mod:`rppi._kstwo`, which names the
+    scipy versions the port was checked against).
     """
     a = np.asarray(observed, dtype=float).ravel()
     b = np.asarray(simulated, dtype=float).ravel()
