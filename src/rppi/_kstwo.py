@@ -13,7 +13,10 @@ on first use.
 The two algorithms are ported from scipy's ``scipy/stats/_ksstats.py``
 (``_kolmogn_DMTW`` and ``_kolmogn_PelzGood``) with the same numpy calls
 in the same order, long-double rescaling included, so that the results
-carry the same bits.  The bit identity was checked against scipy
+carry the same bits, except where scipy's running power of Durbin's
+matrix overflows (for some n above ~57,000): there it is rescaled as
+well, and the p-value comes out near one where scipy returns 0.0.
+The bit identity was checked against scipy
 1.17.1's ``_ksstats``; scipy 1.10, the declared floor, is covered only
 once its CI job runs.  ``_ksstats`` is private scipy code, so a later
 scipy may change it: ``test_kstwo_sf_matches_scipy_bit_for_bit``
@@ -109,14 +112,23 @@ def _cdf_durbin(n, d):
     H[:, 0] = v
     H[-1, :] = np.flip(v, axis=0)
 
-    # H^n by repeated squaring, both factors rescaled by powers of 2**128
+    # H^n by repeated squaring, both factors rescaled by powers of 2**128.
+    # scipy rescales only H, so Hpwr overflows for some n above ~57,000;
+    # here Hpwr is rescaled too, but only where its product would
+    # overflow, which keeps scipy's bits wherever scipy stays finite.
     Hpwr = np.eye(np.shape(H)[0])
     nn = n
     expnt = 0
     Hexpnt = 0
     while nn > 0:
         if nn % 2:
-            Hpwr = np.matmul(Hpwr, H)
+            with np.errstate(over="ignore", invalid="ignore"):
+                prod = np.matmul(Hpwr, H)
+            if not np.isfinite(prod).all():
+                Hpwr /= _EP128
+                expnt += _E128
+                prod = np.matmul(Hpwr, H)
+            Hpwr = prod
             expnt += Hexpnt
         H = np.matmul(H, H)
         Hexpnt *= 2

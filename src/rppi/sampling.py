@@ -1,31 +1,50 @@
 """Exact and approximate samplers for the model, plus data perturbations.
 
-Rejection sampling is exact: proposals come from Dirichlet(beta + 1),
-so the target/proposal ratio is exp(u_L' A_L u_L) up to a constant, and
-an envelope only needs the maximum M of that quadratic over the closed
-unit simplex slice {v >= 0, sum v <= 1}.  The maximum of a quadratic
-form over a polytope is attained at a critical point of one of its
-faces; enumerating subsets T of active coordinates and solving the
-stationarity condition A_TT x proportional to 1 on each sum-one face
-gives M exactly (up to roundoff in the small solves), so acceptance
-exp(Q - M) never exceeds one.  There are 2^(p-1) faces, so the faces of
-one size are solved in stacks of ``FACE_CHUNK`` (k*k*8*FACE_CHUNK
-bytes each); a stack with a singular face falls back to one solve per
-face, and the maximum equals a face-by-face loop bit for bit.
+Rejection sampling is exact: proposals come from Dirichlet(alpha) with
+alpha = beta + 1, so the target/proposal ratio is exp(Q(u)) with
+Q(u) = u_L' A_L u_L, up to a constant, and an envelope only needs the
+maximum M+ of that quadratic over the closed unit simplex slice
+{v >= 0, sum v <= 1}.  The maximum of a quadratic form over a polytope
+is attained at a critical point of one of its faces; enumerating subsets
+T of active coordinates and solving the stationarity condition A_TT x
+proportional to 1 on each sum-one face gives the maximum M_face on the
+face {sum v = 1} exactly (up to roundoff in the small solves), and
+M+ = max(0, M_face) adds the origin.  There are 2^(p-1) faces, so the
+faces of one size are solved in stacks of ``FACE_CHUNK``
+(k*k*8*FACE_CHUNK bytes each); a stack with a singular face falls back
+to one solve per face, and the maximum equals a face-by-face loop bit
+for bit.
 
-Each rejection batch is drawn whole, Dirichlet rows first and then one
+Each proposal is split radially, u = (s*v, 1 - s) with s = sum(u_L).
+Under Dirichlet(alpha), s ~ Beta(sum alpha_L, alpha_p) and
+v ~ Dirichlet(alpha_L) are independent (the aggregation property;
+Devroye, Non-Uniform Random Variate Generation, 1986, ch. XI), and
+Q(u) = s^2 * v' A_L v <= s^2 * M_face.  Stage one draws only s and keeps
+it with probability exp(M_face s^2 - M+); stage two draws v for the
+survivors alone and keeps u with probability exp(s^2 (v' A_L v - M_face)).
+Both are at most one, and their product is exp(Q(u) - M+), the plain
+sampler's acceptance, so the draws follow the model's law exactly and
+every stage-one draw counts as one Dirichlet(alpha) proposal.  When
+alpha_p = 1 (beta_p = 0, the default) s is drawn by inversion,
+s = exp(t) with t = log(U) / sum(alpha_L), U uniform on (0, 1], and
+1 - s = -expm1(t);
+otherwise from two gamma draws, s = g/(g + h) and 1 - s = h/(g + h).
+Both keep s and 1 - s to full relative precision.
+
+Each stage draws its whole batch at once, the radial draws and then one
 uniform per row, so the random stream depends only on the batch sizes.
 The quadratic is taken by columns on ``QUAD_CHUNK``-row blocks that stay
 in cache, adding the terms in the order ``np.einsum`` adds them, and the
-interior test runs only on the rows that pass the acceptance test; the
-draws equal those of a whole-batch einsum and interior mask byte for
-byte, and no BLAS call is involved, so they do not depend on the BLAS
-thread count.
+interior test runs only on the rows that pass both stages; the draws
+equal those of a whole-batch einsum and interior mask byte for byte
+(except where a stage-two batch has one or two rows at p = 3, see
+``_quadratic``), and no BLAS call is involved, so they do not depend on
+the BLAS thread count.
 
 When the acceptance rate makes rejection impractical, an independence
-Metropolis-Hastings chain with the same proposal has acceptance ratio
-exp(Q' - Q), which sidesteps the envelope at the price of approximate,
-autocorrelated draws.
+Metropolis-Hastings chain with the Dirichlet(alpha) proposal has
+acceptance ratio exp(Q' - Q), which sidesteps the envelope at the price
+of approximate, autocorrelated draws.
 """
 
 from __future__ import annotations
@@ -60,15 +79,32 @@ def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
     return parent.spawn(n)
 
 
-def quad_max_simplex(a_l) -> float:
+def quad_max_simplex(a_l, *, face: bool = False) -> float:
     """Exact maximum of v' A v over {v >= 0, sum(v) <= 1}.
 
-    Enumerate faces: the origin (value 0), and for every nonempty subset
-    T the critical point of the quadratic on the face {sum_T v = 1,
-    v_T > 0}, which solves A_TT z = 1 up to scale.  Vertices are covered
-    by singletons, whose value is the diagonal entry.  Marginally
-    infeasible critical points are kept (tolerance on the inclusive
-    side), which can only enlarge the envelope, never undercut it.
+    With ``face=True``, the maximum M_face over the face {v >= 0,
+    sum(v) = 1} alone, which may be negative; the default is
+    max(0, M_face), the origin's value 0 included.  ``sample_rppi`` asks
+    for M_face and takes M+ from it, so the faces are enumerated once per
+    sampler run.
+    """
+    a = np.asarray(a_l, dtype=float)
+    d = a.shape[0]
+    if a.shape != (d, d):
+        raise DimensionError(f"interaction matrix must be square, got {a.shape}")
+    m_face = _face_max(a)
+    return m_face if face else max(0.0, m_face)
+
+
+def _face_max(a: np.ndarray) -> float:
+    """Exact maximum of v' A v over {v >= 0, sum(v) = 1}.
+
+    For every nonempty subset T, the critical point of the quadratic on
+    the face {sum_T v = 1, v_T > 0} solves A_TT z = 1 up to scale.
+    Vertices are covered by singletons, whose value is the diagonal
+    entry.  Marginally infeasible critical points are kept (tolerance on
+    the inclusive side), which can only enlarge the maximum, never
+    undercut it.
 
     Faces of one size k are taken ``FACE_CHUNK`` at a time and their
     A_TT solved as one stack, which holds k*k*8*FACE_CHUNK bytes (8 MB at
@@ -77,11 +113,8 @@ def quad_max_simplex(a_l) -> float:
     LAPACK solve and the maximum does not depend on order, so the result
     equals a face-by-face loop bit for bit.
     """
-    a = np.asarray(a_l, dtype=float)
     d = a.shape[0]
-    if a.shape != (d, d):
-        raise DimensionError(f"interaction matrix must be square, got {a.shape}")
-    best = max(0.0, float(np.max(np.diag(a))))
+    best = float(np.max(np.diag(a)))
     for size in range(2, d + 1):
         ones = np.ones((1, size, 1))
         faces = combinations(range(d), size)
@@ -118,22 +151,33 @@ def _solve_faces(stack: np.ndarray, ones: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SamplerReport:
-    """Bookkeeping from one sampler run."""
+    """Bookkeeping from one sampler run.
+
+    ``n_proposals`` counts Dirichlet(beta + 1) proposals and
+    ``acceptance_rate`` is the share of them kept; ``envelope_constant``
+    is M+ = max(0, face_max).  For rejection, ``face_max`` is M_face, the
+    maximum of the quadratic on the face sum(v) = 1, and ``n_stage_two``
+    counts the proposals that passed the radial test and drew their full
+    Dirichlet; the chain has no envelope (NaN) and draws every proposal
+    in full.
+    """
 
     method: str
     n_requested: int
     n_proposals: int
     acceptance_rate: float
     envelope_constant: float
+    face_max: float
+    n_stage_two: int
 
 
 def _quadratic(V: np.ndarray, a_l: np.ndarray) -> np.ndarray:
     """Q[r] = sum_i sum_j (V[r, i] * a_ij) * V[r, j], one column term at a time.
 
     The terms are added to a zero start, i outer and j inner, which is
-    the order in which ``np.einsum("ni,ij,nj->n", V, a_l, V)`` adds them
-    on the sampler's batches, so the two agree bit for bit (einsum takes
-    another order only on one- or two-row inputs at d = 2).  Rows are
+    the order in which ``np.einsum("ni,ij,nj->n", V, a_l, V)`` adds them,
+    so the two agree bit for bit except on one- or two-row inputs at
+    d = 2, where einsum takes another order.  Rows are
     taken ``QUAD_CHUNK`` at a time as a contiguous transposed copy, whose
     columns stay in cache across the block's d*d terms; over whole 2M-row
     batches the same column form is slower than the einsum.
@@ -160,6 +204,14 @@ def sample_rppi(params: RPPIParams, n: int, seed=None,
                 max_proposals: int = 10_000_000) -> tuple[np.ndarray, SamplerReport]:
     """Draw n exact samples by rejection; returns (U, report).
 
+    Each proposal is split radially (see the module docstring): stage one
+    draws s = sum(u_L) ~ Beta(sum alpha_L, alpha_p) for the whole batch
+    and keeps it with probability exp(M_face s^2 - M+); stage two draws
+    v ~ Dirichlet(alpha_L) for the survivors only and keeps
+    u = (s v, 1 - s) with probability exp(s^2 (v' A_L v - M_face)).  The
+    report counts stage-one draws as proposals and the survivors as
+    stage-two draws.
+
     Each batch asks for 1.2 times the proposals still needed at the rate
     so far, counting an empty start as one acceptance.  Raises
     LowAcceptanceError once ``max_proposals`` proposals have been spent
@@ -168,26 +220,45 @@ def sample_rppi(params: RPPIParams, n: int, seed=None,
     if n < 1:
         raise DimensionError(f"need n >= 1 draws, got {n}")
     rng = rng_from(seed)
-    p = params.p
-    d = p - 1
+    d = params.p - 1
     alpha = params.beta + 1.0
-    envelope = quad_max_simplex(params.a_l)
+    alpha_l, alpha_p = alpha[:d], float(alpha[d])
+    a_sum = float(alpha_l.sum())
+    by_inversion = alpha_p == 1.0  # s ~ Beta(a_sum, 1) has CDF s^a_sum
+    face = quad_max_simplex(params.a_l, face=True)
+    envelope = max(0.0, face)
     kept: list[np.ndarray] = []
     n_acc = 0
     n_prop = 0
+    n_full = 0
     batch = int(min(max(1024, 2 * n), 65536))
     while n_acc < n:
-        P = rng.dirichlet(alpha, size=batch)
-        logq = _quadratic(P[:, :d], params.a_l)
-        logq -= envelope
+        if by_inversion:
+            t = rng.random(batch)
+            np.subtract(1.0, t, out=t)
+            np.log(t, out=t)
+            t /= a_sum
+            s = np.exp(t)
+        else:
+            g = rng.standard_gamma(a_sum, batch)
+            h = rng.standard_gamma(alpha_p, batch)
+            g_h = g + h
+            s = g / g_h
         logu = rng.random(batch)
         np.log(logu, out=logu)
-        got = P[logu < logq]
+        live = np.flatnonzero(logu < face * s * s - envelope)
+        s = s[live]
+        rest = -np.expm1(t[live]) if by_inversion else h[live] / g_h[live]
+        V = rng.dirichlet(alpha_l, size=live.size)
+        logw = np.log(rng.random(live.size))
+        ok = logw < s * s * (_quadratic(V, params.a_l) - face)
+        got = np.concatenate([V[ok] * s[ok, None], rest[ok, None]], axis=1)
         got = got[(got > 0.0).all(axis=1)]  # keep draws interior
         if got.shape[0]:
             kept.append(got)
             n_acc += got.shape[0]
         n_prop += batch
+        n_full += live.size
         if n_prop >= max_proposals and n_acc < n:
             rate = n_acc / n_prop
             if rate < ACCEPT_FLOOR:
@@ -204,6 +275,8 @@ def sample_rppi(params: RPPIParams, n: int, seed=None,
         n_proposals=n_prop,
         acceptance_rate=n_acc / n_prop,
         envelope_constant=envelope,
+        face_max=face,
+        n_stage_two=n_full,
     )
     return U, report
 
@@ -243,6 +316,8 @@ def sample_rppi_mcmc(params: RPPIParams, n: int, seed=None, burn_in: int = 10_00
         n_proposals=total,
         acceptance_rate=accepted / max(total - 1, 1),
         envelope_constant=float("nan"),
+        face_max=float("nan"),
+        n_stage_two=total,
     )
     return P[out].copy(), report
 

@@ -10,7 +10,6 @@ import math
 from itertools import combinations
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 
 def alr_inverse_ref(y):
@@ -70,6 +69,8 @@ def quadrature_nodes(params, order=80):
     (points, weights) with the weights unnormalized, so expectations
     are weight-ratio sums and every constant cancels.
     """
+    from scipy.special import roots_jacobi
+
     if params.p != 3:
         raise ValueError("quadrature oracle is written for p=3 only")
     b = params.beta
@@ -166,11 +167,12 @@ def quadratic_ref(v, a_l):
     return total
 
 
-def quad_max_faces_ref(a_l, feas_tol=1e-9):
-    """Envelope maximum by one small solve per face, in a plain loop."""
+def quad_max_faces_ref(a_l, feas_tol=1e-9, origin=True):
+    """Envelope maximum by one small solve per face, in a plain loop;
+    with ``origin=False``, the maximum on the face sum(v) = 1 alone."""
     a = np.asarray(a_l, dtype=float)
     d = a.shape[0]
-    best = 0.0
+    best = 0.0 if origin else -math.inf
     best = max(best, float(np.max(np.diag(a))))
     ones_cache = [np.ones(k) for k in range(d + 1)]
     for size in range(2, d + 1):
@@ -188,6 +190,55 @@ def quad_max_faces_ref(a_l, feas_tol=1e-9):
             if np.all(x >= -feas_tol):
                 best = max(best, 1.0 / s)
     return best
+
+
+def plain_rejection(params, n, seed, max_proposals=10_000_000):
+    """Exact draws by the plain rejection loop: whole Dirichlet(beta + 1)
+    proposals, accepted with probability exp(u_L' A u_L - M) by one
+    whole-batch einsum, then the interior mask.
+
+    This is the package's sampler as it was before the radial split, with
+    its batch rule, so tests that only need model draws as input keep
+    their rows byte for byte.  Returns (U, proposals, acceptance rate, M).
+    """
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    d = params.p - 1
+    envelope = quad_max_faces_ref(params.a_l)
+    kept, n_acc, n_prop = [], 0, 0
+    batch = int(min(max(1024, 2 * n), 65536))
+    while n_acc < n:
+        P = rng.dirichlet(params.beta + 1.0, size=batch)
+        logq = np.einsum("ni,ij,nj->n", P[:, :d], params.a_l, P[:, :d]) - envelope
+        accept = np.log(rng.random(batch)) < logq
+        accept &= (P > 0.0).all(axis=1)
+        got = P[accept]
+        kept.append(got)
+        n_acc += got.shape[0]
+        n_prop += batch
+        if n_prop >= max_proposals and n_acc < n and n_acc / n_prop < 1e-6:
+            raise RuntimeError("plain loop gave up")
+        rate_so_far = max(n_acc, 1) / n_prop
+        batch = int(np.clip(1.2 * (n - n_acc) / rate_so_far, 1024, 2_000_000))
+    return np.concatenate(kept)[:n], n_prop, n_acc / n_prop, envelope
+
+
+def plain_draws(params, n, seed):
+    """n model draws from ``plain_rejection``."""
+    return plain_rejection(params, n, seed)[0]
+
+
+def plain_counts(params, m, seed, n=None):
+    """Counts as ``sample_counts`` makes them, latent rows from
+    ``plain_rejection``: the seed spawns a latent and a count child,
+    and ``m`` is a vector of totals or a scalar total for n rows."""
+    from rppi.model import CountDataset
+    from rppi.sampling import spawn_seeds
+
+    totals = np.full(n, m) if np.ndim(m) == 0 else np.asarray(m)
+    latent_seed, count_seed = spawn_seeds(seed, 2)
+    U = plain_draws(params, totals.size, latent_seed)
+    x = np.random.default_rng(count_seed).multinomial(totals.astype(np.int64), U)
+    return CountDataset(x=x)
 
 
 def influence_ref(z, pi0, reference, c, kstar, beta_p=0.0):

@@ -11,6 +11,8 @@ from scipy.stats import ks_2samp
 from oracles import (
     fd_stat_jacobian,
     fd_stat_second,
+    plain_counts,
+    plain_draws,
     quadrature_expectation,
 )
 from rppi.cli import main
@@ -19,7 +21,7 @@ from rppi.estimator import assemble, residuals, score_stats, solve_system
 from rppi.inference import influence, simplex_grid
 from rppi.model import RPPIParams, as_matrix, pack, proportions
 from rppi.robust import RobustConfig, fit_robust
-from rppi.sampling import sample_counts, sample_rppi, sample_rppi_mcmc, spawn_seeds
+from rppi.sampling import sample_rppi, sample_rppi_mcmc, spawn_seeds
 from rppi.study import dataset2_truth, preset_scenario, run_study
 from rppi.suffstats import r_matrix_batch, s_matrix_batch
 
@@ -53,7 +55,7 @@ def test_criterion_02_population_estimating_identity():
     W1(u) pi0 - d1(u) has mean zero: every component within 3 MC SEs
     at n = 100000."""
     pi0 = pack(P3_PARAMS).pi
-    U, _ = sample_rppi(P3_PARAMS, 100_000, seed=np.random.SeedSequence(202))
+    U = plain_draws(P3_PARAMS, 100_000, np.random.SeedSequence(202))
     resid = residuals(score_stats(U), pi0)
     mean = resid.mean(axis=0)
     se = resid.std(axis=0, ddof=1) / np.sqrt(U.shape[0])
@@ -68,7 +70,7 @@ def test_criterion_03_rmse_decreases_with_sample_size():
     for n in (500, 2000, 8000):
         errs = []
         for s in spawn_seeds(np.random.SeedSequence(203), 50):
-            U, _ = sample_rppi(P3_PARAMS, n, seed=s)
+            U = plain_draws(P3_PARAMS, n, s)
             errs.append(plain_fit(U) - pi0)
         rmse[n] = np.sqrt(np.mean(np.square(errs), axis=0))
     assert np.all(rmse[500] > rmse[2000])
@@ -82,7 +84,7 @@ def test_criterion_04_count_rounding_vanishes_with_resolution():
     gaps = {10: [], 1000: [], 100_000: []}
     for child in np.random.SeedSequence(204).spawn(50):
         latent_seed, count_seed = child.spawn(2)
-        U, _ = sample_rppi(P3_PARAMS, 200, seed=latent_seed)
+        U = plain_draws(P3_PARAMS, 200, latent_seed)
         base = plain_fit(U)
         rng = np.random.default_rng(count_seed)
         for m in gaps:
@@ -107,7 +109,7 @@ def test_criterion_05_weighted_fixed_point_and_c0_reduction():
         params = RPPIParams(a_l=a_l, beta=beta)
         kstar = int(rng.integers(1, d + 1))
         c = float(rng.uniform(0.0, 1.25))
-        U, _ = sample_rppi(params, 2000, seed=np.random.SeedSequence(1000 + k))
+        U = plain_draws(params, 2000, np.random.SeedSequence(1000 + k))
         fit = fit_robust(U, RobustConfig(c=c, kstar=kstar))
         assert fit.residual < 1e-6 * max(np.abs(fit.d_hat).max(), 1e-300)
         if k % 10 == 0:
@@ -141,7 +143,7 @@ def test_criterion_07_influence_bounded_and_linearizes():
     c in {0, 1.25}; and a finite mixture perturbation of weight 1e-3
     reproduces lambda * IF(z) within 10%."""
     truth = dataset2_truth()
-    reference, _ = sample_rppi(truth, 5000, seed=np.random.SeedSequence(207))
+    reference = plain_draws(truth, 5000, np.random.SeedSequence(207))
     grid = simplex_grid(5, 20)
     assert grid.shape[0] == 10626
     for c in (0.0, 1.25):
@@ -149,7 +151,7 @@ def test_criterion_07_influence_bounded_and_linearizes():
         assert np.all(np.isfinite(res.value))
         assert np.isfinite(res.sup_norm)
 
-    U, _ = sample_rppi(P3_PARAMS, 4000, seed=np.random.SeedSequence(60))
+    U = plain_draws(P3_PARAMS, 4000, np.random.SeedSequence(60))
     cfg = RobustConfig(c=0.5, kstar=2)
     fit = fit_robust(U, cfg)
     lam = 1e-3
@@ -170,7 +172,7 @@ def test_criterion_08_zero_heavy_data_fit_stably():
     estimates, and moving the zeros to 1e-9 shifts the estimate by
     less than 1e-5 in relative norm."""
     truth = dataset2_truth()
-    data, _ = sample_counts(truth, 1000, n=94, seed=np.random.SeedSequence(208))
+    data = plain_counts(truth, 1000, np.random.SeedSequence(208), n=94)
     U = proportions(data)
     assert np.all((U == 0.0).any(axis=1))  # the regime under test
     base = plain_fit(U)
@@ -219,8 +221,7 @@ def test_criterion_10_cli_outputs_are_byte_deterministic(tmp_path):
 
     params_path = str(tmp_path / "params.json")
     write_json(params_path, params_to_dict(P3_PARAMS))
-    counts, _ = sample_counts(P3_PARAMS, 400, n=60,
-                              seed=np.random.SeedSequence(211))
+    counts = plain_counts(P3_PARAMS, 400, np.random.SeedSequence(211), n=60)
     counts_path = str(tmp_path / "counts.csv")
     write_table(counts_path, counts.x, names=("x1", "x2", "x3"))
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import plain_counts, plain_draws
 import rppi
 import rppi.cli
 from rppi.cli import main
@@ -25,18 +26,18 @@ from rppi.estimator import CHUNK
 from rppi.inference import bootstrap_se
 from rppi.model import RPPIParams
 from rppi.robust import RobustConfig, fit_robust
-from rppi.sampling import sample_counts, sample_rppi
 
 
 TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]],
                          beta=[-0.3, 0.2, 0.0], kstar=2)
 SUBCOMMANDS = ("fit", "sample", "tune", "bootstrap", "study", "influence")
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+TESTS = Path(__file__).resolve().parent
+PYPROJECT = TESTS.parent / "pyproject.toml"
 
 
 @pytest.fixture()
 def data_csv(tmp_path):
-    U, _ = sample_rppi(TEST_PARAMS, 120, seed=np.random.SeedSequence(81))
+    U = plain_draws(TEST_PARAMS, 120, np.random.SeedSequence(81))
     path = tmp_path / "data.csv"
     write_table(path, U, names=("u1", "u2", "u3"))
     return str(path)
@@ -44,7 +45,7 @@ def data_csv(tmp_path):
 
 @pytest.fixture()
 def counts_csv(tmp_path):
-    counts, _ = sample_counts(TEST_PARAMS, 400, n=60, seed=np.random.SeedSequence(82))
+    counts = plain_counts(TEST_PARAMS, 400, np.random.SeedSequence(82), n=60)
     path = tmp_path / "counts.csv"
     write_table(path, counts.x, names=("x1", "x2", "x3"))
     return str(path)
@@ -126,7 +127,7 @@ def test_fit_rejects_a_negative_or_non_finite_ridge(ridge, data_csv, tmp_path,
 
 
 def test_fit_normalizes_proportion_rows_once(tmp_path):
-    U, _ = sample_rppi(TEST_PARAMS, 120, seed=np.random.SeedSequence(84))
+    U = plain_draws(TEST_PARAMS, 120, np.random.SeedSequence(84))
     scaled = U * np.random.default_rng(85).uniform(0.5, 2.0, size=(120, 1))
     path = tmp_path / "scaled.csv"
     write_table(path, scaled)
@@ -336,14 +337,19 @@ def test_tune_rejects_bad_arguments_before_fitting(counts_csv, tmp_path, capsys,
 
 
 def test_tune_on_a_clean_table_does_not_import_scipy(tmp_path):
-    counts, _ = sample_counts(TEST_PARAMS, 500, n=300, seed=np.random.SeedSequence(87))
+    counts = plain_counts(TEST_PARAMS, 500, np.random.SeedSequence(87), n=300)
     path = tmp_path / "counts.csv"
     write_table(path, counts.x)
     out = tmp_path / "tune"
-    # every KS p-value of this table lies where rppi computes it
+    # every KS p-value of this table and of the plain loop's simulated
+    # draws lies where rppi computes it
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys; from rppi.cli import main; "
+         f"import sys; sys.path.insert(0, {str(TESTS)!r}); import oracles; "
+         "import rppi.inference as inference; "
+         "inference.sample_rppi = lambda params, n, seed: "
+         "(oracles.plain_draws(params, n, seed), None); "
+         "from rppi.cli import main; "
          f"code = main(['tune', {str(path)!r}, '--kstar', '2', '--seed', '3', "
          f"'--out', {str(out)!r}]); "
          "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
@@ -619,7 +625,8 @@ def test_report_schema_is_pinned(counts_csv, params_json, tmp_path):
     assert payloads["fit"]["params"]["kind"] == "params"
     report = payloads["sample"]["report"]
     assert set(report) == HEADER_KEYS | {"method", "n_requested", "n_proposals",
-                                         "acceptance_rate", "envelope_constant"}
+                                         "acceptance_rate", "envelope_constant",
+                                         "face_max", "n_stage_two"}
     assert report["kind"] == "sampler_report"
     # counts mode carries its rejection sampler's report too
     assert main(["sample", params_json, "--m", "250", "--n", "30", "--seed", "7",

@@ -29,12 +29,12 @@ from rppi.dataio import (
     write_json,
     write_table,
 )
+from oracles import plain_counts
 from rppi import dataio
 from rppi.errors import ParseError
 from rppi.inference import bootstrap_se, tune_c
 from rppi.model import RPPIParams, proportions
 from rppi.robust import RobustConfig, fit_robust
-from rppi.sampling import sample_counts
 from rppi.study import preset_scenario, run_study
 
 
@@ -43,7 +43,7 @@ TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]],
 
 
 def fixture_counts(seed=71):
-    return sample_counts(TEST_PARAMS, 300, n=50, seed=np.random.SeedSequence(seed))[0]
+    return plain_counts(TEST_PARAMS, 300, np.random.SeedSequence(seed), n=50)
 
 
 def test_table_round_trip_preserves_floats_exactly(tmp_path):

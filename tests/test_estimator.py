@@ -4,13 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import naive_blocks
+from oracles import naive_blocks, plain_draws
 from rppi.errors import DegeneracyWarning, SingularSystemError, WeightError
 import rppi.estimator as estimator
 from rppi.estimator import assemble, score_stats, solve_system
 from rppi.model import CountDataset, RPPIParams, pack, param_labels, proportions, q_dim
 from rppi.robust import RobustConfig, fit_robust
-from rppi.sampling import sample_rppi
 
 
 TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]], beta=[-0.3, 0.2, 0.0])
@@ -181,15 +180,15 @@ def test_solve_system_rejects_a_negative_or_non_finite_ridge(ridge):
     W = np.eye(5) + 0.1
     with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
         solve_system(W, np.ones(5), ridge=ridge)
-    U, _ = sample_rppi(RPPIParams(a_l=-np.eye(2), beta=np.zeros(3)), 50,
-                       seed=np.random.SeedSequence(26))
+    U = plain_draws(RPPIParams(a_l=-np.eye(2), beta=np.zeros(3)), 50,
+                    np.random.SeedSequence(26))
     for c in (0.0, 0.5):
         with pytest.raises(ValueError, match="ridge"):
             fit_robust(U, RobustConfig(c=c, kstar=2), ridge=ridge)
 
 
 def test_fit_recovers_truth_on_large_samples():
-    U, _ = sample_rppi(TEST_PARAMS, 40_000, seed=np.random.SeedSequence(26))
+    U = plain_draws(TEST_PARAMS, 40_000, np.random.SeedSequence(26))
     fit = plain_fit(U)
     pi0 = pack(TEST_PARAMS).pi
     rel = np.abs(fit.pi_hat.pi - pi0) / np.maximum(np.abs(pi0), 1.0)

@@ -1,11 +1,12 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 from scipy.stats import ks_2samp
 
-from oracles import closed_simplex_grid_ref, influence_ref
+from oracles import closed_simplex_grid_ref, influence_ref, plain_counts, plain_draws
 import rppi._kstwo as _kstwo
 import rppi.estimator as estimator
 import rppi.inference as inference
@@ -25,7 +26,6 @@ from rppi.inference import (
 )
 from rppi.model import RPPIParams, as_matrix, pack, proportions
 from rppi.robust import RobustConfig, fit_robust
-from rppi.sampling import sample_counts, sample_rppi
 
 
 TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]],
@@ -33,7 +33,7 @@ TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]],
 
 
 def small_counts(seed=61, n=60, m=300):
-    return sample_counts(TEST_PARAMS, m, n=n, seed=np.random.SeedSequence(seed))[0]
+    return plain_counts(TEST_PARAMS, m, np.random.SeedSequence(seed), n=n)
 
 
 KS_SAMPLES = {
@@ -112,6 +112,17 @@ def test_kstwo_sf_matches_scipy_bit_for_bit():
         got = np.array([_kstwo.sf(d, n) for n, d in cases])
         want = np.array([scipy.stats.kstwo.sf(d, n) for n, d in cases])
         assert got.tobytes() == want.tobytes(), region
+
+
+@pytest.mark.parametrize("n, d", [(65439, 0.00033789552775754925),
+                                  (57333, 0.00039219039986054436)])
+def test_kstwo_sf_is_one_where_durbins_power_overflows_in_scipy(n, d):
+    # Pelz-Good puts the CDF at 5e-70 and 3e-59 here; scipy's running
+    # power of Durbin's matrix overflows and its sf returns 0.0
+    assert kstwo_region(n, d) == "port: Durbin matrix"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _kstwo.sf(d, n) == 1.0
 
 
 def test_ks_truncated_needs_enough_points():
@@ -197,7 +208,7 @@ def test_bootstrap_degrades_loudly_when_replicates_fail(monkeypatch):
 
 
 def test_influence_mean_vanishes_at_the_empirical_fit():
-    U, _ = sample_rppi(TEST_PARAMS, 3000, seed=np.random.SeedSequence(67))
+    U = plain_draws(TEST_PARAMS, 3000, np.random.SeedSequence(67))
     cfg = RobustConfig(c=0.5, kstar=2)
     fit = fit_robust(U, cfg)
     res = influence(U, fit.pi_hat, U, c=cfg.c, kstar=cfg.kstar)
@@ -211,7 +222,7 @@ P4_PARAMS = RPPIParams(a_l=[[-2.0, 0.5, 0.3], [0.5, -1.5, 0.2], [0.3, 0.2, -1.0]
 
 def influence_case(p, n, seed):
     params = TEST_PARAMS if p == 3 else P4_PARAMS
-    ref, _ = sample_rppi(params, n, seed=np.random.SeedSequence(seed))
+    ref = plain_draws(params, n, np.random.SeedSequence(seed))
     rng = np.random.default_rng(seed)
     # the lattice holds the vertices and edges; add interior points
     z = np.vstack([closed_simplex_grid_ref(p, 4), rng.dirichlet(np.ones(p), 5)])
@@ -261,7 +272,7 @@ def test_influence_is_invariant_to_row_order_and_chunk_size(monkeypatch):
 
 
 def test_influence_is_finite_across_the_closed_simplex():
-    U, _ = sample_rppi(TEST_PARAMS, 2000, seed=np.random.SeedSequence(68))
+    U = plain_draws(TEST_PARAMS, 2000, np.random.SeedSequence(68))
     fit = fit_robust(U, RobustConfig(c=0.7, kstar=2))
     grid = simplex_grid(3, 12)  # includes edges and vertices
     res = influence(grid, fit.pi_hat, U, c=0.7, kstar=2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import plain_draws
 import rppi.estimator as estimator
 import rppi.robust as robust
 from rppi.errors import (DegeneracyWarning, DimensionError, NonConvergenceError,
@@ -12,7 +13,7 @@ from rppi.errors import (DegeneracyWarning, DimensionError, NonConvergenceError,
 from rppi.estimator import CHUNK, assemble, score_stats, solve_system
 from rppi.model import RPPIParams, as_matrix, pack, pair_indices, q_dim
 from rppi.robust import RobustConfig, fit_robust, kk_mask
-from rppi.sampling import contaminate, sample_rppi, spawn_seeds
+from rppi.sampling import contaminate, spawn_seeds
 from rppi.study import DATASET2_OUTLIER, dataset2_truth, preset_scenario
 
 
@@ -22,7 +23,7 @@ TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]],
 
 def contaminated_sample(n=94, frac=0.053, seed=77):
     truth = dataset2_truth()
-    U, _ = sample_rppi(truth, n, seed=np.random.SeedSequence(seed))
+    U = plain_draws(truth, n, np.random.SeedSequence(seed))
     U = U.copy()
     U[: round(frac * n)] = np.asarray(DATASET2_OUTLIER)
     return truth, U
@@ -52,7 +53,7 @@ def test_kstar_out_of_range_is_rejected():
 
 
 def test_c_zero_reduces_to_the_unweighted_fit_bitwise():
-    U, _ = sample_rppi(TEST_PARAMS, 500, seed=np.random.SeedSequence(32))
+    U = plain_draws(TEST_PARAMS, 500, np.random.SeedSequence(32))
     plain, _ = solve_system(*assemble(score_stats(as_matrix(U))))
     rob = fit_robust(U, RobustConfig(c=0.0, kstar=2))
     assert rob.pi_hat.pi.tobytes() == plain.tobytes()
@@ -61,7 +62,7 @@ def test_c_zero_reduces_to_the_unweighted_fit_bitwise():
 
 @pytest.mark.parametrize("with_base", [False, True])
 def test_c_zero_assembles_and_solves_once(monkeypatch, with_base):
-    U, _ = sample_rppi(TEST_PARAMS, 300, seed=np.random.SeedSequence(32))
+    U = plain_draws(TEST_PARAMS, 300, np.random.SeedSequence(32))
     base = np.random.default_rng(32).uniform(0.5, 2.0, 300) if with_base else None
     calls = []
 
@@ -80,7 +81,7 @@ def test_c_zero_assembles_and_solves_once(monkeypatch, with_base):
 
 
 def test_uniform_base_weights_change_nothing():
-    U, _ = sample_rppi(TEST_PARAMS, 400, seed=np.random.SeedSequence(33))
+    U = plain_draws(TEST_PARAMS, 400, np.random.SeedSequence(33))
     cfg = RobustConfig(c=0.5, kstar=2)
     a = fit_robust(U, cfg)
     b = fit_robust(U, cfg, base_weights=np.ones(400))
@@ -88,7 +89,7 @@ def test_uniform_base_weights_change_nothing():
 
 
 def test_converged_fit_satisfies_the_weighted_equation():
-    U, _ = sample_rppi(TEST_PARAMS, 800, seed=np.random.SeedSequence(34))
+    U = plain_draws(TEST_PARAMS, 800, np.random.SeedSequence(34))
     cfg = RobustConfig(c=0.7, kstar=2)
     fit = fit_robust(U, cfg)
     # recompute the equation pieces independently of the fit loop
@@ -112,7 +113,7 @@ def test_weights_are_a_distribution_and_flag_outliers():
 
 
 def test_weighted_fit_tracks_truth_at_moderate_n():
-    U, _ = sample_rppi(TEST_PARAMS, 20_000, seed=np.random.SeedSequence(35))
+    U = plain_draws(TEST_PARAMS, 20_000, np.random.SeedSequence(35))
     fit = fit_robust(U, RobustConfig(c=0.5, kstar=2))
     pi0 = pack(TEST_PARAMS).pi
     rel = np.abs(fit.pi_hat.pi - pi0) / np.maximum(np.abs(pi0), 1.0)
@@ -152,7 +153,7 @@ def test_restart_ladder_reports_nonconvergence_when_capped():
 
 
 def test_explicit_init_is_honored():
-    U, _ = sample_rppi(TEST_PARAMS, 600, seed=np.random.SeedSequence(36))
+    U = plain_draws(TEST_PARAMS, 600, np.random.SeedSequence(36))
     cfg = RobustConfig(c=0.5, kstar=2)
     ref = fit_robust(U, cfg)
     warm = fit_robust(U, cfg, init=ref.pi_hat)
@@ -210,7 +211,7 @@ def two_root_sample():
     builds them."""
     scenario = preset_scenario("sim7", seed=3, replicates=25)
     latent, _, contam = spawn_seeds(3, 25)[2].spawn(3)
-    U, _ = sample_rppi(scenario.truth, scenario.n, seed=latent)
+    U = plain_draws(scenario.truth, scenario.n, latent)
     return contaminate(U, scenario.contamination, np.asarray(scenario.outlier),
                        seed=contam)
 
@@ -377,7 +378,7 @@ def test_fit_matches_the_plain_loop_bit_for_bit(case):
     elif case == "two-roots":
         U, cfg = two_root_sample(), RobustConfig(c=1.25, kstar=4)
     elif case in ("c0-base", "c025-base"):
-        U, _ = sample_rppi(TEST_PARAMS, 400, seed=np.random.SeedSequence(42))
+        U = plain_draws(TEST_PARAMS, 400, np.random.SeedSequence(42))
         base = np.random.default_rng(42).uniform(0.2, 3.0, 400)
         cfg = RobustConfig(c=0.0 if case == "c0-base" else 0.25, kstar=2)
     else:

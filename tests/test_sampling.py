@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from oracles import (
     brute_ks,
+    plain_draws,
     quad_max_faces_ref,
     quad_max_grid,
     quadratic_ref,
@@ -27,6 +29,8 @@ from rppi.study import dataset2_truth
 
 
 TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]], beta=[-0.3, 0.2, 0.0])
+# M_face = M+ = 1.5 inside an edge; beta_p = 1 takes the gamma route
+EDGE_PARAMS = RPPIParams(a_l=[[1.0, 2.0], [2.0, 1.0]], beta=[0.5, -0.3, 1.0])
 
 
 def test_quad_max_handles_known_cases():
@@ -71,6 +75,14 @@ def test_quad_max_equals_the_face_by_face_loop(monkeypatch):
             # chunk edges, partial last chunks, singular-stack fallback
             m.setattr(sampling, "FACE_CHUNK", 3)
             assert quad_max_simplex(A) == want
+
+
+def test_face_max_is_the_face_loop_without_the_origin():
+    for A in (A for A in envelope_cases() if len(A) <= 8):
+        face = quad_max_simplex(A, face=True)
+        assert face == quad_max_faces_ref(A, origin=False)
+        assert max(0.0, face) == quad_max_simplex(A)
+    assert quad_max_simplex(dataset2_truth().a_l, face=True) == -141.924
 
 
 def test_quad_max_solves_each_face_size_in_one_stack(monkeypatch):
@@ -195,56 +207,100 @@ def test_quadratic_equals_the_scalar_definition_at_block_edges(a_l):
         assert sampling._quadratic(wide[:, :d], a_l).tobytes() == want.tobytes(), n
 
 
-def plain_rejection(params, n, seed, max_proposals=10_000_000):
-    """The rejection loop written out: whole-batch einsum and interior mask."""
+def two_stage_rejection(params, n, seed, max_proposals=10_000_000):
+    """The radial-split rejection loop written out: s and 1 - s for the
+    whole batch, whole-batch einsum on the survivors, interior mask.
+    Returns (U, proposals, rate, envelope, face maximum, stage-two draws)."""
     rng = rng_from(seed)
     d = params.p - 1
-    envelope = quad_max_simplex(params.a_l)
-    kept, n_acc, n_prop = [], 0, 0
+    alpha = params.beta + 1.0
+    face = quad_max_faces_ref(params.a_l, origin=False)
+    envelope = max(0.0, face)
+    kept, n_acc, n_prop, n_full = [], 0, 0, 0
     batch = int(min(max(1024, 2 * n), 65536))
     while n_acc < n:
-        P = rng.dirichlet(params.beta + 1.0, size=batch)
-        logq = np.einsum("ni,ij,nj->n", P[:, :d], params.a_l, P[:, :d]) - envelope
-        accept = np.log(rng.random(batch)) < logq
-        accept &= (P > 0.0).all(axis=1)
-        got = P[accept]
-        kept.append(got)
-        n_acc += got.shape[0]
+        if alpha[d] == 1.0:  # s ~ Beta(A, 1) by inversion
+            t = np.log(1.0 - rng.random(batch)) / alpha[:d].sum()
+            s, rest = np.exp(t), -np.expm1(t)
+        else:
+            g = rng.standard_gamma(alpha[:d].sum(), batch)
+            h = rng.standard_gamma(alpha[d], batch)
+            s, rest = g / (g + h), h / (g + h)
+        live = np.log(rng.random(batch)) < face * s * s - envelope
+        s, rest = s[live], rest[live]
+        V = rng.dirichlet(alpha[:d], size=s.size)
+        q = np.einsum("ni,ij,nj->n", V, params.a_l, V)
+        accept = np.log(rng.random(s.size)) < s * s * (q - face)
+        U = np.column_stack([V * s[:, None], rest])
+        accept &= (U > 0.0).all(axis=1)
+        kept.append(U[accept])
+        n_acc += int(accept.sum())
         n_prop += batch
+        n_full += s.size
         if n_prop >= max_proposals and n_acc < n and n_acc / n_prop < sampling.ACCEPT_FLOOR:
             raise LowAcceptanceError("plain loop gave up")
         rate_so_far = max(n_acc, 1) / n_prop
         batch = int(np.clip(1.2 * (n - n_acc) / rate_so_far, 1024, 2_000_000))
-    return np.concatenate(kept)[:n], n_prop, n_acc / n_prop, envelope
+    return np.concatenate(kept)[:n], n_prop, n_acc / n_prop, envelope, face, n_full
 
 
-# Study sim7 at seed 4, replicate 17: its first batch of 1,024 proposals
+# Study sim7 at seed 13, replicate 17: its first batch of 1,024 proposals
 # accepts nothing.
-CLIFF_SEED = spawn_seeds(4, 25)[17].spawn(3)[0]
+CLIFF_SEED = spawn_seeds(13, 25)[17].spawn(3)[0]
 B17 = np.random.default_rng(58).normal(scale=0.5, size=(16, 16))
+D2_BETA_P = np.append(dataset2_truth().beta[:-1], -0.4)  # alpha_p = 0.6: gamma route
 SAMPLER_CASES = [
     pytest.param(dataset2_truth(), 2000, np.random.SeedSequence(59), id="dataset2"),
     pytest.param(TEST_PARAMS, 5000, np.random.SeedSequence(60), id="p3"),
     pytest.param(RPPIParams(a_l=-(B17 @ B17.T), beta=np.linspace(-0.5, 0.5, 17)), 500,
                  np.random.SeedSequence(61), id="p17-negdef"),
     pytest.param(dataset2_truth(), 94, CLIFF_SEED, id="cliff-replicate"),
+    pytest.param(RPPIParams(a_l=dataset2_truth().a_l, beta=D2_BETA_P), 2000,
+                 np.random.SeedSequence(63), id="dataset2-gamma-route"),
 ]
 
 
 @pytest.mark.parametrize("params, n, seed", SAMPLER_CASES)
 def test_rejection_sampler_equals_the_plain_loop_byte_for_byte(params, n, seed):
     U, report = sample_rppi(params, n, seed=seed)
-    want, n_prop, rate, envelope = plain_rejection(params, n, seed)
+    want, n_prop, rate, envelope, face, n_full = two_stage_rejection(params, n, seed)
     assert U.tobytes() == want.tobytes()
     assert report.n_proposals == n_prop
     assert report.acceptance_rate == rate
     assert report.envelope_constant == envelope
+    assert (report.face_max, report.n_stage_two) == (face, n_full)
+
+
+def dirichlet_mean_exp_q(params):
+    """E[exp(u_L' A u_L)] under the Dirichlet(beta + 1) proposal, by quadrature."""
+    flat = RPPIParams(a_l=np.zeros((2, 2)), beta=params.beta)
+    return quadrature_expectation(flat, lambda pts: np.exp(
+        np.einsum("ni,ij,nj->n", pts[:, :2], params.a_l, pts[:, :2])))
+
+
+@pytest.mark.parametrize("params", [TEST_PARAMS, EDGE_PARAMS], ids=["p3", "p3-gamma-route"])
+def test_acceptance_rate_is_the_proposal_mean_of_the_tilt(params):
+    # the plain sampler's acceptance: every stage-one draw is one
+    # Dirichlet(beta + 1) proposal, kept with probability exp(Q - M+)
+    _, report = sample_rppi(params, 20_000, seed=np.random.SeedSequence(64))
+    rate, n_prop = report.acceptance_rate, report.n_proposals
+    want = dirichlet_mean_exp_q(params) * np.exp(-report.envelope_constant)
+    assert abs(rate - want) < 6.0 * np.sqrt(rate * (1.0 - rate) / n_prop)
+
+
+@pytest.mark.parametrize("params, n", [(dataset2_truth(), 20_000), (TEST_PARAMS, 20_000)],
+                         ids=["dataset2", "p3"])
+def test_radial_split_draws_match_the_plain_loop(params, n):
+    U, _ = sample_rppi(params, n, seed=np.random.SeedSequence(65))
+    want = plain_draws(params, n, np.random.SeedSequence(66))
+    for j in range(params.p):
+        assert ks_2samp(U[:, j], want[:, j]).pvalue > 1e-3, j
 
 
 def test_batch_after_an_empty_first_batch_is_sized_from_one_acceptance():
     # The first 1,024 proposals accept nothing.  Sizing the next batch as
-    # if one had been accepted asks for 115,507 proposals; a floored rate
-    # asked for the 2,000,000 cap.
+    # if one had been accepted asks for 115,507 proposals, which suffice
+    # (116,531 in all); a floored rate asked for the 2,000,000 cap.
     U, report = sample_rppi(dataset2_truth(), 94, seed=CLIFF_SEED)
     assert U.shape == (94, 5)
     assert report.n_proposals < 200_000
