@@ -1,7 +1,7 @@
 """Score matching estimation for polynomially tilted pairwise
-interaction models on the simplex: exact samplers, an outlier-resistant
-weighted estimator, tuning and uncertainty diagnostics, and a Monte
-Carlo study harness.
+interaction models on the simplex: an exact rejection sampler, an
+outlier-resistant weighted estimator, tuning and uncertainty
+diagnostics, and a Monte Carlo study harness.
 
 The names below are the library's public interface; everything else
 stays importable from its own module (``rppi.suffstats``,
@@ -10,7 +10,7 @@ stays importable from its own module (``rppi.suffstats``,
 from .errors import RPPIError
 from .model import CountDataset, ParamVector, RPPIParams, pack, proportions, unpack
 from .robust import RobustConfig, RobustFitResult, fit_robust
-from .sampling import sample_counts, sample_rppi, sample_rppi_mcmc
+from .sampling import sample_counts, sample_rppi
 from .inference import bootstrap_se, influence, tune_c
 from .study import StudyScenario, preset_scenario, run_study
 

@@ -38,7 +38,7 @@ from .errors import (
 from .inference import bootstrap_se, influence, parse_grid, simplex_grid, tune_c
 from .model import as_matrix, proportions
 from .robust import RobustConfig, fit_robust
-from .sampling import sample_counts, sample_rppi, sample_rppi_mcmc
+from .sampling import sample_counts, sample_rppi
 from .study import PRESET_NAMES, preset_scenario, run_study
 
 
@@ -97,12 +97,7 @@ def cmd_fit(args) -> int:
 def cmd_sample(args) -> int:
     params = dataio.params_from_dict(dataio.read_json(args.params))
     seed = _resolve_seed(args.seed)
-    invocation = {"command": "sample", "params": args.params, "seed": seed,
-                  "method": args.method}
     if args.m_file is not None or args.m is not None:
-        if args.method == "mcmc":
-            raise ParseError("--m/--m-file draw counts by rejection; "
-                             "--method mcmc applies to continuous samples only")
         if args.m_file is not None:
             totals = dataio.read_table(args.m_file).matrix
             if totals.shape[1] != 1:
@@ -114,31 +109,21 @@ def cmd_sample(args) -> int:
                 raise ParseError("--m needs --n to say how many rows")
             totals = np.full(args.n, args.m)
         counts, report = sample_counts(params, totals, seed=seed)
-        dataio.write_table(args.out + ".csv", counts.x)
-        invocation.update(n=int(counts.n), mode="counts")
-        dataio.write_json(args.out + ".json", {
-            "schema_version": dataio.SCHEMA_VERSION, "kind": "sample",
-            "invocation": invocation,
-            "report": dataio.report_to_dict("sampler_report", report),
-        })
-        print(f"sample: wrote {counts.n} count rows, acceptance rate "
-              f"{report.acceptance_rate:.4f}")
-        return 0
-    if args.n is None:
-        raise ParseError("need --n (or --m/--m-file) to size the sample")
-    if args.method == "mcmc":
-        u, report = sample_rppi_mcmc(params, args.n, seed=seed,
-                                     burn_in=args.burn_in, thin=args.thin)
+        rows, n, mode, noun = counts.x, int(counts.n), "counts", "count rows"
     else:
-        u, report = sample_rppi(params, args.n, seed=seed)
-    dataio.write_table(args.out + ".csv", u)
-    invocation.update(n=args.n, mode="continuous")
+        if args.n is None:
+            raise ParseError("need --n (or --m/--m-file) to size the sample")
+        rows, report = sample_rppi(params, args.n, seed=seed)
+        n, mode, noun = args.n, "continuous", "rows"
+    dataio.write_table(args.out + ".csv", rows)
+    invocation = {"command": "sample", "params": args.params, "seed": seed,
+                  "n": n, "mode": mode}
     dataio.write_json(args.out + ".json", {
         "schema_version": dataio.SCHEMA_VERSION, "kind": "sample",
         "invocation": invocation,
         "report": dataio.report_to_dict("sampler_report", report),
     })
-    print(f"sample: wrote {args.n} rows, acceptance rate "
+    print(f"sample: wrote {n} {noun}, acceptance rate "
           f"{report.acceptance_rate:.4f}")
     return 0
 
@@ -295,11 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="multinomial total (counts mode)")
     q.add_argument("--m-file", default=None,
                    help="CSV of per-row totals (counts mode)")
-    q.add_argument("--method", choices=("rejection", "mcmc"),
-                   default="rejection",
-                   help="sampler for continuous draws (counts mode: rejection only)")
-    q.add_argument("--burn-in", type=int, default=10_000)
-    q.add_argument("--thin", type=int, default=10)
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_sample)

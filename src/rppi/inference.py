@@ -145,7 +145,8 @@ def tune_c(data: CountDataset, grid, kstar: int, sim_size: int = 10_000,
     non-reference ones by default).  Recommended is the smallest c whose
     p-values all clear ``alpha``; if none does, the c with the largest
     worst-case p-value.  Raises ValueError before any fit unless
-    ``sim_size >= 2``, ``0 < alpha < 1`` and ``0 < quantile <= 1``.
+    ``sim_size >= 2``, ``0 < alpha < 1``, ``0 < quantile <= 1`` and
+    ``1 <= kstar <= p - 1``.
     """
     if not sim_size >= 2:
         raise ValueError(f"sim_size must be at least 2, got {sim_size}")
@@ -153,8 +154,10 @@ def tune_c(data: CountDataset, grid, kstar: int, sim_size: int = 10_000,
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile must lie in (0, 1], got {quantile}")
+    n, p = data.x.shape
+    if not 1 <= kstar <= p - 1:
+        raise ValueError(f"kstar must lie in [1, {p - 1}], got {kstar}")
     u_obs = proportions(data)
-    n, p = u_obs.shape
     candidates = tuple(sorted(float(c) for c in grid))
     if not candidates:
         raise ValueError("empty tuning grid")

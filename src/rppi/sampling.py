@@ -1,4 +1,4 @@
-"""Exact and approximate samplers for the model, plus data perturbations.
+"""Exact rejection sampler for the model, plus data perturbations.
 
 Rejection sampling is exact: proposals come from Dirichlet(alpha) with
 alpha = beta + 1, so the target/proposal ratio is exp(Q(u)) with
@@ -40,11 +40,6 @@ equal those of a whole-batch einsum and interior mask byte for byte
 (except where a stage-two batch has one or two rows at p = 3, see
 ``_quadratic``), and no BLAS call is involved, so they do not depend on
 the BLAS thread count.
-
-When the acceptance rate makes rejection impractical, an independence
-Metropolis-Hastings chain with the Dirichlet(alpha) proposal has
-acceptance ratio exp(Q' - Q), which sidesteps the envelope at the price
-of approximate, autocorrelated draws.
 """
 
 from __future__ import annotations
@@ -151,18 +146,15 @@ def _solve_faces(stack: np.ndarray, ones: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SamplerReport:
-    """Bookkeeping from one sampler run.
+    """Bookkeeping from one rejection run.
 
     ``n_proposals`` counts Dirichlet(beta + 1) proposals and
     ``acceptance_rate`` is the share of them kept; ``envelope_constant``
-    is M+ = max(0, face_max).  For rejection, ``face_max`` is M_face, the
-    maximum of the quadratic on the face sum(v) = 1, and ``n_stage_two``
-    counts the proposals that passed the radial test and drew their full
-    Dirichlet; the chain has no envelope (NaN) and draws every proposal
-    in full.
+    is M+ = max(0, face_max).  ``face_max`` is M_face, the maximum of the
+    quadratic on the face sum(v) = 1, and ``n_stage_two`` counts the
+    proposals that passed the radial test and drew their full Dirichlet.
     """
 
-    method: str
     n_requested: int
     n_proposals: int
     acceptance_rate: float
@@ -263,14 +255,13 @@ def sample_rppi(params: RPPIParams, n: int, seed=None,
             rate = n_acc / n_prop
             if rate < ACCEPT_FLOOR:
                 raise LowAcceptanceError(
-                    f"acceptance rate {rate:.2e} after {n_prop} proposals; "
-                    "consider the MCMC sampler"
+                    f"acceptance rate {rate:.2e} after {n_prop} proposals, below "
+                    f"{ACCEPT_FLOOR:g}; M_face = {face:.6g}, M+ = {envelope:.6g}"
                 )
         rate_so_far = max(n_acc, 1) / n_prop
         batch = int(np.clip(1.2 * (n - n_acc) / rate_so_far, 1024, 2_000_000))
     U = np.concatenate(kept, axis=0)[:n]
     report = SamplerReport(
-        method="rejection",
         n_requested=n,
         n_proposals=n_prop,
         acceptance_rate=n_acc / n_prop,
@@ -279,47 +270,6 @@ def sample_rppi(params: RPPIParams, n: int, seed=None,
         n_stage_two=n_full,
     )
     return U, report
-
-
-def sample_rppi_mcmc(params: RPPIParams, n: int, seed=None, burn_in: int = 10_000,
-                     thin: int = 10) -> tuple[np.ndarray, SamplerReport]:
-    """Independence Metropolis-Hastings draws; approximate but unstoppable.
-
-    The chain proposes from Dirichlet(beta + 1) and accepts with
-    probability min(1, exp(Q(proposal) - Q(current))).  Returns every
-    ``thin``-th state after ``burn_in`` steps.
-    """
-    if n < 1:
-        raise DimensionError(f"need n >= 1 draws, got {n}")
-    if burn_in < 0 or thin < 1:
-        raise ValueError("burn_in must be >= 0 and thin >= 1")
-    rng = rng_from(seed)
-    d = params.p - 1
-    total = burn_in + n * thin
-    P = rng.dirichlet(params.beta + 1.0, size=total)
-    Q = _quadratic(P[:, :d], params.a_l)
-    logu = np.log(rng.random(total))
-    out = np.empty(n, dtype=np.intp)
-    cur = 0
-    accepted = 0
-    filled = 0
-    for t in range(total):
-        if t > 0 and logu[t] < Q[t] - Q[cur]:
-            cur = t
-            accepted += 1
-        if t >= burn_in and (t - burn_in) % thin == 0:
-            out[filled] = cur
-            filled += 1
-    report = SamplerReport(
-        method="independence-mh",
-        n_requested=n,
-        n_proposals=total,
-        acceptance_rate=accepted / max(total - 1, 1),
-        envelope_constant=float("nan"),
-        face_max=float("nan"),
-        n_stage_two=total,
-    )
-    return P[out].copy(), report
 
 
 def sample_counts(params: RPPIParams, m, seed=None,

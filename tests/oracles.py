@@ -97,16 +97,6 @@ def quadrature_expectation(params, f, order=80):
     return np.tensordot(w, vals, axes=(0, 0)) / w.sum()
 
 
-def brute_ks(x, y):
-    """Two-sample KS statistic straight from the ECDF definition."""
-    x = np.sort(np.asarray(x, dtype=float))
-    y = np.sort(np.asarray(y, dtype=float))
-    pooled = np.concatenate([x, y])
-    fx = np.searchsorted(x, pooled, side="right") / x.size
-    fy = np.searchsorted(y, pooled, side="right") / y.size
-    return float(np.max(np.abs(fx - fy)))
-
-
 def naive_blocks(U, weights=None, beta_p=0.0):
     """Accumulate the estimating-equation blocks one row at a time.
 

@@ -6,7 +6,6 @@ deliberately independent of each other so a failure localizes.
 """
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from oracles import (
     fd_stat_jacobian,
@@ -21,7 +20,7 @@ from rppi.estimator import assemble, residuals, score_stats, solve_system
 from rppi.inference import influence, simplex_grid
 from rppi.model import RPPIParams, as_matrix, pack, proportions
 from rppi.robust import RobustConfig, fit_robust
-from rppi.sampling import sample_rppi, sample_rppi_mcmc, spawn_seeds
+from rppi.sampling import sample_rppi, spawn_seeds
 from rppi.study import dataset2_truth, preset_scenario, run_study
 from rppi.suffstats import r_matrix_batch, s_matrix_batch
 
@@ -184,9 +183,8 @@ def test_criterion_08_zero_heavy_data_fit_stably():
     assert rel < 1e-5
 
 
-def test_criterion_09_sampler_agrees_with_quadrature_and_mcmc():
-    """Rejection moments match tensor quadrature within 3 MC SEs, and
-    rejection vs MCMC marginals pass two-sample KS at alpha = 0.01."""
+def test_criterion_09_sampler_agrees_with_quadrature():
+    """Rejection moments match tensor quadrature within 3 MC SEs."""
     U, _ = sample_rppi(P3_PARAMS, 100_000, seed=np.random.SeedSequence(209))
     for f in (lambda pts: pts,
               lambda pts: pts ** 2,
@@ -195,14 +193,6 @@ def test_criterion_09_sampler_agrees_with_quadrature_and_mcmc():
         vals = np.asarray(f(U))
         se = vals.std(axis=0, ddof=1) / np.sqrt(vals.shape[0])
         assert np.all(np.abs(vals.mean(axis=0) - want) < 3.0 * se)
-
-    U_mc, _ = sample_rppi_mcmc(P3_PARAMS, 5000,
-                               seed=np.random.SeedSequence(210),
-                               burn_in=5000, thin=10)
-    U_rej = U[:5000]
-    for j in range(3):
-        test = ks_2samp(U_rej[:, j], U_mc[:, j], method="asymp")
-        assert test.pvalue > 0.01
 
 
 def test_criterion_10_cli_outputs_are_byte_deterministic(tmp_path):

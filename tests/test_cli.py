@@ -218,8 +218,6 @@ def test_sample_continuous_and_counts(params_json, tmp_path, capsys):
     code = main(["sample", params_json, "--n", "40", "--seed", "7",
                  "--out", out])
     assert code == 0
-    report = read_json(out + ".json")
-    assert report["report"]["method"] == "rejection"
     rows = (tmp_path / "s.csv").read_text().strip().splitlines()
     assert len(rows) == 40
 
@@ -232,7 +230,7 @@ def test_sample_continuous_and_counts(params_json, tmp_path, capsys):
     assert counts.shape == (30, 3)
     assert np.all(counts.sum(axis=1) == 250)
     report = read_json(out2 + ".json")["report"]
-    assert report["method"] == "rejection" and report["n_requested"] == 30
+    assert report["n_requested"] == 30
     assert f"acceptance rate {report['acceptance_rate']:.4f}" in capsys.readouterr().out
 
 
@@ -264,28 +262,16 @@ def test_sample_same_seed_same_bytes(params_json, tmp_path):
     assert (tmp_path / "s.csv").read_bytes() == first
 
 
-def test_sample_mcmc_path(params_json, tmp_path):
-    out = str(tmp_path / "m")
-    code = main(["sample", params_json, "--n", "30", "--method", "mcmc",
-                 "--burn-in", "500", "--thin", "2", "--seed", "11",
-                 "--out", out])
-    assert code == 0
-    assert read_json(out + ".json")["report"]["method"] == "independence-mh"
-
-
-@pytest.mark.parametrize("size", [["--n", "50", "--m", "300"], ["--m-file"]])
-def test_sample_counts_refuse_the_mcmc_method(size, params_json, tmp_path, capsys):
-    # counts are drawn by rejection; a run must not record another method
-    if size == ["--m-file"]:
-        totals = tmp_path / "m.csv"
-        totals.write_text("m\n50\n70\n")
-        size = size + [str(totals)]
-    code = main(["sample", params_json, *size, "--method", "mcmc", "--seed", "7",
-                 "--out", str(tmp_path / "s")])
-    assert code == 2
-    assert "--method mcmc" in capsys.readouterr().err
-    assert not (tmp_path / "s.csv").exists()
-    assert not (tmp_path / "s.json").exists()
+@pytest.mark.parametrize("option", [["--method", "mcmc"], ["--thin", "2"]],
+                         ids=["method", "thin"])
+def test_sample_has_no_sampler_options(option, params_json, tmp_path, capsys):
+    # rejection is the only sampler, so `sample` takes no sampler options
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", params_json, "--n", "30", *option, "--seed", "7",
+              "--out", str(tmp_path / "s")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("s.*"))
 
 
 def test_sample_needs_a_size(params_json, tmp_path, capsys):
@@ -322,6 +308,7 @@ def test_tune_empty_grid_exits_2(counts_csv, tmp_path, capsys):
     ("--sim-size", "0"), ("--sim-size", "-5"), ("--sim-size", "1"),
     ("--alpha", "nan"), ("--alpha", "0"), ("--alpha", "1"), ("--alpha", "inf"),
     ("--quantile", "nan"), ("--quantile", "0"), ("--quantile", "1.5"),
+    ("--kstar", "3"), ("--kstar", "9"),
 ])
 def test_tune_rejects_bad_arguments_before_fitting(counts_csv, tmp_path, capsys,
                                                    monkeypatch, option, value):
@@ -624,7 +611,7 @@ def test_report_schema_is_pinned(counts_csv, params_json, tmp_path):
     assert set(payloads["fit"]["params"]) == PARAMS_KEYS
     assert payloads["fit"]["params"]["kind"] == "params"
     report = payloads["sample"]["report"]
-    assert set(report) == HEADER_KEYS | {"method", "n_requested", "n_proposals",
+    assert set(report) == HEADER_KEYS | {"n_requested", "n_proposals",
                                          "acceptance_rate", "envelope_constant",
                                          "face_max", "n_stage_two"}
     assert report["kind"] == "sampler_report"

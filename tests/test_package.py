@@ -1,6 +1,7 @@
-"""The package surface: public names, the README example, and the call
-sites the benchmark's tracer wraps."""
+"""The package surface: public names, the README example and flags, and
+the call sites the benchmark's tracer wraps."""
 
+import argparse
 import importlib
 import importlib.util
 import inspect
@@ -8,13 +9,14 @@ import re
 from pathlib import Path
 
 import rppi
+from rppi.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PUBLIC = {
     "RPPIError",
     "RPPIParams", "ParamVector", "CountDataset", "pack", "unpack", "proportions",
     "RobustConfig", "RobustFitResult", "fit_robust",
-    "sample_rppi", "sample_rppi_mcmc", "sample_counts",
+    "sample_rppi", "sample_counts",
     "tune_c", "bootstrap_se", "influence",
     "StudyScenario", "preset_scenario", "run_study",
 }
@@ -33,6 +35,19 @@ def test_readme_library_example_runs(capsys):
     exec(compile(blocks[0], "README.md", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == "['a_11', 'a_22', 'a_12', 'beta_1', 'beta_2']"
+
+
+def test_readme_flags_are_cli_options():
+    # every subcommand's options; flags on a `pip install` line are pip's
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {flag for sub in commands.choices.values()
+               for action in sub._actions for flag in action.option_strings}
+    lines = (ROOT / "README.md").read_text().splitlines()
+    named = {flag for line in lines if "pip install" not in line
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)}
+    assert {"--out", "--m-file", "--kstar"} <= named
+    assert sorted(named - options) == []
 
 
 def _tracing_module():
