@@ -89,7 +89,7 @@ def cmd_fit(args) -> int:
     dataio.write_csv_rows(args.out + ".csv", dataio.fit_csv_rows(fit))
     print(f"fit: n={fit.n_obs} p={fit.pi_hat.p} c={args.c:g} "
           f"iterations={fit.iterations} restarts={fit.restarts} "
-          f"residual={fit.residual:.3e} "
+          f"accelerated_steps={fit.accelerated_steps} residual={fit.residual:.3e} "
           f"cond={fit.condition_number:.3e}")
     return 0
 
@@ -117,7 +117,7 @@ def cmd_sample(args) -> int:
         n, mode, noun = args.n, "continuous", "rows"
     dataio.write_table(args.out + ".csv", rows)
     invocation = {"command": "sample", "params": args.params, "seed": seed,
-                  "n": n, "mode": mode}
+                  "n": n, "m": args.m, "m_file": args.m_file, "mode": mode}
     dataio.write_json(args.out + ".json", {
         "schema_version": dataio.SCHEMA_VERSION, "kind": "sample",
         "invocation": invocation,

@@ -280,6 +280,7 @@ def fit_to_dict(fit: RobustFitResult, invocation: dict | None = None) -> dict:
         "n_obs": fit.n_obs,
         "iterations": fit.iterations,
         "restarts": fit.restarts,
+        "accelerated_steps": fit.accelerated_steps,
         "converged": fit.converged,
         "weight_cv": fit.weight_cv,
         "residual": fit.residual,
@@ -317,6 +318,7 @@ def fit_from_dict(payload: dict) -> RobustFitResult:
             n_obs=int(payload.get("n_obs", 0)),
             beta_p=beta_p,
             restarts=int(payload.get("restarts", 0)),
+            accelerated_steps=int(payload.get("accelerated_steps", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad fit payload: {exc}") from exc

@@ -24,6 +24,16 @@ so a first step would repeat the unweighted solve and stop there, and
 the default start's solve is returned without it.
 So :func:`fit_robust` is the package's one fit, plain and weighted.
 
+The loop takes these steps as they are until the relative change first
+falls below SWITCH, and then Anderson steps (Anderson 1965; Walker and
+Ni 2011) on the same map: the next point extrapolates from the last
+DEPTH steps by an unscaled least-squares fit of their residuals.  The
+history is dropped whenever the residual grows, and an extrapolated
+point whose residual is larger than that of the step it came from is
+replaced by that step's plain update.  The equation and the stop rule
+are those of the plain iteration, so a start reaches the root the
+plain steps converge to, in fewer iterations.
+
 At a fixed point, H pi_hat = pi_tilde with H = diag(1 + c on the A_KK
 entries, 1 elsewhere), so the weighted estimating equation
 
@@ -58,6 +68,11 @@ _TINY = 1e-300
 # that leaves the fixed point unchanged.
 DAMPING = 0.5
 PATIENCE = 50
+# Anderson steps (module docstring): the relative change that starts them,
+# how many past steps they fit, and the residual ratio that rejects one.
+SWITCH = 1e-4
+DEPTH = 3
+SAFEGUARD = 1.0
 
 
 @dataclass(frozen=True)
@@ -148,6 +163,7 @@ class RobustFitResult:
     n_obs: int
     beta_p: float
     restarts: int = 0
+    accelerated_steps: int = 0
 
     @property
     def labels(self) -> list[str]:
@@ -155,31 +171,57 @@ class RobustFitResult:
 
 
 def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
-              base, pi_prev, ridge: float) -> tuple[np.ndarray, float, int]:
-    """The fixed-point loop from ``pi_prev``: (pi_hat, cond, iterations)."""
+              base, x, ridge: float) -> tuple[np.ndarray, float, int, int]:
+    """The loop from ``x``: (pi_hat, cond, iterations, accepted Anderson steps).
+
+    One iteration maps x to g with residual f = g - x.  An Anderson step
+    goes to g - dG gamma, where gamma fits f by least squares on the
+    differences dF of the kept residuals and dG those of their g.
+    """
     c = config.c
     trace: list[float] = []
     non_monotone = 0
     damped = False
+    switch = None  # iteration where the change first fell below SWITCH
+    history: list[tuple[np.ndarray, np.ndarray, float]] = []  # (f, g, max |f|)
+    source = None  # (g, max |f|) of the step an extrapolated x came from
+    accepted = 0
     for iteration in range(1, config.max_iter + 1):
-        eff = _raw_weight_factors(U, pi_prev, config.kstar, c, base)
+        eff = _raw_weight_factors(U, x, config.kstar, c, base)
         w_hat, d_hat = assemble(stats, eff)
         pi_tilde, cond = solve_system(w_hat, d_hat, ridge=ridge)
-        pi_new = (pi_tilde + c * np.where(outside, pi_prev, 0.0)) / (1.0 + c)
+        g = (pi_tilde + c * np.where(outside, x, 0.0)) / (1.0 + c)
         if damped:
-            pi_new = pi_prev + DAMPING * (pi_new - pi_prev)
-        rel = float(np.abs(pi_new - pi_prev).max()) / max(float(np.abs(pi_prev).max()), _TINY)
+            g = x + DAMPING * (g - x)
+        f = g - x
+        res = float(np.abs(f).max())
+        rel = res / max(float(np.abs(x).max()), _TINY)
         if trace and rel > trace[-1]:
             non_monotone += 1
             if non_monotone >= PATIENCE:
                 damped = True
         trace.append(rel)
-        pi_prev = pi_new
         if rel <= config.tol:
-            return pi_prev, cond, iteration
+            return g, cond, iteration, accepted + (source is not None)
+        if switch is None and rel < SWITCH:
+            switch = iteration
+        if source is not None and res > SAFEGUARD * source[1]:
+            x, source, history = source[0], None, []
+            continue
+        accepted += source is not None
+        if switch is not None:
+            kept = history[-DEPTH:] if history and res <= history[-1][2] else []
+            history = kept + [(f, g, res)]
+        if len(history) < 2:
+            x, source = g, None
+            continue
+        df = np.diff([h[0] for h in history], axis=0).T
+        dg = np.diff([h[1] for h in history], axis=0).T
+        x, source = g - dg @ np.linalg.lstsq(df, f, rcond=None)[0], (g, res)
+    began = "never" if switch is None else f"after iteration {switch}"
     raise NonConvergenceError(
         f"no convergence after {config.max_iter} iterations "
-        f"(last relative change {trace[-1]:.3e})",
+        f"(last relative change {trace[-1]:.3e}; Anderson steps began {began})",
         trace=trace,
     )
 
@@ -202,10 +244,11 @@ def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, mask, base,
     if c == 0.0 and pi_init is None:
         # every weight factor is exactly 1.0, so the first iteration
         # would solve this same system and stop: the start is the fit
-        iterations = 1
+        iterations, accelerated = 1, 0
         eff = np.ones(n) if base is None else base
     else:
-        pi_hat, cond, iterations = _reweight(U, stats, config, ~mask, base, pi_hat, ridge)
+        pi_hat, cond, iterations, accelerated = _reweight(U, stats, config, ~mask, base,
+                                                          pi_hat, ridge)
         eff = _raw_weight_factors(U, pi_hat, config.kstar, c, base)
         w_hat, d_hat = assemble(stats, eff)
 
@@ -230,6 +273,7 @@ def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, mask, base,
         n_obs=n,
         beta_p=beta_p,
         restarts=restarts,
+        accelerated_steps=accelerated,
     )
 
 

@@ -74,7 +74,8 @@ def test_fit_writes_json_and_csv(data_csv, tmp_path, capsys):
     assert payload["restarts"] == 0
     text = (tmp_path / "fit.csv").read_text()
     assert text.startswith("parameter")
-    assert " restarts=0 " in capsys.readouterr().out
+    assert (f" restarts=0 accelerated_steps={payload['accelerated_steps']} "
+            in capsys.readouterr().out)
 
 
 def test_fit_is_byte_reproducible(data_csv, tmp_path):
@@ -229,9 +230,20 @@ def test_sample_continuous_and_counts(params_json, tmp_path, capsys):
     counts = np.loadtxt(out2 + ".csv", delimiter=",")
     assert counts.shape == (30, 3)
     assert np.all(counts.sum(axis=1) == 250)
-    report = read_json(out2 + ".json")["report"]
+    payload = read_json(out2 + ".json")
+    assert (payload["invocation"]["m"], payload["invocation"]["m_file"]) == (250, None)
+    assert read_json(out + ".json")["invocation"]["m"] is None
+    report = payload["report"]
     assert report["n_requested"] == 30
     assert f"acceptance rate {report['acceptance_rate']:.4f}" in capsys.readouterr().out
+
+    totals = tmp_path / "m.csv"
+    totals.write_text("5\n6\n7\n")
+    out3 = str(tmp_path / "sf")
+    assert main(["sample", params_json, "--m-file", str(totals), "--seed", "7",
+                 "--out", out3]) == 0
+    invocation = read_json(out3 + ".json")["invocation"]
+    assert (invocation["m"], invocation["m_file"], invocation["n"]) == (None, str(totals), 3)
 
 
 def test_sample_m_file_rejects_fractional_totals(params_json, tmp_path, capsys):
@@ -541,6 +553,8 @@ def test_fit_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append([Path(str(out) + ext).read_bytes() for ext in (".json", ".csv")])
     assert outputs[0] == outputs[1]
+    # the fit took Anderson steps, so the comparison covers their least squares
+    assert read_json(str(tmp_path / "threads1") + ".json")["accelerated_steps"] > 0
 
 
 def test_module_entry_point_matches(tmp_path, params_json, rppi_script):
@@ -568,7 +582,7 @@ CONFIG_KEYS = {"c", "kstar", "tol", "max_iter"}
 REPORT_KEYS = {
     "fit": HEADER_KEYS | {"invocation", "p", "labels", "pi", "params", "config",
                           "beta_p", "n_obs", "iterations", "restarts",
-                          "converged", "weight_cv", "residual",
+                          "accelerated_steps", "converged", "weight_cv", "residual",
                           "condition_number"},
     "sample": HEADER_KEYS | {"invocation", "report"},
     "tune": HEADER_KEYS | {"invocation", "grid", "alpha", "components",
@@ -581,6 +595,7 @@ REPORT_KEYS = {
     "influence": HEADER_KEYS | {"invocation", "c", "kstar", "n_reference",
                                 "n_points", "sup_norm"},
 }
+SAMPLE_INVOCATION_KEYS = {"command", "params", "seed", "n", "m", "m_file", "mode"}
 
 
 def test_report_schema_is_pinned(counts_csv, params_json, tmp_path):
@@ -620,6 +635,8 @@ def test_report_schema_is_pinned(counts_csv, params_json, tmp_path):
                  "--out", str(tmp_path / "counts")]) == 0
     counts_payload = read_json(str(tmp_path / "counts.json"))
     assert set(counts_payload) == REPORT_KEYS["sample"]
+    assert set(payloads["sample"]["invocation"]) == SAMPLE_INVOCATION_KEYS
+    assert set(counts_payload["invocation"]) == SAMPLE_INVOCATION_KEYS
     assert set(counts_payload["report"]) == set(report)
     assert set(payloads["tune"]["entries"][0]) == {
         "c", "converged", "error", "weight_cv", "ks_stats", "ks_pvalues"}

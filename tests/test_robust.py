@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from rppi.errors import (DegeneracyWarning, DimensionError, NonConvergenceError,
 from rppi.estimator import CHUNK, assemble, score_stats, solve_system
 from rppi.model import RPPIParams, as_matrix, pack, pair_indices, q_dim
 from rppi.robust import RobustConfig, fit_robust, kk_mask
-from rppi.sampling import contaminate, spawn_seeds
+from rppi.sampling import contaminate, rng_from, sample_rppi, spawn_seeds
 from rppi.study import DATASET2_OUTLIER, dataset2_truth, preset_scenario
 
 
@@ -150,6 +151,21 @@ def test_restart_ladder_reports_nonconvergence_when_capped():
     with pytest.raises(NonConvergenceError) as err:
         fit_robust(U, RobustConfig(c=0.5, kstar=4, max_iter=2))
     assert err.value.trace  # the trace of relative changes rides along
+    assert "Anderson steps began never" in str(err.value)
+
+
+def test_nonconvergence_names_where_acceleration_began():
+    U = as_matrix(plain_draws(TEST_PARAMS, 800, np.random.SeedSequence(34)))
+    cfg = RobustConfig(c=0.7, kstar=2)
+    fit = fit_robust(U, cfg)
+    assert fit.restarts == 0 and fit.accelerated_steps > 0
+    capped = RobustConfig(c=0.7, kstar=2, max_iter=fit.iterations - 1)
+    stats = score_stats(U)
+    start = solve_system(*assemble(stats))[0]
+    with pytest.raises(NonConvergenceError) as err:
+        robust._reweight(U, stats, capped, ~kk_mask(3, 2), None, start, 0.0)
+    switch = 1 + next(i for i, rel in enumerate(err.value.trace) if rel < robust.SWITCH)
+    assert f"Anderson steps began after iteration {switch})" in str(err.value)
 
 
 def test_explicit_init_is_honored():
@@ -206,14 +222,18 @@ ROOT = np.array([
 ])
 
 
-def two_root_sample():
-    """Study sim7, seed 3, replicate 2, rows built as study._replicate
-    builds them."""
-    scenario = preset_scenario("sim7", seed=3, replicates=25)
-    latent, _, contam = spawn_seeds(3, 25)[2].spawn(3)
+def sim7_sample(seed, replicate):
+    """Study sim7 rows of one replicate, built as study._replicate builds
+    them."""
+    scenario = preset_scenario("sim7", seed=seed, replicates=25)
+    latent, _, contam = spawn_seeds(seed, 25)[replicate].spawn(3)
     U = plain_draws(scenario.truth, scenario.n, latent)
     return contaminate(U, scenario.contamination, np.asarray(scenario.outlier),
                        seed=contam)
+
+
+def two_root_sample():
+    return sim7_sample(3, 2)
 
 
 def test_sim7_sample_with_two_roots_keeps_the_default_start_root():
@@ -244,10 +264,12 @@ def test_damping_slows_the_fit_but_keeps_its_root(monkeypatch):
     assert np.max(np.abs(damped.pi_hat.pi - ROOT)) <= 1e-6 * np.max(np.abs(ROOT))
 
 
-# The reweighting loop written out plainly, as the fit once ran it: full
-# weight validation, Neumaier sums seeded with zeros over every chunk,
-# the np.ix_ solve, A_KK rebuilt by a loop on every call, and the c = 0
-# fit iterated like any other.  fit_robust must match it bit for bit.
+# The reweighting loop written out plainly: full weight validation,
+# Neumaier sums seeded with zeros over every chunk, the np.ix_ solve,
+# A_KK rebuilt by a loop on every call, the c = 0 fit iterated like any
+# other, and the Anderson step kept in separate lists.  fit_robust must
+# match it bit for bit; without the Anderson step it is the plain
+# fixed-point loop the fit ran before, whose roots the fit must keep.
 
 def _plain_weights(weights, n):
     if weights is None:
@@ -316,7 +338,7 @@ def _plain_factors(U, pi, kstar, c, base):
     return factors if base is None else base * factors
 
 
-def _plain_run(U, stats, cfg, base, pi_prev):
+def _plain_run(U, stats, cfg, base, pi_prev, accelerate=True):
     c, p = cfg.c, U.shape[1]
     mask = np.zeros(q_dim(p), dtype=bool)
     mask[:cfg.kstar] = True
@@ -325,6 +347,11 @@ def _plain_run(U, stats, cfg, base, pi_prev):
     if pi_prev is None:
         pi_prev, cond = _plain_solve(*_plain_assemble(stats, base))
     trace, non_monotone, damped = [], 0, False
+    # since the last reset: each step's change f, its plain update g and
+    # max |f|; came_from holds the plain update and max |f| of the step
+    # an extrapolated point was built from
+    accelerating, fs, gs, norms, came_from = False, [], [], [], None
+    kept = rejected = resets = 0
     for iteration in range(1, cfg.max_iter + 1):
         eff = _plain_factors(U, pi_prev, cfg.kstar, c, base)
         pi_tilde, cond = _plain_solve(*_plain_assemble(stats, eff))
@@ -336,25 +363,49 @@ def _plain_run(U, stats, cfg, base, pi_prev):
             non_monotone += 1
             damped = damped or non_monotone >= robust.PATIENCE
         trace.append(rel)
-        pi_prev = pi_new
         if rel <= cfg.tol:
+            kept += came_from is not None
+            pi_prev = pi_new
             break
+        accelerating = accelerate and (accelerating or rel < robust.SWITCH)
+        if not accelerating:
+            pi_prev = pi_new
+            continue
+        f = pi_new - pi_prev
+        norm = float(np.max(np.abs(f)))
+        if came_from is not None and norm > robust.SAFEGUARD * came_from[1]:
+            pi_prev, came_from, fs, gs, norms = came_from[0], None, [], [], []
+            rejected += 1
+            continue
+        kept += came_from is not None
+        if norms and norm > norms[-1]:
+            fs, gs, norms = [], [], []
+            resets += 1
+        keep = robust.DEPTH + 1
+        fs, gs, norms = (fs + [f])[-keep:], (gs + [pi_new])[-keep:], (norms + [norm])[-keep:]
+        if len(fs) == 1:
+            pi_prev, came_from = pi_new, None
+            continue
+        df = np.column_stack([fs[k + 1] - fs[k] for k in range(len(fs) - 1)])
+        dg = np.column_stack([gs[k + 1] - gs[k] for k in range(len(gs) - 1)])
+        gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+        pi_prev, came_from = pi_new - dg @ gamma, (pi_new, norm)
     else:
         raise NonConvergenceError("no convergence")
     eff = _plain_factors(U, pi_prev, cfg.kstar, c, base)
     w_fin, d_fin = _plain_assemble(stats, eff)
     h = np.where(mask, 1.0 + c, 1.0)
     residual = float(np.max(np.abs(w_fin @ (h * pi_prev) - d_fin)))
-    return pi_prev, eff / eff.sum(), residual, cond, iteration
+    return pi_prev, eff / eff.sum(), residual, cond, iteration, (kept, rejected, resets)
 
 
-def _plain_fit(data, cfg, base=None):
+def _plain_fit(data, cfg, base=None, accelerate=True):
     U = as_matrix(data)
     stats = score_stats(U)
     starts = [None] + list(robust._failover_inits(U, cfg))
     for restarts, start in enumerate(starts):
         try:
-            return _plain_run(U, stats, cfg, base, start) + (restarts,)
+            return _plain_run(U, stats, cfg, base, start, accelerate) + (restarts,)
         except (SingularSystemError, NonConvergenceError) as exc:
             error = exc
     raise error
@@ -366,30 +417,88 @@ def _zero_column_sample():
     return U / U.sum(axis=1, keepdims=True)
 
 
-@pytest.mark.filterwarnings("ignore::rppi.errors.DegeneracyWarning")
-@pytest.mark.parametrize("case", ["three-chunks", "two-roots", "c0-base", "c025-base",
-                                  "zero-column"])
-def test_fit_matches_the_plain_loop_bit_for_bit(case):
-    base = None
+def _loop_case(case):
+    """(U, config, base weights) of one case the loop is checked on."""
     if case == "three-chunks":
         U = np.random.default_rng(40).dirichlet((2.0, 3.0, 1.5), size=9000)
-        cfg = RobustConfig(c=0.5, kstar=2)
         assert len(U) > 2 * CHUNK
-    elif case == "two-roots":
-        U, cfg = two_root_sample(), RobustConfig(c=1.25, kstar=4)
-    elif case in ("c0-base", "c025-base"):
+        return U, RobustConfig(c=0.5, kstar=2), None
+    if case == "two-roots":
+        return two_root_sample(), RobustConfig(c=1.25, kstar=4), None
+    if case == "reject-and-reset":
+        return sim7_sample(4, 24), RobustConfig(c=1.25, kstar=4), None
+    if case in ("c0-base", "c025-base"):
         U = plain_draws(TEST_PARAMS, 400, np.random.SeedSequence(42))
         base = np.random.default_rng(42).uniform(0.2, 3.0, 400)
-        cfg = RobustConfig(c=0.0 if case == "c0-base" else 0.25, kstar=2)
-    else:
-        U, cfg = _zero_column_sample(), RobustConfig(c=0.5, kstar=3)
+        return U, RobustConfig(c=0.0 if case == "c0-base" else 0.25, kstar=2), base
+    return _zero_column_sample(), RobustConfig(c=0.5, kstar=3), None
+
+
+LOOP_CASES = ["three-chunks", "two-roots", "reject-and-reset", "c0-base", "c025-base",
+              "zero-column"]
+
+
+@pytest.mark.filterwarnings("ignore::rppi.errors.DegeneracyWarning")
+@pytest.mark.parametrize("case", LOOP_CASES)
+def test_fit_matches_the_plain_loop_bit_for_bit(case):
+    U, cfg, base = _loop_case(case)
     fit = fit_robust(U, cfg, base_weights=base)
-    pi, weights, residual, cond, iterations, restarts = _plain_fit(U, cfg, base)
+    pi, weights, residual, cond, iterations, steps, restarts = _plain_fit(U, cfg, base)
+    kept, rejected, resets = steps
     assert fit.pi_hat.pi.tobytes() == pi.tobytes()
     assert fit.final_weights.tobytes() == weights.tobytes()
     assert (fit.residual, fit.condition_number) == (residual, cond)
-    assert (fit.iterations, fit.restarts) == (iterations, restarts)
+    assert (fit.iterations, fit.restarts, fit.accelerated_steps) == (iterations, restarts, kept)
     if case == "two-roots":
         assert restarts == 2
     if case == "zero-column":
         assert pi[1] == 0.0 and fit.iterations > 1
+    if case == "reject-and-reset":
+        # the safeguard turns down two extrapolated points, and a grown
+        # residual clears the history once
+        assert (rejected, resets) == (2, 1)
+    assert (kept > 0) == (cfg.c > 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::rppi.errors.DegeneracyWarning")
+@pytest.mark.parametrize("case", LOOP_CASES)
+def test_acceleration_keeps_the_fixed_point_loop_root(case):
+    U, cfg, base = _loop_case(case)
+    fit = fit_robust(U, cfg, base_weights=base)
+    pi, _, _, _, iterations, steps, restarts = _plain_fit(U, cfg, base, accelerate=False)
+    assert steps == (0, 0, 0) and fit.restarts == restarts
+    assert np.max(np.abs(fit.pi_hat.pi - pi)) <= 1e-6 * np.max(np.abs(pi))
+    assert fit.iterations <= iterations
+
+
+def sim8_sample():
+    """Study sim8, seed 3, replicate 15, rows built as study._replicate
+    builds them.  The rows come from the package's sampler, as the study
+    draws them: the old loop in plain_draws gives another sample, on
+    which the plain and the accelerated fit stop at the same rung."""
+    scenario = preset_scenario("sim8", seed=3, replicates=25)
+    latent, counts, contam = spawn_seeds(3, 25)[15].spawn(3)
+    U, _ = sample_rppi(scenario.truth, scenario.n, seed=latent)
+    x = rng_from(counts).multinomial(np.full(scenario.n, scenario.m), U)
+    return contaminate(x / float(scenario.m), scenario.contamination,
+                       np.asarray(scenario.outlier), seed=contam)
+
+
+def test_acceleration_lets_the_kappa_64_start_converge_on_sim8():
+    # The plain loop fails the first two starts (singular) and runs the
+    # kappa = 64 start out of its 500 iterations (NonConvergenceError:
+    # each step shrinks the change by ~1%), so kappa = 1024 reaches a
+    # root 0.78 relative away.  Accelerated, the kappa = 64 start
+    # converges, to the root its plain steps reach after ~900 iterations.
+    u = sim8_sample()
+    beta_p = float(dataset2_truth().beta[-1])
+    cfg = RobustConfig(c=1.0, kstar=4)
+    fit = fit_robust(u, cfg, beta_p=beta_p)
+    assert fit.restarts == 2 and fit.accelerated_steps > 0
+    # the stop rule leaves this fit's residual at 1.2e-6 max|d|; the same
+    # start run to a tighter tolerance shows the root it approaches
+    tight = fit_robust(u, replace(cfg, tol=1e-14), beta_p=beta_p)
+    assert tight.restarts == 2
+    assert tight.residual < 1e-6 * np.max(np.abs(tight.d_hat))
+    assert (np.max(np.abs(fit.pi_hat.pi - tight.pi_hat.pi))
+            <= 1e-6 * np.max(np.abs(tight.pi_hat.pi)))
