@@ -30,9 +30,13 @@ Ni 2011) on the same map: the next point extrapolates from the last
 DEPTH steps by an unscaled least-squares fit of their residuals.  The
 history is dropped whenever the residual grows, and an extrapolated
 point whose residual is larger than that of the step it came from is
-replaced by that step's plain update.  The equation and the stop rule
-are those of the plain iteration, so a start reaches the root the
-plain steps converge to, in fewer iterations.
+replaced by that step's plain update.  The equation is that of the plain
+iteration, so a start reaches the root the plain steps converge to, in
+fewer iterations.  The relative-change stop rule leaves the plain loop's
+error along its slowest mode, where the equation's residual is small,
+but an Anderson point's error along any mode; so once Anderson steps
+have begun, the loop also requires the weighted equation's residual
+(below) to be under RESIDUAL * max |d_hat| at the point it returns.
 
 At a fixed point, H pi_hat = pi_tilde with H = diag(1 + c on the A_KK
 entries, 1 elsewhere), so the weighted estimating equation
@@ -69,10 +73,11 @@ _TINY = 1e-300
 DAMPING = 0.5
 PATIENCE = 50
 # Anderson steps (module docstring): the relative change that starts them,
-# how many past steps they fit, and the residual ratio that rejects one.
+# how many past steps they fit, and the bound on the weighted equation's
+# residual, relative to max |d_hat|, that an accelerated run also meets.
 SWITCH = 1e-4
 DEPTH = 3
-SAFEGUARD = 1.0
+RESIDUAL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -176,9 +181,12 @@ def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
 
     One iteration maps x to g with residual f = g - x.  An Anderson step
     goes to g - dG gamma, where gamma fits f by least squares on the
-    differences dF of the kept residuals and dG those of their g.
+    differences dF of the kept residuals and dG those of their g.  Once
+    Anderson steps have begun, the loop stops at an x that passes both
+    the stop rule and the RESIDUAL bound, and returns that x.
     """
     c = config.c
+    h = np.where(outside, 1.0, 1.0 + c)
     trace: list[float] = []
     non_monotone = 0
     damped = False
@@ -201,11 +209,14 @@ def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
             if non_monotone >= PATIENCE:
                 damped = True
         trace.append(rel)
-        if rel <= config.tol:
-            return g, cond, iteration, accepted + (source is not None)
+        if rel <= config.tol and switch is None:
+            return g, cond, iteration, 0
+        if rel <= config.tol and (np.abs(w_hat @ (h * x) - d_hat).max()
+                                  < RESIDUAL * np.abs(d_hat).max()):
+            return x, cond, iteration, accepted + (source is not None)
         if switch is None and rel < SWITCH:
             switch = iteration
-        if source is not None and res > SAFEGUARD * source[1]:
+        if source is not None and res > source[1]:
             x, source, history = source[0], None, []
             continue
         accepted += source is not None
