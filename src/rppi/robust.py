@@ -220,10 +220,9 @@ def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
             x, source, history = source[0], None, []
             continue
         accepted += source is not None
-        if switch is not None:
-            kept = history[-DEPTH:] if history and res <= history[-1][2] else []
-            history = kept + [(f, g, res)]
-        if len(history) < 2:
+        kept = history[-DEPTH:] if history and res <= history[-1][2] else []
+        history = kept + [(f, g, res)]
+        if switch is None or len(history) < 2:
             x, source = g, None
             continue
         df = np.diff([h[0] for h in history], axis=0).T
