@@ -25,18 +25,17 @@ the default start's solve is returned without it.
 So :func:`fit_robust` is the package's one fit, plain and weighted.
 
 The loop takes these steps as they are until the relative change first
-falls below SWITCH, and then Anderson steps (Anderson 1965; Walker and
-Ni 2011) on the same map: the next point extrapolates from the last
-DEPTH steps by an unscaled least-squares fit of their residuals.  The
-history is dropped whenever the residual grows, and an extrapolated
-point whose residual is larger than that of the step it came from is
-replaced by that step's plain update.  The equation is that of the plain
-iteration, so a start reaches the root the plain steps converge to, in
-fewer iterations.  The relative-change stop rule leaves the plain loop's
-error along its slowest mode, where the equation's residual is small,
-but an Anderson point's error along any mode; so once Anderson steps
-have begun, the loop also requires the weighted equation's residual
-(below) to be under RESIDUAL * max |d_hat| at the point it returns.
+falls below SWITCH, then Anderson steps (Anderson 1965; Walker and Ni
+2011) on the same map: the next point extrapolates by an unscaled
+least-squares fit of the last DEPTH + 1 steps' residuals, plain steps
+before the switch included.  That history is dropped whenever the
+residual grows, and an extrapolated point whose residual exceeds that of
+its source step is replaced by that step's plain update.  The stop rule
+leaves the plain loop's error along its slowest mode, where the
+equation's residual (below) is small, but an Anderson point's along any
+mode, so the accelerated loop also requires that residual to be under
+RESIDUAL * max |d_hat| where it stops.  The equation is unchanged, so a
+start reaches the root of the plain steps, in fewer iterations.
 
 At a fixed point, H pi_hat = pi_tilde with H = diag(1 + c on the A_KK
 entries, 1 elsewhere), so the weighted estimating equation
@@ -225,8 +224,8 @@ def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
         if switch is None or len(history) < 2:
             x, source = g, None
             continue
-        df = np.diff([h[0] for h in history], axis=0).T
-        dg = np.diff([h[1] for h in history], axis=0).T
+        df = np.diff([step[0] for step in history], axis=0).T
+        dg = np.diff([step[1] for step in history], axis=0).T
         x, source = g - dg @ np.linalg.lstsq(df, f, rcond=None)[0], (g, res)
     began = "never" if switch is None else f"after iteration {switch}"
     raise NonConvergenceError(
