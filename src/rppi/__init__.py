@@ -9,7 +9,7 @@ stays importable from its own module (``rppi.suffstats``,
 
 from .errors import RPPIError
 from .model import CountDataset, ParamVector, RPPIParams, pack, proportions, unpack
-from .robust import RobustConfig, RobustFitResult, fit_robust
+from .robust import PreparedData, RobustConfig, RobustFitResult, fit_robust
 from .sampling import sample_counts, sample_rppi
 from .inference import bootstrap_se, influence, tune_c
 from .study import StudyScenario, preset_scenario, run_study

@@ -8,13 +8,15 @@ and keeps tracebacks simple).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 
 def parallel_map(fn, items, threads: int = 1) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: an inline run never needs it, and the import is about
+    # a tenth of the package's start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(threads, len(items))
     chunksize = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -11,7 +11,9 @@ linear system, 4 non-convergence, 5 degraded bootstrap (partial report
 still written), 6 missing scenario parameter, 1 other package errors.
 
 Environment: RPPI_SEED supplies a default when --seed is omitted
-(falling back to 0), RPPI_THREADS the default worker count.
+(falling back to 0), RPPI_THREADS the default worker count.  Both must
+be integers and a worker count at least 1, whether it comes from
+--threads or RPPI_THREADS; other values exit 2 before any work.
 """
 
 from __future__ import annotations
@@ -42,20 +44,28 @@ from .sampling import sample_counts, sample_rppi
 from .study import PRESET_NAMES, preset_scenario, run_study
 
 
+def _env_int(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("RPPI_SEED")
-    return int(env) if env is not None else 0
+    return value if value is not None else _env_int("RPPI_SEED", 0)
 
 
 def _resolve_threads(value) -> int:
     if value is not None:
-        return value
-    env = os.environ.get("RPPI_THREADS")
-    if env is not None:
-        return int(env)
-    return os.cpu_count() or 1
+        source, threads = "--threads", value
+    else:
+        source, threads = "RPPI_THREADS", _env_int("RPPI_THREADS", os.cpu_count() or 1)
+    if threads < 1:
+        raise ValueError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def _load_compositions(path) -> np.ndarray:
@@ -95,8 +105,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    params = dataio.params_from_dict(dataio.read_json(args.params))
     seed = _resolve_seed(args.seed)
+    params = dataio.params_from_dict(dataio.read_json(args.params))
     if args.m_file is not None or args.m is not None:
         if args.m_file is not None:
             totals = dataio.read_table(args.m_file).matrix
@@ -129,13 +139,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    seed = _resolve_seed(args.seed)
     table = dataio.read_table(args.data)
     if not table.is_counts:
         raise ParseError("tuning needs count data (integer table) to know "
                          "the rounding resolution")
     counts = table.counts
     grid = parse_grid(args.grid)
-    seed = _resolve_seed(args.seed)
     report = tune_c(counts, grid, kstar=args.kstar, sim_size=args.sim_size,
                     seed=seed, beta_p=args.beta_p, tol=args.tol,
                     max_iter=args.max_iter, quantile=args.quantile,
@@ -157,12 +167,12 @@ def cmd_tune(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
+    seed = _resolve_seed(args.seed)
+    threads = _resolve_threads(args.threads)
     fit = dataio.fit_from_dict(dataio.read_json(args.fit))
     table = dataio.read_table(args.data)
     if not table.is_counts:
         raise ParseError("bootstrap needs the original count data")
-    seed = _resolve_seed(args.seed)
-    threads = _resolve_threads(args.threads)
     invocation = {"command": "bootstrap", "fit": args.fit, "data": args.data,
                   "b": args.b, "seed": seed}
     degraded = None
@@ -182,8 +192,9 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_study(args) -> int:
-    seed = args.seed
     threads = _resolve_threads(args.threads)
+    # a scenario file carries its own seed, which only --seed overrides
+    seed = _resolve_seed(args.seed) if args.scenario in PRESET_NAMES else args.seed
     a_matrix = None
     if args.a_matrix is not None:
         payload = dataio.read_json(args.a_matrix)
@@ -192,7 +203,7 @@ def cmd_study(args) -> int:
         scenario = preset_scenario(
             args.scenario, a_matrix=a_matrix,
             replicates=args.replicates if args.replicates is not None else 100,
-            seed=_resolve_seed(seed),
+            seed=seed,
             cs=parse_grid(args.grid) if args.grid is not None else None,
             tol=args.tol, max_iter=args.max_iter,
         )
@@ -201,7 +212,7 @@ def cmd_study(args) -> int:
         if args.replicates is not None:
             scenario = replace(scenario, replicates=args.replicates)
         if seed is not None:
-            scenario = replace(scenario, seed=_resolve_seed(seed))
+            scenario = replace(scenario, seed=seed)
     table = run_study(scenario, threads=threads)
     invocation = {
         "command": "study", "scenario": args.scenario,
@@ -219,8 +230,8 @@ def cmd_study(args) -> int:
 
 
 def cmd_influence(args) -> int:
-    fit = dataio.fit_from_dict(dataio.read_json(args.fit))
     seed = _resolve_seed(args.seed)
+    fit = dataio.fit_from_dict(dataio.read_json(args.fit))
     p = fit.pi_hat.p
     if args.z:
         z = np.array([[float(tok) for tok in spec.split(",")] for spec in args.z])

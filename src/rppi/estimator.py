@@ -28,10 +28,11 @@ GEMM splits its output columns by thread count and rounds their edges
 differently).  The first chunk seeds the sums as chunk + 0.0: that is
 what a compensated step from zero computes, with a correction that
 stays +0.0 because every block is finite, so a table of at most CHUNK
-rows does no compensation pass.  Weights are accepted after one sum
-and one minimum when that sum is positive and finite and no weight is
-negative; anything else goes through the full checks (shape, finite,
-sign, zero sum, a sum past the float range), each with its own error.
+rows does no compensation pass.  Weights are accepted after a minimum,
+a maximum and one sum when none is negative and the largest is positive
+and too small for the sum to overflow; anything else goes through the
+full checks (shape, finite, sign, zero sum, a sum past the float range),
+each with its own error.
 The solve equilibrates the system symmetrically by its diagonal and
 diagonalizes it with one symmetric eigendecomposition; the condition
 number reported (and checked against the rejection threshold) is that
@@ -45,6 +46,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegeneracyWarning, SingularSystemError, WeightError
 from .model import dim_from_q, param_labels, q_dim
@@ -52,6 +54,8 @@ from .suffstats import d1_batch, r_matrix_batch, s_matrix_batch
 
 CHUNK = 4096
 COND_MAX = 1e12
+# weights below this over n are summed without an overflow check
+_SUMMABLE = np.finfo(float).max / 2
 
 
 def _normalized_weights(weights, n: int) -> np.ndarray:
@@ -60,13 +64,16 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise WeightError(f"weights must have shape ({n},), got {w.shape}")
+    lo, hi = w.min(), w.max()
+    if lo >= 0.0 and 0.0 < hi < _SUMMABLE / n:
+        return w / w.sum()
     with np.errstate(all="ignore"):
         total = w.sum()
-    if 0.0 < total < np.inf and w.min() >= 0.0:
+    if 0.0 < total < np.inf and lo >= 0.0:
         return w / total
     if not np.all(np.isfinite(w)):
         raise WeightError("weights have non-finite entries")
-    if np.any(w < 0.0):
+    if lo < 0.0:
         raise WeightError("weights must be nonnegative")
     if total <= 0.0:
         raise WeightError("weights sum to zero")
@@ -119,6 +126,12 @@ def score_stats(U: np.ndarray, beta_p: float = 0.0) -> ScoreStats:
     return ScoreStats(r=r, d1=d1)
 
 
+def _chunk_sums(r: np.ndarray, d1: np.ndarray, w: np.ndarray,
+                d: int) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk's unsymmetrized W_hat and d_hat terms, one einsum each."""
+    return np.einsum("qk,rk->qr", r, r * w.repeat(d)), np.einsum("n,nq->q", w, d1)
+
+
 def assemble(stats: ScoreStats, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """Weighted averages (W_hat, d_hat) of the per-row blocks in ``stats``.
 
@@ -128,21 +141,16 @@ def assemble(stats: ScoreStats, weights=None) -> tuple[np.ndarray, np.ndarray]:
     q, nd = stats.r.shape
     d = nd // n
     w = _normalized_weights(weights, n)
-
-    def chunk_sums(start: int) -> tuple[np.ndarray, np.ndarray]:
-        stop = min(start + CHUNK, n)
-        r = stats.r[:, start * d:stop * d]
-        wc = w[start:stop]
-        return (np.einsum("qk,rk->qr", r, r * wc.repeat(d)),
-                np.einsum("n,nq->q", wc, stats.d1[start:stop]))
-
-    w_hat, d_hat = chunk_sums(0)
-    w_hat, d_hat = w_hat + 0.0, d_hat + 0.0  # a compensated step from zero
+    w_hat, d_hat = _chunk_sums(stats.r[:, :CHUNK * d], stats.d1[:CHUNK], w[:CHUNK], d)
+    w_hat += 0.0  # a compensated step from zero
+    d_hat += 0.0
     if n > CHUNK:
         w_comp = np.zeros((q, q))
         d_comp = np.zeros(q)
         for start in range(CHUNK, n, CHUNK):
-            w_chunk, d_chunk = chunk_sums(start)
+            w_chunk, d_chunk = _chunk_sums(stats.r[:, start * d:(start + CHUNK) * d],
+                                           stats.d1[start:start + CHUNK],
+                                           w[start:start + CHUNK], d)
             w_hat = _neumaier_add(w_hat, w_comp, w_chunk)
             d_hat = _neumaier_add(d_hat, d_comp, d_chunk)
         w_hat += w_comp
@@ -182,9 +190,9 @@ def solve_system(w_hat: np.ndarray, d_hat: np.ndarray, ridge: float = 0.0,
     if ridge > 0.0:
         w_hat = w_hat + ridge * np.eye(q)
     diag = w_hat.diagonal()
-    keep = diag > 0.0
-    full = bool(keep.all())
+    full = diag.min() > 0.0
     if not full:
+        keep = diag > 0.0
         degenerate = np.nonzero(diag <= 0.0)[0]
         if degenerate.size:
             labels = param_labels(dim_from_q(q))
@@ -198,11 +206,11 @@ def solve_system(w_hat: np.ndarray, d_hat: np.ndarray, ridge: float = 0.0,
         d_hat = d_hat[keep]
         diag = diag[keep]
     scale = 1.0 / np.sqrt(diag)
-    w_eq = w_hat * scale[:, None] * scale[None, :]
-    try:
-        lam, vec = np.linalg.eigh(w_eq)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("eigendecomposition of the equilibrated system failed") from exc
+    # np.linalg.eigh's own gufunc, without its wrapper: the matrix is a
+    # float64 square, and a failed decomposition (numpy warns of an invalid
+    # value) or a NaN entry leaves NaN eigenvalues, which the check rejects
+    lam, vec = _umath_linalg.eigh_lo(w_hat * scale[:, None] * scale[None, :],
+                                     signature="d->dd")
     # the 2-norm condition number of a positive definite matrix; any
     # other matrix (or none left to solve) is not a usable system
     cond = float(lam[-1] / lam[0]) if lam.size and lam[0] > 0.0 else float("inf")

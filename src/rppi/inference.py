@@ -44,7 +44,8 @@ from .model import (
     q_dim,
 )
 from . import estimator
-from .robust import RobustConfig, RobustFitResult, fit_robust, kk_mask, weight_exponents
+from .robust import (PreparedData, RobustConfig, RobustFitResult, fit_robust, kk_mask,
+                     weight_exponents)
 from .sampling import round_proportions, sample_counts, sample_rppi, spawn_seeds
 from .suffstats import suff_t_a_batch
 # unused here, but bench/tracing.py installs kernel spans at these names
@@ -166,11 +167,14 @@ def tune_c(data: CountDataset, grid, kstar: int, sim_size: int = 10_000,
     else:
         components = tuple(int(j) for j in components)
     seeds = spawn_seeds(seed, len(candidates))
+    prepared = None  # one PreparedData for the grid, built as in study._replicate
     entries = []
     for c, child in zip(candidates, seeds):
         cfg = RobustConfig(c=c, kstar=kstar, tol=tol, max_iter=max_iter)
         try:
-            fit = fit_robust(u_obs, cfg, beta_p=beta_p)
+            if prepared is None:
+                prepared = PreparedData(u_obs, beta_p)
+            fit = fit_robust(prepared, cfg)
             if fit.params is None:
                 raise RPPIError("estimate left the parameter space")
             sim, _ = sample_rppi(fit.params, sim_size, seed=child)

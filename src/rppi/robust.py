@@ -100,18 +100,15 @@ class RobustConfig:
 
 
 @lru_cache(maxsize=None)
-def _akk_index(p: int, kstar: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and packed-vector slots of the A_KK entries."""
-    rows, cols, slots = list(range(kstar)), list(range(kstar)), list(range(kstar))
+def _akk_slots(p: int, kstar: int) -> np.ndarray:
+    """Packed-vector slot of every A_KK entry, shape (kstar, kstar)."""
+    slots = np.zeros((kstar, kstar), dtype=np.intp)
+    slots[np.diag_indices(kstar)] = range(kstar)
     for slot, (i, j) in enumerate(pair_indices(p)):
         if j < kstar:
-            rows += [i, j]
-            cols += [j, i]
-            slots += [p - 1 + slot] * 2
-    index = tuple(np.array(a, dtype=np.intp) for a in (rows, cols, slots))
-    for a in index:
-        a.flags.writeable = False  # the cache hands these to every caller
-    return index
+            slots[i, j] = slots[j, i] = p - 1 + slot
+    slots.flags.writeable = False  # the cache hands it to every caller
+    return slots
 
 
 def kk_mask(p: int, kstar: int) -> np.ndarray:
@@ -120,7 +117,7 @@ def kk_mask(p: int, kstar: int) -> np.ndarray:
     if not 1 <= kstar <= d:
         raise DimensionError(f"kstar must be in [1, {d}], got {kstar}")
     mask = np.zeros(q_dim(p), dtype=bool)
-    mask[_akk_index(p, kstar)[2]] = True
+    mask[_akk_slots(p, kstar)] = True
     return mask
 
 
@@ -131,11 +128,8 @@ def weight_exponents(U: np.ndarray, pi: np.ndarray, kstar: int, c: float) -> np.
     A_KK is read from the packed pi without validation: mid-iteration
     vectors may be outside the parameter space (for example 1 + beta <= 0).
     """
-    rows, cols, slots = _akk_index(U.shape[1], kstar)
-    akk = np.zeros((kstar, kstar))
-    akk[rows, cols] = pi[slots]
     uk = U[:, :kstar]
-    return c * np.einsum("nk,kl,nl->n", uk, akk, uk)
+    return c * np.einsum("nk,kl,nl->n", uk, pi[_akk_slots(U.shape[1], kstar)], uk)
 
 
 def _raw_weight_factors(U: np.ndarray, pi: np.ndarray, kstar: int, c: float,
@@ -174,6 +168,53 @@ class RobustFitResult:
         return self.pi_hat.labels
 
 
+class PreparedData:
+    """One dataset prepared once for fits at any number of configurations.
+
+    Holds the rows as :func:`rppi.model.as_matrix` validates them, their
+    score statistics at ``beta_p``, and two things that the first fit
+    needing them computes: the default start's unweighted solve for each
+    ridge (or the SingularSystemError it raised) and the restart ladder's
+    scale for each kstar.  None of these depends on c, so fits over a c
+    panel from one PreparedData are bit for bit the fits from the rows.
+    A fit with base weights solves its own start.
+    """
+
+    def __init__(self, data, beta_p: float = 0.0):
+        self.rows = as_matrix(data)
+        self.beta_p = beta_p
+        self.stats = score_stats(self.rows, beta_p)
+        self._starts: dict = {}
+        self._scales: dict[int, float] = {}
+
+    def _start(self, base, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(W_hat, d_hat, pi, cond) of the default start's solve."""
+        if base is not None:
+            w_hat, d_hat = assemble(self.stats, base)
+            return (w_hat, d_hat) + solve_system(w_hat, d_hat, ridge=ridge)
+        if ridge not in self._starts:
+            w_hat, d_hat = assemble(self.stats, None)
+            try:
+                start = (w_hat, d_hat) + solve_system(w_hat, d_hat, ridge=ridge)
+            except SingularSystemError as exc:
+                start = exc
+            else:
+                for a in start[:3]:
+                    a.flags.writeable = False  # every later fit reads them
+            self._starts[ridge] = start
+        start = self._starts[ridge]
+        if isinstance(start, SingularSystemError):
+            raise start.with_traceback(None)
+        return start
+
+    def _restart_scale(self, kstar: int) -> float:
+        """The 98% quantile of |u_K|^2 over the rows (see _failover_inits)."""
+        if kstar not in self._scales:
+            s = np.sum(self.rows[:, :kstar] ** 2, axis=1)
+            self._scales[kstar] = float(np.quantile(s, 0.98)) + 1e-12
+        return self._scales[kstar]
+
+
 def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
               base, x, ridge: float) -> tuple[np.ndarray, float, int, int]:
     """The loop from ``x``: (pi_hat, cond, iterations, accepted Anderson steps).
@@ -196,7 +237,14 @@ def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
     for iteration in range(1, config.max_iter + 1):
         eff = _raw_weight_factors(U, x, config.kstar, c, base)
         w_hat, d_hat = assemble(stats, eff)
-        pi_tilde, cond = solve_system(w_hat, d_hat, ridge=ridge)
+        try:
+            pi_tilde, cond = solve_system(w_hat, d_hat, ridge=ridge)
+        except SingularSystemError as exc:
+            w = eff / eff.sum()
+            raise SingularSystemError(
+                f"{exc} at iteration {iteration}; the weights' effective sample "
+                f"size 1/sum(w^2) is {1.0 / np.sum(w * w):.1f} of {w.size}",
+                condition_number=exc.condition_number) from exc
         g = (pi_tilde + c * np.where(outside, x, 0.0)) / (1.0 + c)
         if damped:
             g = x + DAMPING * (g - x)
@@ -210,9 +258,10 @@ def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
         trace.append(rel)
         if rel <= config.tol and switch is None:
             return g, cond, iteration, 0
-        if rel <= config.tol and (np.abs(w_hat @ (h * x) - d_hat).max()
-                                  < RESIDUAL * np.abs(d_hat).max()):
-            return x, cond, iteration, accepted + (source is not None)
+        if rel <= config.tol:
+            hx = h * x  # the residual of the ridged system that the loop solves
+            if np.abs(w_hat @ hx + ridge * hx - d_hat).max() < RESIDUAL * np.abs(d_hat).max():
+                return x, cond, iteration, accepted + (source is not None)
         if switch is None and rel < SWITCH:
             switch = iteration
         if source is not None and res > source[1]:
@@ -235,19 +284,19 @@ def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
     )
 
 
-def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, mask, base,
-             pi_init, beta_p: float, ridge: float, restarts: int) -> RobustFitResult:
+def _iterate(data: PreparedData, config: RobustConfig, mask, base, pi_init,
+             ridge: float, restarts: int) -> RobustFitResult:
     """One run of the reweighting iteration from a given start.
 
-    ``U`` is the validated composition matrix from :func:`fit_robust`,
-    ``stats`` its score statistics and ``mask`` its :func:`kk_mask`;
-    only the weights change between iterations.
+    ``data`` holds the rows and score statistics from :func:`fit_robust`
+    and ``mask`` is its :func:`kk_mask`; only the weights change between
+    iterations.
     """
+    U = data.rows
     n = U.shape[0]
     c = config.c
     if pi_init is None:
-        w_hat, d_hat = assemble(stats, base)
-        pi_hat, cond = solve_system(w_hat, d_hat, ridge=ridge)
+        w_hat, d_hat, pi_hat, cond = data._start(base, ridge)
     else:
         pi_hat = np.array(pi_init, dtype=float)
     if c == 0.0 and pi_init is None:
@@ -256,16 +305,16 @@ def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, mask, base,
         iterations, accelerated = 1, 0
         eff = np.ones(n) if base is None else base
     else:
-        pi_hat, cond, iterations, accelerated = _reweight(U, stats, config, ~mask, base,
-                                                          pi_hat, ridge)
+        pi_hat, cond, iterations, accelerated = _reweight(U, data.stats, config, ~mask,
+                                                          base, pi_hat, ridge)
         eff = _raw_weight_factors(U, pi_hat, config.kstar, c, base)
-        w_hat, d_hat = assemble(stats, eff)
+        w_hat, d_hat = assemble(data.stats, eff)
 
     weights = eff / eff.sum()
     h = np.where(mask, 1.0 + c, 1.0)
     residual = float(np.max(np.abs(w_hat @ (h * pi_hat) - d_hat)))
     try:
-        params = unpack(pi_hat, kstar=config.kstar, beta_p=beta_p)
+        params = unpack(pi_hat, kstar=config.kstar, beta_p=data.beta_p)
     except ValueError:
         params = None
     return RobustFitResult(
@@ -280,13 +329,13 @@ def _iterate(U: np.ndarray, stats: ScoreStats, config: RobustConfig, mask, base,
         condition_number=cond,
         d_hat=d_hat,
         n_obs=n,
-        beta_p=beta_p,
+        beta_p=data.beta_p,
         restarts=restarts,
         accelerated_steps=accelerated,
     )
 
 
-def _failover_inits(U: np.ndarray, config: RobustConfig) -> Iterator[np.ndarray]:
+def _failover_inits(data: PreparedData, config: RobustConfig) -> Iterator[np.ndarray]:
     """Conservative restart vectors for when the default start fails.
 
     Gross contamination can corrupt the unweighted initializer so badly
@@ -298,15 +347,14 @@ def _failover_inits(U: np.ndarray, config: RobustConfig) -> Iterator[np.ndarray]
     effectively trims the largest 2% of |u_K|^2 on the first pass.
     Only the starting point changes; the fixed-point equation being
     solved stays the same.  A generator, so the quantile is only taken
-    once the default start has failed.
+    once a default start has failed, and then once per dataset.
     """
     c = config.c
     if c == 0.0:
         return
-    p = U.shape[1]
+    p = data.rows.shape[1]
     d = p - 1
-    s = np.sum(U[:, :config.kstar] ** 2, axis=1)
-    scale = float(np.quantile(s, 0.98)) + 1e-12
+    scale = data._restart_scale(config.kstar)
     for strength in (4.0, 64.0, 1024.0):
         kappa = strength / (c * scale)
         vec = np.zeros(q_dim(p))
@@ -316,23 +364,29 @@ def _failover_inits(U: np.ndarray, config: RobustConfig) -> Iterator[np.ndarray]
 
 
 def fit_robust(data, config: RobustConfig, base_weights=None,
-               init: ParamVector | None = None, beta_p: float = 0.0,
+               init: ParamVector | None = None, beta_p: float | None = None,
                ridge: float = 0.0) -> RobustFitResult:
     """Run the reweighting iteration to convergence.
 
     With ``config.c`` = 0 the result is the plain score matching fit.
+    ``data`` is the rows, which are validated and normalized here by
+    :func:`rppi.model.as_matrix`, or a :class:`PreparedData` that
+    carries them with their statistics, for fitting one dataset at many
+    configurations; ``beta_p`` defaults to 0.0 for rows and to the
+    prepared data's own, and must equal it if given.
     ``base_weights`` (optional, unnormalized) multiply the data
     weights throughout; they express a reweighted empirical measure,
     e.g. for contamination sensitivity checks.  ``init`` overrides the
     default initializer (the unweighted fit).  If a start fails (the
     weighted system degenerates or oscillates), progressively harsher
     conservative restarts are tried before giving up; raises
-    NonConvergenceError when every start exhausts ``max_iter``.  Rows
-    of ``data`` are validated and normalized here, once, by
-    :func:`rppi.model.as_matrix`.
+    NonConvergenceError when every start exhausts ``max_iter``.
     """
-    U = as_matrix(data)
-    n, p = U.shape
+    if not isinstance(data, PreparedData):
+        data = PreparedData(data, 0.0 if beta_p is None else beta_p)
+    elif beta_p is not None and beta_p != data.beta_p:
+        raise ValueError(f"beta_p {beta_p} differs from the prepared data's {data.beta_p}")
+    n, p = data.rows.shape
     d = p - 1
     if not 1 <= config.kstar <= d:
         raise DimensionError(f"kstar must be in [1, {d}] for p={p}, got {config.kstar}")
@@ -343,11 +397,10 @@ def fit_robust(data, config: RobustConfig, base_weights=None,
         raise DimensionError("init vector length does not match the data dimension")
     first = None if init is None else init.pi
     mask = kk_mask(p, config.kstar)
-    stats = score_stats(U, beta_p)
     last_error = None
-    for restarts, start in enumerate(chain([first], _failover_inits(U, config))):
+    for restarts, start in enumerate(chain([first], _failover_inits(data, config))):
         try:
-            return _iterate(U, stats, config, mask, base, start, beta_p, ridge, restarts)
+            return _iterate(data, config, mask, base, start, ridge, restarts)
         except (SingularSystemError, NonConvergenceError) as exc:
             last_error = exc
     raise last_error

@@ -25,7 +25,7 @@ import numpy as np
 from ._parallel import parallel_map
 from .errors import MissingParameterError, RPPIError
 from .model import RPPIParams, pack, param_labels
-from .robust import RobustConfig, fit_robust
+from .robust import PreparedData, RobustConfig, fit_robust
 from .sampling import contaminate, rng_from, sample_rppi, spawn_seeds
 
 FLAG_FAILURE_FRAC = 0.05
@@ -128,12 +128,15 @@ def _replicate(child_seed, scenario: StudyScenario):
     if scenario.contamination > 0.0:
         u_obs = contaminate(u_obs, scenario.contamination,
                             np.asarray(scenario.outlier), seed=contam_seed)
-    beta_p = float(scenario.truth.beta[-1])
+    # one PreparedData for the whole panel, built in the try so that rows
+    # which fail validation fail every estimator, as each fit would
+    prepared = None
     out = []
     for _, cfg in scenario.estimators:
         try:
-            fit = fit_robust(u_obs, cfg, beta_p=beta_p)
-            out.append(fit.pi_hat.pi)
+            if prepared is None:
+                prepared = PreparedData(u_obs, float(scenario.truth.beta[-1]))
+            out.append(fit_robust(prepared, cfg).pi_hat.pi)
         except RPPIError:
             out.append(None)
     return out

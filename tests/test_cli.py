@@ -433,6 +433,50 @@ def test_seed_env_var_supplies_the_default(params_json, tmp_path, monkeypatch):
     assert (tmp_path / "b.csv").read_bytes() == env_bytes
 
 
+def test_a_singular_weighted_fit_exits_3_naming_the_weights_effective_size(tmp_path,
+                                                                          capsys):
+    from test_prepared import study_rows
+    path = tmp_path / "sim7.csv"
+    write_table(path, study_rows("sim7", 7, 0)[1])
+    code = main(["fit", str(path), "--c", "0.01", "--kstar", "4",
+                 "--out", str(tmp_path / "fit")])
+    assert code == 3
+    assert "effective sample size 1/sum(w^2) is 5.0 of 94" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["study", "sim5", "--replicates", "1"],
+    ["bootstrap", "missing-fit.json", "missing-counts.csv"],
+])
+def test_a_worker_count_below_one_is_refused_before_any_work(command, value, tmp_path,
+                                                             capsys, monkeypatch):
+    # the input files do not exist: the message must be about the count
+    out = str(tmp_path / "out")
+    assert main(command + ["--threads", value, "--out", out]) == 2
+    assert f"--threads must be at least 1, got {value}" in capsys.readouterr().err
+    monkeypatch.setenv("RPPI_THREADS", value)
+    assert main(command + ["--out", out]) == 2
+    assert f"RPPI_THREADS must be at least 1, got {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("variable, command", [
+    ("RPPI_SEED", ["sample", "missing-params.json", "--n", "5"]),
+    ("RPPI_SEED", ["study", "sim5", "--replicates", "1", "--threads", "1"]),
+    ("RPPI_SEED", ["tune", "missing-counts.csv", "--kstar", "2"]),
+    ("RPPI_SEED", ["influence", "missing-fit.json"]),
+    ("RPPI_THREADS", ["study", "sim5", "--replicates", "1"]),
+    ("RPPI_THREADS", ["bootstrap", "missing-fit.json", "missing-counts.csv"]),
+])
+def test_a_non_integer_setting_is_named_in_its_error(variable, command, tmp_path,
+                                                    capsys, monkeypatch):
+    monkeypatch.setenv(variable, "x")
+    assert main(command + ["--out", str(tmp_path / "out")]) == 2
+    assert f"{variable} must be an integer, got 'x'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def declared_console_script():
     """The value of `rppi` in pyproject's [project.scripts]."""
     if sys.version_info >= (3, 11):

@@ -5,7 +5,11 @@ import argparse
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import rppi
@@ -15,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PUBLIC = {
     "RPPIError",
     "RPPIParams", "ParamVector", "CountDataset", "pack", "unpack", "proportions",
-    "RobustConfig", "RobustFitResult", "fit_robust",
+    "PreparedData", "RobustConfig", "RobustFitResult", "fit_robust",
     "sample_rppi", "sample_counts",
     "tune_c", "bootstrap_se", "influence",
     "StudyScenario", "preset_scenario", "run_study",
@@ -56,6 +60,25 @@ def _tracing_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_the_traced_study_sees_every_fit_and_writes_the_same_bytes(tmp_path):
+    # The spans must still be on the path the fits take: 2 replicates of
+    # the 7-c panel are 14 fits over 2 datasets of 94 rows, each dataset's
+    # rows evaluated once.
+    env = dict(os.environ, PYTHONPATH=str(Path(rppi.__file__).resolve().parent.parent))
+    args = ["study", "sim7", "--replicates", "2", "--threads", "1", "--seed", "5"]
+    stats = tmp_path / "stats.json"
+    for cmd, out in (([str(ROOT / "bench" / "traced_cli.py"), str(stats)], "traced"),
+                     (["-m", "rppi.cli"], "plain")):
+        subprocess.run([sys.executable, *cmd, *args, "--out", str(tmp_path / out)],
+                       env=env, check=True, capture_output=True)
+    traced = json.loads(stats.read_text())
+    assert traced["calls"]["robust.fit"] == 14
+    assert traced["counts"]["suffstats.rows"] == 188
+    for suffix in (".json", ".csv"):
+        assert ((tmp_path / f"traced{suffix}").read_bytes()
+                == (tmp_path / f"plain{suffix}").read_bytes())
 
 
 def test_every_traced_call_site_resolves():

@@ -407,7 +407,7 @@ def _plain_run(U, stats, cfg, base, pi_prev, accelerate=True):
 def _plain_fit(data, cfg, base=None, accelerate=True):
     U = as_matrix(data)
     stats = score_stats(U)
-    starts = [None] + list(robust._failover_inits(U, cfg))
+    starts = [None] + list(robust._failover_inits(robust.PreparedData(U), cfg))
     for restarts, start in enumerate(starts):
         try:
             return _plain_run(U, stats, cfg, base, start, accelerate) + (restarts,)
