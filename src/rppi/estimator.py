@@ -176,11 +176,13 @@ def solve_system(w_hat: np.ndarray, d_hat: np.ndarray, ridge: float = 0.0,
     """Solve W_hat pi = d_hat with diagonal equilibration.
 
     Returns (pi, condition number of the equilibrated system).  Rows with
-    an exactly zero diagonal (which only arise from exact zeros in the
-    data, e.g. an all-zero component column) are dropped from the solve
-    and their parameters pinned to zero, with a DegeneracyWarning;
-    otherwise the full matrix is equilibrated as it is.  A ``ridge``
-    that is negative or not finite raises ValueError.
+    an exactly zero diagonal (where each row of the data is zero in that
+    statistic or has zero weight: an all-zero component column, or
+    weights of the reweighting loop that underflow on the rows carrying
+    it) are dropped from the solve and their parameters pinned to zero,
+    with a DegeneracyWarning; otherwise the full matrix is equilibrated
+    as it is.  A ``ridge`` that is negative or not finite raises
+    ValueError.
     """
     if not 0.0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
@@ -198,7 +200,8 @@ def solve_system(w_hat: np.ndarray, d_hat: np.ndarray, ridge: float = 0.0,
             labels = param_labels(dim_from_q(q))
             names = ", ".join(labels[i] for i in degenerate)
             warnings.warn(
-                f"statistics for {names} vanish on this data; pinning them to zero",
+                f"statistics for {names} vanish: each row is zero in them or has "
+                "zero weight; pinning them to zero",
                 DegeneracyWarning,
                 stacklevel=2,
             )

@@ -52,6 +52,9 @@ from .suffstats import suff_t_a_batch
 from .suffstats import r_matrix_batch, s_matrix_batch  # noqa: F401
 
 G_COND_MAX = 1e12
+# bootstrap_se raises BootstrapDegradedError when more than this share of
+# its replicates fail
+MAX_FAILURE_FRAC = 0.2
 
 
 def ks_truncated(observed, simulated, quantile: float = 0.95) -> tuple[float, float]:
@@ -136,16 +139,15 @@ def parse_grid(spec: str) -> tuple[float, ...]:
 
 def tune_c(data: CountDataset, grid, kstar: int, sim_size: int = 10_000,
            seed=None, beta_p: float = 0.0, tol: float = 1e-8,
-           max_iter: int = 500, quantile: float = 0.95, alpha: float = 0.05,
-           components=None) -> TuneReport:
+           max_iter: int = 500, quantile: float = 0.95,
+           alpha: float = 0.05) -> TuneReport:
     """Select the weighting constant by simulated marginal agreement.
 
     For each c: fit, simulate ``sim_size`` compositions from the fitted
     model, snap them to the data's counting grid (totals recycled when
-    sim_size exceeds n), and KS-compare each requested component (all
-    non-reference ones by default).  Recommended is the smallest c whose
-    p-values all clear ``alpha``; if none does, the c with the largest
-    worst-case p-value.  Raises ValueError before any fit unless
+    sim_size exceeds n), and KS-compare each non-reference component.
+    Recommended is the smallest c whose p-values all clear ``alpha``; if
+    none does, the c with the largest worst-case p-value.  Raises ValueError before any fit unless
     ``sim_size >= 2``, ``0 < alpha < 1``, ``0 < quantile <= 1`` and
     ``1 <= kstar <= p - 1``.
     """
@@ -162,10 +164,7 @@ def tune_c(data: CountDataset, grid, kstar: int, sim_size: int = 10_000,
     candidates = tuple(sorted(float(c) for c in grid))
     if not candidates:
         raise ValueError("empty tuning grid")
-    if components is None:
-        components = tuple(range(p - 1))
-    else:
-        components = tuple(int(j) for j in components)
+    components = tuple(range(p - 1))
     seeds = spawn_seeds(seed, len(candidates))
     prepared = None  # one PreparedData for the grid, built as in study._replicate
     entries = []
@@ -175,9 +174,10 @@ def tune_c(data: CountDataset, grid, kstar: int, sim_size: int = 10_000,
             if prepared is None:
                 prepared = PreparedData(u_obs, beta_p)
             fit = fit_robust(prepared, cfg)
-            if fit.params is None:
+            params = fit.params
+            if params is None:
                 raise RPPIError("estimate left the parameter space")
-            sim, _ = sample_rppi(fit.params, sim_size, seed=child)
+            sim, _ = sample_rppi(params, sim_size, seed=child)
             m_cycle = data.m[np.arange(sim_size) % n]
             snapped = round_proportions(sim, m_cycle)
             stats, pvals = [], []
@@ -228,38 +228,34 @@ class BootstrapReport:
         return self.estimates.shape[0]
 
 
-def _bootstrap_one(seed, params=None, m=None, config=None, beta_p=0.0):
+def _bootstrap_one(seed, params=None, m=None, config=None, beta_p=0.0, ridge=0.0):
     try:
         counts, _ = sample_counts(params, m, seed=seed)
-        refit = fit_robust(proportions(counts), config, beta_p=beta_p)
+        refit = fit_robust(PreparedData(proportions(counts), beta_p), config, ridge=ridge)
         return refit.pi_hat.pi
     except RPPIError:
         return None
 
 
 def bootstrap_se(fit: RobustFitResult, data: CountDataset, b: int = 200,
-                 seed=None, threads: int = 1, replicate_seeds=None,
-                 max_failure_frac: float = 0.2) -> BootstrapReport:
+                 seed=None, threads: int = 1) -> BootstrapReport:
     """Parametric bootstrap at the fitted model and observed totals.
 
     Each replicate simulates counts with the data's row totals, refits
-    with the same configuration, and contributes one packed estimate.
-    Failed replicates are dropped; more than ``max_failure_frac`` of
-    them failing raises BootstrapDegradedError with the partial report
-    attached.  ``replicate_seeds`` overrides the per-replicate seeds
-    (mostly for tests).
+    with the fit's configuration, beta_p and ridge, and contributes one
+    packed estimate.  Failed replicates are dropped; more than
+    ``MAX_FAILURE_FRAC`` of them failing raises BootstrapDegradedError
+    with the partial report attached.
     """
     if b < 2:
         raise ValueError("need at least 2 bootstrap replicates")
-    if fit.params is None:
+    params = fit.params
+    if params is None:
         raise ValueError("point estimate is outside the parameter space; "
                          "cannot simulate from it")
-    seeds = list(replicate_seeds) if replicate_seeds is not None else spawn_seeds(seed, b)
-    if len(seeds) != b:
-        raise ValueError(f"expected {b} replicate seeds, got {len(seeds)}")
-    worker = partial(_bootstrap_one, params=fit.params, m=np.asarray(data.m),
-                     config=fit.config, beta_p=fit.beta_p)
-    results = parallel_map(worker, seeds, threads=threads)
+    worker = partial(_bootstrap_one, params=params, m=np.asarray(data.m),
+                     config=fit.config, beta_p=fit.beta_p, ridge=fit.ridge)
+    results = parallel_map(worker, spawn_seeds(seed, b), threads=threads)
     kept = [r for r in results if r is not None]
     n_failed = b - len(kept)
     estimates = np.array(kept) if kept else np.empty((0, fit.pi_hat.q))
@@ -278,7 +274,7 @@ def bootstrap_se(fit: RobustFitResult, data: CountDataset, b: int = 200,
         ratio=ratio,
         labels=tuple(param_labels(fit.pi_hat.p)),
     )
-    if n_failed > max_failure_frac * b:
+    if n_failed > MAX_FAILURE_FRAC * b:
         raise BootstrapDegradedError(
             f"{n_failed} of {b} bootstrap replicates failed", report=report)
     return report

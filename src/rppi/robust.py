@@ -132,27 +132,27 @@ def weight_exponents(U: np.ndarray, pi: np.ndarray, kstar: int, c: float) -> np.
     return c * np.einsum("nk,kl,nl->n", uk, pi[_akk_slots(U.shape[1], kstar)], uk)
 
 
-def _raw_weight_factors(U: np.ndarray, pi: np.ndarray, kstar: int, c: float,
-                        base) -> np.ndarray:
-    """Unnormalized weights exp(c u_K' A_KK u_K), max-shifted, times ``base``.
+def _raw_weight_factors(U: np.ndarray, pi: np.ndarray, kstar: int, c: float) -> np.ndarray:
+    """Unnormalized weights exp(c u_K' A_KK u_K), max-shifted.
 
     The shift cancels in the normalized weighted averages and keeps the
     exponentials in (0, 1].  At c = 0 every factor is exactly 1.0.
     """
     expo = weight_exponents(U, pi, kstar, c)
-    factors = np.exp(expo - expo.max())
-    return factors if base is None else base * factors
+    return np.exp(expo - expo.max())
 
 
 @dataclass(frozen=True)
 class RobustFitResult:
-    """Converged weighted fit, with the diagnostics needed downstream."""
+    """Converged weighted fit, with the diagnostics needed downstream.
+
+    Every result is a converged fit (a failed one raises), and ``ridge``
+    is the one its loop solved with, which refits reuse.
+    """
 
     pi_hat: ParamVector
-    params: RPPIParams | None
     config: RobustConfig
     iterations: int
-    converged: bool
     final_weights: np.ndarray
     weight_cv: float
     residual: float
@@ -160,12 +160,21 @@ class RobustFitResult:
     d_hat: np.ndarray
     n_obs: int
     beta_p: float
+    ridge: float
     restarts: int = 0
     accelerated_steps: int = 0
 
     @property
     def labels(self) -> list[str]:
         return self.pi_hat.labels
+
+    @property
+    def params(self) -> RPPIParams | None:
+        """The estimate as model parameters, or None outside the parameter space."""
+        try:
+            return unpack(self.pi_hat, kstar=self.config.kstar, beta_p=self.beta_p)
+        except ValueError:
+            return None
 
 
 class PreparedData:
@@ -177,7 +186,7 @@ class PreparedData:
     ridge (or the SingularSystemError it raised) and the restart ladder's
     scale for each kstar.  None of these depends on c, so fits over a c
     panel from one PreparedData are bit for bit the fits from the rows.
-    A fit with base weights solves its own start.
+    A fit at a nonzero ``beta_p`` takes its rows through here.
     """
 
     def __init__(self, data, beta_p: float = 0.0):
@@ -187,11 +196,8 @@ class PreparedData:
         self._starts: dict = {}
         self._scales: dict[int, float] = {}
 
-    def _start(self, base, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    def _start(self, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """(W_hat, d_hat, pi, cond) of the default start's solve."""
-        if base is not None:
-            w_hat, d_hat = assemble(self.stats, base)
-            return (w_hat, d_hat) + solve_system(w_hat, d_hat, ridge=ridge)
         if ridge not in self._starts:
             w_hat, d_hat = assemble(self.stats, None)
             try:
@@ -216,7 +222,7 @@ class PreparedData:
 
 
 def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
-              base, x, ridge: float) -> tuple[np.ndarray, float, int, int]:
+              x, ridge: float) -> tuple[np.ndarray, float, int, int]:
     """The loop from ``x``: (pi_hat, cond, iterations, accepted Anderson steps).
 
     One iteration maps x to g with residual f = g - x.  An Anderson step
@@ -235,7 +241,7 @@ def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
     source = None  # (g, max |f|) of the step an extrapolated x came from
     accepted = 0
     for iteration in range(1, config.max_iter + 1):
-        eff = _raw_weight_factors(U, x, config.kstar, c, base)
+        eff = _raw_weight_factors(U, x, config.kstar, c)
         w_hat, d_hat = assemble(stats, eff)
         try:
             pi_tilde, cond = solve_system(w_hat, d_hat, ridge=ridge)
@@ -284,7 +290,7 @@ def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
     )
 
 
-def _iterate(data: PreparedData, config: RobustConfig, mask, base, pi_init,
+def _iterate(data: PreparedData, config: RobustConfig, mask, pi_init,
              ridge: float, restarts: int) -> RobustFitResult:
     """One run of the reweighting iteration from a given start.
 
@@ -296,33 +302,27 @@ def _iterate(data: PreparedData, config: RobustConfig, mask, base, pi_init,
     n = U.shape[0]
     c = config.c
     if pi_init is None:
-        w_hat, d_hat, pi_hat, cond = data._start(base, ridge)
+        w_hat, d_hat, pi_hat, cond = data._start(ridge)
     else:
         pi_hat = np.array(pi_init, dtype=float)
     if c == 0.0 and pi_init is None:
         # every weight factor is exactly 1.0, so the first iteration
         # would solve this same system and stop: the start is the fit
         iterations, accelerated = 1, 0
-        eff = np.ones(n) if base is None else base
+        eff = np.ones(n)
     else:
         pi_hat, cond, iterations, accelerated = _reweight(U, data.stats, config, ~mask,
-                                                          base, pi_hat, ridge)
-        eff = _raw_weight_factors(U, pi_hat, config.kstar, c, base)
+                                                          pi_hat, ridge)
+        eff = _raw_weight_factors(U, pi_hat, config.kstar, c)
         w_hat, d_hat = assemble(data.stats, eff)
 
     weights = eff / eff.sum()
     h = np.where(mask, 1.0 + c, 1.0)
     residual = float(np.max(np.abs(w_hat @ (h * pi_hat) - d_hat)))
-    try:
-        params = unpack(pi_hat, kstar=config.kstar, beta_p=data.beta_p)
-    except ValueError:
-        params = None
     return RobustFitResult(
         pi_hat=ParamVector(pi_hat),
-        params=params,
         config=config,
         iterations=iterations,
-        converged=True,
         final_weights=weights,
         weight_cv=float(np.std(weights) / np.mean(weights)),
         residual=residual,
@@ -330,6 +330,7 @@ def _iterate(data: PreparedData, config: RobustConfig, mask, base, pi_init,
         d_hat=d_hat,
         n_obs=n,
         beta_p=data.beta_p,
+        ridge=ridge,
         restarts=restarts,
         accelerated_steps=accelerated,
     )
@@ -363,36 +364,26 @@ def _failover_inits(data: PreparedData, config: RobustConfig) -> Iterator[np.nda
         yield vec
 
 
-def fit_robust(data, config: RobustConfig, base_weights=None,
-               init: ParamVector | None = None, beta_p: float | None = None,
+def fit_robust(data, config: RobustConfig, init: ParamVector | None = None,
                ridge: float = 0.0) -> RobustFitResult:
     """Run the reweighting iteration to convergence.
 
     With ``config.c`` = 0 the result is the plain score matching fit.
     ``data`` is the rows, which are validated and normalized here by
-    :func:`rppi.model.as_matrix`, or a :class:`PreparedData` that
-    carries them with their statistics, for fitting one dataset at many
-    configurations; ``beta_p`` defaults to 0.0 for rows and to the
-    prepared data's own, and must equal it if given.
-    ``base_weights`` (optional, unnormalized) multiply the data
-    weights throughout; they express a reweighted empirical measure,
-    e.g. for contamination sensitivity checks.  ``init`` overrides the
-    default initializer (the unweighted fit).  If a start fails (the
-    weighted system degenerates or oscillates), progressively harsher
-    conservative restarts are tried before giving up; raises
-    NonConvergenceError when every start exhausts ``max_iter``.
+    :func:`rppi.model.as_matrix` and fitted with beta_p = 0, or a
+    :class:`PreparedData` that carries them with their statistics at its
+    own beta_p, for fitting one dataset at many configurations.
+    ``init`` overrides the default initializer (the unweighted fit).  If
+    a start fails (the weighted system degenerates or oscillates),
+    progressively harsher conservative restarts are tried before giving
+    up; raises NonConvergenceError when every start exhausts ``max_iter``.
     """
     if not isinstance(data, PreparedData):
-        data = PreparedData(data, 0.0 if beta_p is None else beta_p)
-    elif beta_p is not None and beta_p != data.beta_p:
-        raise ValueError(f"beta_p {beta_p} differs from the prepared data's {data.beta_p}")
-    n, p = data.rows.shape
+        data = PreparedData(data)
+    p = data.rows.shape[1]
     d = p - 1
     if not 1 <= config.kstar <= d:
         raise DimensionError(f"kstar must be in [1, {d}] for p={p}, got {config.kstar}")
-    base = None
-    if base_weights is not None:
-        base = np.asarray(base_weights, dtype=float)
     if init is not None and init.q != q_dim(p):
         raise DimensionError("init vector length does not match the data dimension")
     first = None if init is None else init.pi
@@ -400,7 +391,7 @@ def fit_robust(data, config: RobustConfig, base_weights=None,
     last_error = None
     for restarts, start in enumerate(chain([first], _failover_inits(data, config))):
         try:
-            return _iterate(data, config, mask, base, start, ridge, restarts)
+            return _iterate(data, config, mask, start, ridge, restarts)
         except (SingularSystemError, NonConvergenceError) as exc:
             last_error = exc
     raise last_error

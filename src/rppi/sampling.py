@@ -53,6 +53,8 @@ from .errors import DimensionError, LowAcceptanceError
 from .model import CountDataset, RPPIParams, as_matrix
 
 ACCEPT_FLOOR = 1e-6
+# sample_rppi gives up once this many proposals accept below ACCEPT_FLOOR
+MAX_PROPOSALS = 10_000_000
 FEAS_TOL = 1e-9
 FACE_CHUNK = 4096
 QUAD_CHUNK = 16384
@@ -192,8 +194,7 @@ def _quadratic(V: np.ndarray, a_l: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_rppi(params: RPPIParams, n: int, seed=None,
-                max_proposals: int = 10_000_000) -> tuple[np.ndarray, SamplerReport]:
+def sample_rppi(params: RPPIParams, n: int, seed=None) -> tuple[np.ndarray, SamplerReport]:
     """Draw n exact samples by rejection; returns (U, report).
 
     Each proposal is split radially (see the module docstring): stage one
@@ -206,7 +207,7 @@ def sample_rppi(params: RPPIParams, n: int, seed=None,
 
     Each batch asks for 1.2 times the proposals still needed at the rate
     so far, counting an empty start as one acceptance.  Raises
-    LowAcceptanceError once ``max_proposals`` proposals have been spent
+    LowAcceptanceError once ``MAX_PROPOSALS`` proposals have been spent
     at an acceptance rate below 1e-6.
     """
     if n < 1:
@@ -251,7 +252,7 @@ def sample_rppi(params: RPPIParams, n: int, seed=None,
             n_acc += got.shape[0]
         n_prop += batch
         n_full += live.size
-        if n_prop >= max_proposals and n_acc < n:
+        if n_prop >= MAX_PROPOSALS and n_acc < n:
             rate = n_acc / n_prop
             if rate < ACCEPT_FLOOR:
                 raise LowAcceptanceError(
@@ -272,19 +273,13 @@ def sample_rppi(params: RPPIParams, n: int, seed=None,
     return U, report
 
 
-def sample_counts(params: RPPIParams, m, seed=None,
-                  n: int | None = None) -> tuple[CountDataset, SamplerReport]:
+def sample_counts(params: RPPIParams, m, seed=None) -> tuple[CountDataset, SamplerReport]:
     """Latent compositions by rejection, then multinomial counts.
 
-    ``m`` is either a vector of per-row totals or a scalar total (then
-    ``n`` must say how many rows).  Returns the counts and the report of
-    the rejection sampler that drew the compositions.
+    ``m`` is the vector of per-row totals.  Returns the counts and the
+    report of the rejection sampler that drew the compositions.
     """
     m_arr = np.asarray(m)
-    if m_arr.ndim == 0:
-        if n is None:
-            raise DimensionError("scalar m needs an explicit n")
-        m_arr = np.full(n, m_arr)
     if m_arr.ndim != 1:
         raise DimensionError(f"m must be a vector of totals, got shape {m_arr.shape}")
     if np.any(m_arr < 1):

@@ -139,8 +139,8 @@ def test_criterion_06_desk_scale_study_reproduces_the_pattern():
 def test_criterion_07_influence_bounded_and_linearizes():
     """The influence function stays finite over a 10626-point grid of
     the closed five-part simplex (vertices and faces included) at
-    c in {0, 1.25}; and a finite mixture perturbation of weight 1e-3
-    reproduces lambda * IF(z) within 10%."""
+    c in {0, 1.25}; and a finite mixture perturbation of weight about
+    1e-3 reproduces lambda * IF(z) within 10%."""
     truth = dataset2_truth()
     reference = plain_draws(truth, 5000, np.random.SeedSequence(207))
     grid = simplex_grid(5, 20)
@@ -153,14 +153,15 @@ def test_criterion_07_influence_bounded_and_linearizes():
     U = plain_draws(P3_PARAMS, 4000, np.random.SeedSequence(60))
     cfg = RobustConfig(c=0.5, kstar=2)
     fit = fit_robust(U, cfg)
-    lam = 1e-3
+    # k copies of z appended to the n rows are the empirical mixture
+    # (1 - lam) P_n + lam delta_z with lam = k / (n + k)
+    k = 4
+    lam = k / (U.shape[0] + k)
     for z in ([0.2, 0.5, 0.3], [0.7, 0.25, 0.05], [0.05, 0.05, 0.9]):
         z = np.asarray(z)
         IF = influence(z, fit.pi_hat, U, c=cfg.c, kstar=cfg.kstar).value[0]
-        mixture = np.vstack([U, z])
-        w = np.concatenate([np.full(U.shape[0], (1.0 - lam) / U.shape[0]),
-                            [lam]])
-        perturbed = fit_robust(mixture, cfg, base_weights=w, init=fit.pi_hat)
+        mixture = np.vstack([U] + [z] * k)
+        perturbed = fit_robust(mixture, cfg, init=fit.pi_hat)
         derivative = (perturbed.pi_hat.pi - fit.pi_hat.pi) / lam
         gap = np.linalg.norm(derivative - IF) / np.linalg.norm(IF)
         assert gap < 0.10

@@ -14,7 +14,8 @@ from oracles import plain_counts, plain_draws
 import rppi
 import rppi.cli
 from rppi.cli import main
-from rppi.dataio import params_to_dict, read_json, read_table, write_json, write_table
+from rppi.dataio import (fit_from_dict, params_to_dict, read_json, read_table, write_json,
+                         write_table)
 from rppi.errors import (
     BootstrapDegradedError,
     LowAcceptanceError,
@@ -369,6 +370,23 @@ def test_bootstrap_round_trip(counts_csv, tmp_path):
     assert len(payload["se"]) == 5
 
 
+def test_bootstrap_refits_with_the_fits_ridge(counts_csv, tmp_path):
+    # With --ridge 5 the interaction estimates are about 0.01; refits
+    # without the ridge scatter by orders of magnitude more.
+    fit_out = str(tmp_path / "rfit")
+    assert main(["fit", counts_csv, "--c", "0.5", "--kstar", "2", "--ridge", "5",
+                 "--out", fit_out]) == 0
+    fit = read_json(fit_out + ".json")
+    assert fit["ridge"] == 5.0 and np.abs(fit["pi"][:3]).max() < 0.1
+    assert fit_from_dict(fit).ridge == 5.0
+    out = str(tmp_path / "rboot")
+    assert main(["bootstrap", fit_out + ".json", counts_csv, "--b", "8",
+                 "--seed", "9", "--threads", "1", "--out", out]) == 0
+    boot = read_json(out + ".json")
+    assert boot["b_used"] == 8
+    assert max(boot["se"][:3]) < 0.1
+
+
 def test_study_preset_and_exit_codes(tmp_path, capsys):
     out = str(tmp_path / "study")
     code = main(["study", "sim5", "--replicates", "2", "--grid", "0",
@@ -625,7 +643,7 @@ PARAMS_KEYS = HEADER_KEYS | {"p", "kstar", "a_l", "beta"}
 CONFIG_KEYS = {"c", "kstar", "tol", "max_iter"}
 REPORT_KEYS = {
     "fit": HEADER_KEYS | {"invocation", "p", "labels", "pi", "params", "config",
-                          "beta_p", "n_obs", "iterations", "restarts",
+                          "beta_p", "ridge", "n_obs", "iterations", "restarts",
                           "accelerated_steps", "converged", "weight_cv", "residual",
                           "condition_number"},
     "sample": HEADER_KEYS | {"invocation", "report"},

@@ -33,8 +33,8 @@ from oracles import plain_counts
 from rppi import dataio
 from rppi.errors import ParseError
 from rppi.inference import bootstrap_se, tune_c
-from rppi.model import RPPIParams, proportions
-from rppi.robust import RobustConfig, fit_robust
+from rppi.model import ParamVector, RPPIParams, proportions
+from rppi.robust import PreparedData, RobustConfig, fit_robust
 from rppi.study import preset_scenario, run_study
 
 
@@ -311,6 +311,26 @@ def test_fit_dict_round_trip_keeps_the_essentials():
     rows = fit_csv_rows(fit)
     assert rows[0][0] == "parameter"
     assert len(rows) == 1 + fit.pi_hat.q
+
+
+def test_a_fit_file_gives_back_the_fits_params_ridge_and_beta_p(tmp_path):
+    data = PreparedData(proportions(fixture_counts()), 0.25)
+    fit = fit_robust(data, RobustConfig(c=0.5, kstar=1), ridge=1e-3)
+    path = tmp_path / "fit.json"
+    write_json(path, fit_to_dict(fit))
+    back = fit_from_dict(read_json(path))
+    assert (back.beta_p, back.ridge) == (0.25, 1e-3)
+    assert back.params.kstar == fit.params.kstar == 1
+    assert back.params.a_l.tobytes() == fit.params.a_l.tobytes()
+    assert back.params.beta.tobytes() == fit.params.beta.tobytes()
+    # an estimate outside the parameter space has no params, in the file or back
+    outside = replace(fit, pi_hat=ParamVector(np.append(fit.pi_hat.pi[:-1], -0.5)))
+    assert outside.params is None
+    write_json(path, fit_to_dict(outside))
+    payload = read_json(path)
+    assert payload["params"] is None and fit_from_dict(payload).params is None
+    del payload["ridge"]  # a file from before the field
+    assert fit_from_dict(payload).ridge == 0.0
 
 
 def test_report_payloads_carry_schema_and_tables(tmp_path):

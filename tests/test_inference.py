@@ -177,11 +177,12 @@ def test_bootstrap_is_deterministic_and_thread_invariant():
     assert np.allclose(rep1.ratio[finite], rep1.point[finite] / rep1.se[finite])
 
 
-def test_bootstrap_identical_seeds_give_zero_spread():
+def test_bootstrap_identical_seeds_give_zero_spread(monkeypatch):
     data = small_counts()
     fit = fit_robust(proportions(data), RobustConfig(c=0.0, kstar=2))
     same = [np.random.SeedSequence(65), np.random.SeedSequence(65)]
-    report = bootstrap_se(fit, data, b=2, replicate_seeds=same)
+    monkeypatch.setattr(inference, "spawn_seeds", lambda seed, n: same[:n])
+    report = bootstrap_se(fit, data, b=2)
     assert np.all(report.se == 0.0)
     assert np.all(np.isnan(report.ratio))
 

@@ -2,6 +2,7 @@
 the call sites the benchmark's tracer wraps."""
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -25,11 +26,41 @@ PUBLIC = {
     "StudyScenario", "preset_scenario", "run_study",
 }
 
+# The parameters of every exported function and the fields of a fit's
+# result: one that is added or comes back has to be added here too.
+SIGNATURES = {
+    "pack": ["params"],
+    "unpack": ["pi", "kstar", "beta_p"],
+    "proportions": ["data"],
+    "fit_robust": ["data", "config", "init", "ridge"],
+    "sample_rppi": ["params", "n", "seed"],
+    "sample_counts": ["params", "m", "seed"],
+    "tune_c": ["data", "grid", "kstar", "sim_size", "seed", "beta_p", "tol", "max_iter",
+               "quantile", "alpha"],
+    "bootstrap_se": ["fit", "data", "b", "seed", "threads"],
+    "influence": ["z", "pi0", "reference", "c", "kstar", "beta_p"],
+    "preset_scenario": ["name", "a_matrix", "replicates", "seed", "cs", "tol", "max_iter"],
+    "run_study": ["scenario", "threads"],
+}
+RESULT_FIELDS = [
+    "pi_hat", "config", "iterations", "final_weights", "weight_cv", "residual",
+    "condition_number", "d_hat", "n_obs", "beta_p", "ridge", "restarts",
+    "accelerated_steps",
+]
+
 
 def test_public_names_are_exactly_the_library_interface():
     exported = {name for name, value in vars(rppi).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == PUBLIC
+
+
+def test_public_signatures_are_pinned():
+    functions = {name: list(inspect.signature(getattr(rppi, name)).parameters)
+                 for name in PUBLIC if inspect.isfunction(getattr(rppi, name))}
+    assert functions == SIGNATURES
+    assert sum(map(len, SIGNATURES.values())) == 45
+    assert [f.name for f in dataclasses.fields(rppi.RobustFitResult)] == RESULT_FIELDS
 
 
 def test_readme_library_example_runs(capsys):

@@ -13,7 +13,7 @@ import rppi.study as study
 from rppi.errors import RPPIError
 from rppi.estimator import assemble, score_stats
 from rppi.inference import tune_c
-from rppi.model import CountDataset, ParamVector, RPPIParams, as_matrix, pack
+from rppi.model import CountDataset, ParamVector, RPPIParams, as_matrix
 from rppi.robust import PreparedData, RobustConfig, RobustFitResult, fit_robust, kk_mask
 from rppi.sampling import contaminate, rng_from, sample_rppi, spawn_seeds
 from rppi.study import FULL_GRID, preset_scenario
@@ -37,8 +37,6 @@ def study_rows(name, seed, replicate, replicates=25):
 def _bits(value):
     if isinstance(value, ParamVector):
         return value.pi.tobytes()
-    if isinstance(value, RPPIParams):
-        return pack(value).pi.tobytes()
     if isinstance(value, (np.ndarray, float)):
         return np.asarray(value, dtype=float).tobytes()
     return value
@@ -53,12 +51,12 @@ def outcome(fit, *args, **kwargs):
     return {f.name: _bits(getattr(result, f.name)) for f in fields(RobustFitResult)}
 
 
-def assert_panel_is_fresh(u, configs, beta_p, **kwargs):
+def assert_panel_is_fresh(u, configs, beta_p):
     data = PreparedData(u, beta_p)
     failures = 0
     for cfg in configs:
-        fresh = outcome(fit_robust, u, cfg, beta_p=beta_p, **kwargs)
-        assert outcome(fit_robust, data, cfg, **kwargs) == fresh, cfg
+        fresh = outcome(fit_robust, PreparedData(u, beta_p), cfg)
+        assert outcome(fit_robust, data, cfg) == fresh, cfg
         failures += isinstance(fresh, tuple)
     return failures
 
@@ -85,16 +83,14 @@ def test_a_panel_fails_where_fresh_fits_fail(seed, replicate):
     assert failures > 0
 
 
-def test_base_weights_and_ridges_do_not_share_a_start():
-    # one PreparedData serves fits with and without base weights and at
-    # two ridges, in an interleaved order: each must equal its fresh fit
+def test_ridges_do_not_share_a_start():
+    # one PreparedData serves fits without a ridge and with one, in an
+    # interleaved order: each must equal its fresh fit
     u, _ = sample_rppi(TEST_PARAMS, 300, seed=np.random.SeedSequence(12))
-    base = np.random.default_rng(5).uniform(0.5, 2.0, 300)
     data = PreparedData(u)
     for c in FULL_GRID:
         cfg = RobustConfig(c=c, kstar=2)
-        for kwargs in ({}, {"base_weights": base}, {"ridge": 1e-3},
-                       {"ridge": 1e-3, "base_weights": base}):
+        for kwargs in ({}, {"ridge": 1e-3}):
             fresh = outcome(fit_robust, u, cfg, **kwargs)
             assert isinstance(fresh, dict)
             assert outcome(fit_robust, data, cfg, **kwargs) == fresh, (c, kwargs)
@@ -124,9 +120,7 @@ def test_prepared_data_keeps_its_own_beta_p():
     u = study_rows("sim5", 3, 0)[1]
     data = PreparedData(u, -0.5)
     cfg = RobustConfig(c=0.5, kstar=4)
-    assert fit_robust(data, cfg, beta_p=-0.5).beta_p == fit_robust(data, cfg).beta_p == -0.5
-    with pytest.raises(ValueError, match="beta_p"):
-        fit_robust(data, cfg, beta_p=0.0)
+    assert fit_robust(data, cfg).beta_p == -0.5
 
 
 class Spy:

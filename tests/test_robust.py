@@ -13,7 +13,7 @@ from rppi.errors import (DegeneracyWarning, DimensionError, NonConvergenceError,
                          SingularSystemError, WeightError)
 from rppi.estimator import CHUNK, assemble, score_stats, solve_system
 from rppi.model import RPPIParams, as_matrix, pack, pair_indices, q_dim
-from rppi.robust import RobustConfig, fit_robust, kk_mask
+from rppi.robust import PreparedData, RobustConfig, fit_robust, kk_mask
 from rppi.sampling import contaminate, rng_from, sample_rppi, spawn_seeds
 from rppi.study import DATASET2_OUTLIER, dataset2_truth, preset_scenario
 
@@ -61,10 +61,10 @@ def test_c_zero_reduces_to_the_unweighted_fit_bitwise():
     assert rob.iterations == 1 and rob.restarts == 0
 
 
-@pytest.mark.parametrize("with_base", [False, True])
-def test_c_zero_assembles_and_solves_once(monkeypatch, with_base):
+@pytest.mark.parametrize("prepared", [False, True])
+def test_c_zero_assembles_and_solves_once(monkeypatch, prepared):
     U = plain_draws(TEST_PARAMS, 300, np.random.SeedSequence(32))
-    base = np.random.default_rng(32).uniform(0.5, 2.0, 300) if with_base else None
+    data = PreparedData(U) if prepared else U
     calls = []
 
     def spying(name):
@@ -77,16 +77,8 @@ def test_c_zero_assembles_and_solves_once(monkeypatch, with_base):
 
     for name in ("assemble", "solve_system"):
         monkeypatch.setattr(robust, name, spying(name))
-    fit_robust(U, RobustConfig(c=0.0, kstar=2), base_weights=base)
+    fit_robust(data, RobustConfig(c=0.0, kstar=2))
     assert calls == ["assemble", "solve_system"]
-
-
-def test_uniform_base_weights_change_nothing():
-    U = plain_draws(TEST_PARAMS, 400, np.random.SeedSequence(33))
-    cfg = RobustConfig(c=0.5, kstar=2)
-    a = fit_robust(U, cfg)
-    b = fit_robust(U, cfg, base_weights=np.ones(400))
-    assert a.pi_hat.pi.tobytes() == b.pi_hat.pi.tobytes()
 
 
 def test_converged_fit_satisfies_the_weighted_equation():
@@ -125,7 +117,6 @@ def test_contaminated_start_triggers_the_restart_ladder():
     truth, U = contaminated_sample()
     fit = fit_robust(U, RobustConfig(c=0.5, kstar=4))
     assert fit.restarts > 0
-    assert fit.converged
     beta1 = fit.pi_hat.pi[-4] - 1.0
     assert abs(beta1 - truth.beta[0]) < 0.3
 
@@ -163,7 +154,7 @@ def test_nonconvergence_names_where_acceleration_began():
     stats = score_stats(U)
     start = solve_system(*assemble(stats))[0]
     with pytest.raises(NonConvergenceError) as err:
-        robust._reweight(U, stats, capped, ~kk_mask(3, 2), None, start, 0.0)
+        robust._reweight(U, stats, capped, ~kk_mask(3, 2), start, 0.0)
     switch = 1 + next(i for i, rel in enumerate(err.value.trace) if rel < robust.SWITCH)
     assert f"Anderson steps began after iteration {switch})" in str(err.value)
 
@@ -326,7 +317,7 @@ def _plain_solve(w_hat, d_hat):
     return pi, cond
 
 
-def _plain_factors(U, pi, kstar, c, base):
+def _plain_factors(U, pi, kstar, c):
     p = U.shape[1]
     akk = np.zeros((kstar, kstar))
     akk[np.diag_indices(kstar)] = pi[:kstar]
@@ -334,18 +325,17 @@ def _plain_factors(U, pi, kstar, c, base):
         if j < kstar:
             akk[i, j] = akk[j, i] = pi[p - 1 + slot]
     expo = c * np.einsum("nk,kl,nl->n", U[:, :kstar], akk, U[:, :kstar])
-    factors = np.exp(expo - expo.max())
-    return factors if base is None else base * factors
+    return np.exp(expo - expo.max())
 
 
-def _plain_run(U, stats, cfg, base, pi_prev, accelerate=True):
+def _plain_run(U, stats, cfg, pi_prev, accelerate=True):
     c, p = cfg.c, U.shape[1]
     mask = np.zeros(q_dim(p), dtype=bool)
     mask[:cfg.kstar] = True
     for slot, (i, j) in enumerate(pair_indices(p)):
         mask[p - 1 + slot] = j < cfg.kstar
     if pi_prev is None:
-        pi_prev, cond = _plain_solve(*_plain_assemble(stats, base))
+        pi_prev, cond = _plain_solve(*_plain_assemble(stats, None))
     trace, non_monotone, damped = [], 0, False
     # since the last reset, plain steps before the switch included: each
     # step's change f, its plain update g and max |f|; came_from holds the
@@ -354,7 +344,7 @@ def _plain_run(U, stats, cfg, base, pi_prev, accelerate=True):
     kept = rejected = resets = 0
     h = np.where(mask, 1.0 + c, 1.0)
     for iteration in range(1, cfg.max_iter + 1):
-        eff = _plain_factors(U, pi_prev, cfg.kstar, c, base)
+        eff = _plain_factors(U, pi_prev, cfg.kstar, c)
         w_it, d_it = _plain_assemble(stats, eff)
         pi_tilde, cond = _plain_solve(w_it, d_it)
         pi_new = (pi_tilde + c * np.where(~mask, pi_prev, 0.0)) / (1.0 + c)
@@ -398,19 +388,19 @@ def _plain_run(U, stats, cfg, base, pi_prev, accelerate=True):
         pi_prev, came_from = pi_new - dg @ gamma, (pi_new, norm)
     else:
         raise NonConvergenceError("no convergence")
-    eff = _plain_factors(U, pi_prev, cfg.kstar, c, base)
+    eff = _plain_factors(U, pi_prev, cfg.kstar, c)
     w_fin, d_fin = _plain_assemble(stats, eff)
     residual = float(np.max(np.abs(w_fin @ (h * pi_prev) - d_fin)))
     return pi_prev, eff / eff.sum(), residual, cond, iteration, (kept, rejected, resets)
 
 
-def _plain_fit(data, cfg, base=None, accelerate=True):
+def _plain_fit(data, cfg, accelerate=True):
     U = as_matrix(data)
     stats = score_stats(U)
     starts = [None] + list(robust._failover_inits(robust.PreparedData(U), cfg))
     for restarts, start in enumerate(starts):
         try:
-            return _plain_run(U, stats, cfg, base, start, accelerate) + (restarts,)
+            return _plain_run(U, stats, cfg, start, accelerate) + (restarts,)
         except (SingularSystemError, NonConvergenceError) as exc:
             error = exc
     raise error
@@ -423,20 +413,20 @@ def _zero_column_sample():
 
 
 def _loop_case(case):
-    """(U, config, base weights) of one case the loop is checked on."""
+    """(U, config) of one case the loop is checked on."""
     if case == "three-chunks":
         U = np.random.default_rng(40).dirichlet((2.0, 3.0, 1.5), size=9000)
         assert len(U) > 2 * CHUNK
-        return U, RobustConfig(c=0.5, kstar=2), None
+        return U, RobustConfig(c=0.5, kstar=2)
     if case == "two-roots":
-        return two_root_sample(), RobustConfig(c=1.25, kstar=4), None
+        return two_root_sample(), RobustConfig(c=1.25, kstar=4)
     if case == "reject-and-reset":
-        return sim7_sample(6, 23), RobustConfig(c=1.25, kstar=4), None
+        return sim7_sample(6, 23), RobustConfig(c=1.25, kstar=4)
     if case in ("c0-base", "c025-base"):
+        # baseline cases: plain draws fitted at c = 0 and at a small c
         U = plain_draws(TEST_PARAMS, 400, np.random.SeedSequence(42))
-        base = np.random.default_rng(42).uniform(0.2, 3.0, 400)
-        return U, RobustConfig(c=0.0 if case == "c0-base" else 0.25, kstar=2), base
-    return _zero_column_sample(), RobustConfig(c=0.5, kstar=3), None
+        return U, RobustConfig(c=0.0 if case == "c0-base" else 0.25, kstar=2)
+    return _zero_column_sample(), RobustConfig(c=0.5, kstar=3)
 
 
 LOOP_CASES = ["three-chunks", "two-roots", "reject-and-reset", "c0-base", "c025-base",
@@ -446,9 +436,9 @@ LOOP_CASES = ["three-chunks", "two-roots", "reject-and-reset", "c0-base", "c025-
 @pytest.mark.filterwarnings("ignore::rppi.errors.DegeneracyWarning")
 @pytest.mark.parametrize("case", LOOP_CASES)
 def test_fit_matches_the_plain_loop_bit_for_bit(case):
-    U, cfg, base = _loop_case(case)
-    fit = fit_robust(U, cfg, base_weights=base)
-    pi, weights, residual, cond, iterations, steps, restarts = _plain_fit(U, cfg, base)
+    U, cfg = _loop_case(case)
+    fit = fit_robust(U, cfg)
+    pi, weights, residual, cond, iterations, steps, restarts = _plain_fit(U, cfg)
     kept, rejected, resets = steps
     assert fit.pi_hat.pi.tobytes() == pi.tobytes()
     assert fit.final_weights.tobytes() == weights.tobytes()
@@ -468,9 +458,9 @@ def test_fit_matches_the_plain_loop_bit_for_bit(case):
 @pytest.mark.filterwarnings("ignore::rppi.errors.DegeneracyWarning")
 @pytest.mark.parametrize("case", LOOP_CASES)
 def test_acceleration_keeps_the_fixed_point_loop_root(case):
-    U, cfg, base = _loop_case(case)
-    fit = fit_robust(U, cfg, base_weights=base)
-    pi, _, _, _, iterations, steps, restarts = _plain_fit(U, cfg, base, accelerate=False)
+    U, cfg = _loop_case(case)
+    fit = fit_robust(U, cfg)
+    pi, _, _, _, iterations, steps, restarts = _plain_fit(U, cfg, accelerate=False)
     assert steps == (0, 0, 0) and fit.restarts == restarts
     assert np.max(np.abs(fit.pi_hat.pi - pi)) <= 1e-6 * np.max(np.abs(pi))
     assert fit.iterations <= iterations
@@ -489,20 +479,42 @@ def sim8_sample():
                        np.asarray(scenario.outlier), seed=contam)
 
 
+def test_weights_that_vanish_are_named_in_the_degeneracy_warning():
+    # Study sim6, seed 3, replicate 2, rows built as study._replicate
+    # builds them.  No column is all zero and the plain fit pins nothing,
+    # but at c = 1.25 the weights underflow on every row but one, whose
+    # zero statistics the weighted solves pin before the fit ends singular.
+    scenario = preset_scenario("sim6", seed=3, replicates=25)
+    latent, counts, _ = spawn_seeds(3, 25)[2].spawn(3)
+    U, _ = sample_rppi(scenario.truth, scenario.n, seed=latent)
+    x = rng_from(counts).multinomial(np.full(scenario.n, scenario.m), U)
+    assert not np.any(np.all(x == 0, axis=0))
+    data = PreparedData(x / float(scenario.m), float(scenario.truth.beta[-1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegeneracyWarning)
+        fit_robust(data, RobustConfig(c=0.0, kstar=4))
+    with pytest.warns(DegeneracyWarning) as caught:
+        with pytest.raises(SingularSystemError, match="effective sample size .* is 1.0 of 94"):
+            fit_robust(data, RobustConfig(c=1.25, kstar=4))
+    assert len(caught) == 4
+    for warning in caught:
+        assert str(warning.message).endswith(
+            "vanish: each row is zero in them or has zero weight; pinning them to zero")
+
+
 def test_acceleration_lets_the_kappa_64_start_converge_on_sim8():
     # The plain loop fails the first two starts (singular) and runs the
     # kappa = 64 start out of its 500 iterations (NonConvergenceError:
     # each step shrinks the change by ~1%), so kappa = 1024 reaches a
     # root 0.78 relative away.  Accelerated, the kappa = 64 start
     # converges, to the root its plain steps reach after ~900 iterations.
-    u = sim8_sample()
-    beta_p = float(dataset2_truth().beta[-1])
+    data = PreparedData(sim8_sample(), float(dataset2_truth().beta[-1]))
     cfg = RobustConfig(c=1.0, kstar=4)
-    fit = fit_robust(u, cfg, beta_p=beta_p)
+    fit = fit_robust(data, cfg)
     assert fit.restarts == 2 and fit.accelerated_steps > 0
     assert fit.residual < 1e-6 * np.max(np.abs(fit.d_hat))
     # the same start run to a tighter tolerance shows the root it approaches
-    tight = fit_robust(u, replace(cfg, tol=1e-14), beta_p=beta_p)
+    tight = fit_robust(data, replace(cfg, tol=1e-14))
     assert tight.restarts == 2
     assert (np.max(np.abs(fit.pi_hat.pi - tight.pi_hat.pi))
             <= 1e-6 * np.max(np.abs(tight.pi_hat.pi)))

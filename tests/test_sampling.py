@@ -292,15 +292,15 @@ def test_batch_after_an_empty_first_batch_is_sized_from_one_acceptance():
     assert report.n_proposals < 200_000
 
 
-def test_hopeless_envelope_raises_low_acceptance():
+def test_hopeless_envelope_raises_low_acceptance(monkeypatch):
     params = RPPIParams(a_l=[[-5e6, 0.0], [0.0, -5e6]],
                         beta=[4.0, 4.0, 0.0])
     # M_face = -2.5e6 at the face's centre and M+ = 0 at the origin
     message = (r"acceptance rate 0\.00e\+00 after 2173056 proposals, below 1e-06; "
                r"M_face = -2\.5e\+06, M\+ = 0$")
+    monkeypatch.setattr(sampling, "MAX_PROPOSALS", 2_000_000)
     with pytest.raises(LowAcceptanceError, match=message):
-        sample_rppi(params, 10, seed=np.random.SeedSequence(47),
-                    max_proposals=2_000_000)
+        sample_rppi(params, 10, seed=np.random.SeedSequence(47))
 
 
 def test_sample_size_validation():
@@ -317,11 +317,8 @@ def test_sample_counts_row_totals_and_determinism():
     # the report is the one of the rejection run that drew the compositions
     _, latent = sample_rppi(TEST_PARAMS, 4, seed=np.random.SeedSequence(48).spawn(2)[0])
     assert rep1 == rep2 == latent
-    scalar, _ = sample_counts(TEST_PARAMS, 200, n=25,
-                              seed=np.random.SeedSequence(49))
-    assert scalar.n == 25 and np.all(scalar.m == 200)
     with pytest.raises(DimensionError):
-        sample_counts(TEST_PARAMS, 200)  # scalar total without n
+        sample_counts(TEST_PARAMS, 200)  # a total, not a vector of them
     with pytest.raises(ValueError):
         sample_counts(TEST_PARAMS, [0, 10])
 
@@ -329,8 +326,6 @@ def test_sample_counts_row_totals_and_determinism():
 def test_sample_counts_rejects_fractional_totals():
     with pytest.raises(ValueError, match="whole numbers"):
         sample_counts(TEST_PARAMS, [2.5, 3.0, 4.9], seed=np.random.SeedSequence(53))
-    with pytest.raises(ValueError, match="whole numbers"):
-        sample_counts(TEST_PARAMS, 2.5, n=3, seed=np.random.SeedSequence(53))
 
 
 def test_round_proportions_snaps_to_the_grid():
