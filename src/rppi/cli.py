@@ -68,6 +68,14 @@ def _resolve_threads(value) -> int:
     return threads
 
 
+def _invocation(args, **resolved) -> dict:
+    """Every parsed argument but ``--out`` and ``--threads``, on which no
+    output depends, with the values the command resolved (a seed from
+    RPPI_SEED, a default kstar, ...) in place of the parsed ones."""
+    parsed = {k: v for k, v in vars(args).items() if k not in ("func", "out", "threads")}
+    return {**parsed, **resolved}
+
+
 def _load_compositions(path) -> np.ndarray:
     """Count-table proportions, or table rows as read (the fit validates)."""
     table = dataio.read_table(path)
@@ -89,12 +97,8 @@ def cmd_fit(args) -> int:
     config = RobustConfig(c=args.c, kstar=kstar, tol=args.tol,
                           max_iter=args.max_iter)
     fit = fit_robust(data, config, ridge=args.ridge)
-    invocation = {
-        "command": "fit", "data": args.data, "c": args.c, "kstar": kstar,
-        "beta_p": args.beta_p, "tol": args.tol, "max_iter": args.max_iter,
-        "ridge": args.ridge,
-    }
-    dataio.write_json(args.out + ".json", dataio.fit_to_dict(fit, invocation))
+    dataio.write_json(args.out + ".json",
+                      dataio.fit_to_dict(fit, _invocation(args, kstar=kstar)))
     dataio.write_csv_rows(args.out + ".csv", dataio.fit_csv_rows(fit))
     print(f"fit: n={fit.n_obs} p={fit.pi_hat.p} c={args.c:g} "
           f"iterations={fit.iterations} restarts={fit.restarts} "
@@ -105,6 +109,8 @@ def cmd_fit(args) -> int:
 
 def cmd_sample(args) -> int:
     seed = _resolve_seed(args.seed)
+    if args.m_file is not None and (args.m is not None or args.n is not None):
+        raise ParseError("--m-file gives every row's total; it takes neither --m nor --n")
     params = dataio.params_from_dict(dataio.read_json(args.params))
     if args.m_file is not None or args.m is not None:
         if args.m_file is not None:
@@ -125,11 +131,9 @@ def cmd_sample(args) -> int:
         rows, report = sample_rppi(params, args.n, seed=seed)
         n, mode, noun = args.n, "continuous", "rows"
     dataio.write_table(args.out + ".csv", rows)
-    invocation = {"command": "sample", "params": args.params, "seed": seed,
-                  "n": n, "m": args.m, "m_file": args.m_file, "mode": mode}
     dataio.write_json(args.out + ".json", {
         "schema_version": dataio.SCHEMA_VERSION, "kind": "sample",
-        "invocation": invocation,
+        "invocation": _invocation(args, seed=seed, n=n, mode=mode),
         "report": dataio.report_to_dict("sampler_report", report),
     })
     print(f"sample: wrote {n} {noun}, acceptance rate "
@@ -149,14 +153,8 @@ def cmd_tune(args) -> int:
                     seed=seed, beta_p=args.beta_p, tol=args.tol,
                     max_iter=args.max_iter, quantile=args.quantile,
                     alpha=args.alpha)
-    invocation = {
-        "command": "tune", "data": args.data, "kstar": args.kstar,
-        "grid": args.grid, "sim_size": args.sim_size, "seed": seed,
-        "alpha": args.alpha, "quantile": args.quantile,
-        "beta_p": args.beta_p, "tol": args.tol, "max_iter": args.max_iter,
-    }
-    dataio.write_json(args.out + ".json",
-                      dataio.report_to_dict("tune", report, invocation))
+    dataio.write_json(args.out + ".json", dataio.report_to_dict(
+        "tune", report, _invocation(args, seed=seed)))
     dataio.write_csv_rows(args.out + ".csv", dataio.tune_csv_rows(report))
     if report.recommended_c is None:
         print("tune: no candidate produced a usable fit")
@@ -172,16 +170,14 @@ def cmd_bootstrap(args) -> int:
     table = dataio.read_table(args.data)
     if not table.is_counts:
         raise ParseError("bootstrap needs the original count data")
-    invocation = {"command": "bootstrap", "fit": args.fit, "data": args.data,
-                  "b": args.b, "seed": seed}
     degraded = None
     try:
         report = bootstrap_se(fit, table.counts, b=args.b, seed=seed,
                               threads=threads)
     except BootstrapDegradedError as exc:
         report, degraded = exc.report, exc
-    dataio.write_json(args.out + ".json",
-                      dataio.bootstrap_to_dict(report, invocation))
+    dataio.write_json(args.out + ".json", dataio.report_to_dict(
+        "bootstrap", report, _invocation(args, seed=seed), b_used=report.b_used))
     dataio.write_csv_rows(args.out + ".csv", dataio.bootstrap_csv_rows(report))
     if degraded is not None:
         raise BootstrapDegradedError(f"{degraded}; partial report written",
@@ -192,7 +188,13 @@ def cmd_bootstrap(args) -> int:
 
 def cmd_study(args) -> int:
     threads = _resolve_threads(args.threads)
-    # a scenario file carries its own seed, which only --seed overrides
+    # a scenario file carries its own panel, matrix and seed; only --seed
+    # and --replicates override them
+    if args.a_matrix is not None and args.scenario not in PRESET_NAMES[:4]:
+        raise ParseError("--a-matrix applies only to the presets sim1-sim4")
+    if args.grid is not None and args.scenario not in PRESET_NAMES:
+        raise ParseError("--grid applies only to a preset; a scenario file "
+                         "lists its own estimators")
     seed = _resolve_seed(args.seed) if args.scenario in PRESET_NAMES else args.seed
     a_matrix = None
     if args.a_matrix is not None:
@@ -213,10 +215,7 @@ def cmd_study(args) -> int:
         if seed is not None:
             scenario = replace(scenario, seed=seed)
     table = run_study(scenario, threads=threads)
-    invocation = {
-        "command": "study", "scenario": args.scenario,
-        "replicates": scenario.replicates, "seed": scenario.seed,
-    }
+    invocation = _invocation(args, replicates=scenario.replicates, seed=scenario.seed)
     dataio.write_json(args.out + ".json",
                       dataio.report_to_dict("rmse_table", table, invocation))
     dataio.write_csv_rows(args.out + ".csv", dataio.rmse_csv_rows(table))
@@ -245,18 +244,9 @@ def cmd_influence(args) -> int:
         reference, _ = sample_rppi(params, args.ref_size, seed=seed)
     result = influence(z, fit.pi_hat, reference, c=fit.config.c,
                        kstar=fit.config.kstar, beta_p=fit.beta_p)
-    invocation = {
-        "command": "influence", "fit": args.fit, "seed": seed,
-        "ref_size": args.ref_size, "ref_data": args.ref_data,
-        "grid_resolution": args.grid_resolution, "z": args.z or None,
-    }
-    dataio.write_json(args.out + ".json", {
-        "schema_version": dataio.SCHEMA_VERSION, "kind": "influence",
-        "invocation": invocation,
-        "c": result.c, "kstar": result.kstar,
-        "n_reference": result.n_reference, "n_points": int(z.shape[0]),
-        "sup_norm": result.sup_norm,
-    })
+    dataio.write_json(args.out + ".json", dataio.report_to_dict(
+        "influence", result, _invocation(args, seed=seed),
+        n_points=z.shape[0], sup_norm=result.sup_norm))
     header = [f"z_{j + 1}" for j in range(p)] + [f"if_{label}" for label in fit.labels]
     dataio.write_table(args.out + ".csv", np.hstack([result.z, result.value]),
                        names=header)
@@ -323,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "or scenario JSON path")
     q.add_argument("--replicates", type=int, default=None)
     q.add_argument("--grid", default=None,
-                   help="override the tuning-constant panel")
+                   help="override a preset's tuning-constant panel")
     q.add_argument("--a-matrix", default=None,
                    help="JSON file with the interaction matrix (sim1-sim4)")
     q.add_argument("--tol", type=float, default=1e-8)

@@ -21,12 +21,14 @@ has stripped whitespace, and what ``float()`` accepts beyond that
 (underscores, non-ASCII digits) numpy refuses.
 
 Payloads: a JSON report is :func:`report_to_dict` of its result
-dataclass (``schema_version``, ``kind``, every field, then any extra or
-replaced keys and the invocation), so a new field reaches the file
-without a second edit here.  ``fit_to_dict`` and ``bootstrap_to_dict``
-list their keys by hand because their results carry per-row arrays
-(``final_weights``, ``d_hat``, the replicate ``estimates``) that the
-files leave out.  The ``*_from_dict`` readers coerce types and raise
+dataclass (``schema_version``, ``kind``, every field, then any derived
+or replaced keys and the invocation), so a new field reaches the file
+without a second edit here.  A result type leaves a field out by
+declaring it ``field(metadata={"report": False})``, as it does for the
+arrays the files do not carry: a fit's ``pi_hat`` (written as ``pi``),
+``d_hat`` and per-row ``final_weights``, the bootstrap's replicate
+``estimates``, and the influence points and values (in the CSV) and
+sensitivity matrix.  The ``*_from_dict`` readers coerce types and raise
 ParseError, since their input comes from outside the program.
 """
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -231,10 +233,12 @@ def read_json(path) -> dict:
 
 def report_to_dict(kind: str, report, invocation: dict | None = None, **extra) -> dict:
     """The JSON payload of a result dataclass: ``schema_version``, ``kind``,
-    every field of ``report``, then ``extra`` (which adds or replaces
-    keys) and ``invocation`` when given."""
-    payload = {"schema_version": SCHEMA_VERSION, "kind": kind,
-               **asdict(report), **extra}
+    every field of ``report`` not marked ``report: False`` (nested
+    dataclasses as dicts), then ``extra`` (which adds or replaces keys)
+    and ``invocation`` when given."""
+    left_out = {f.name for f in fields(report) if f.metadata.get("report") is False}
+    kept = {name: value for name, value in asdict(report).items() if name not in left_out}
+    payload = {"schema_version": SCHEMA_VERSION, "kind": kind, **kept, **extra}
     if invocation is not None:
         payload["invocation"] = invocation
     return payload
@@ -269,28 +273,9 @@ def config_from_dict(payload: dict) -> RobustConfig:
 
 def fit_to_dict(fit: RobustFitResult, invocation: dict | None = None) -> dict:
     params = fit.params
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "fit",
-        "p": fit.pi_hat.p,
-        "labels": list(fit.labels),
-        "pi": fit.pi_hat.pi,
-        "params": params_to_dict(params) if params is not None else None,
-        "config": asdict(fit.config),
-        "beta_p": fit.beta_p,
-        "ridge": fit.ridge,
-        "n_obs": fit.n_obs,
-        "iterations": fit.iterations,
-        "restarts": fit.restarts,
-        "accelerated_steps": fit.accelerated_steps,
-        "converged": True,
-        "weight_cv": fit.weight_cv,
-        "residual": fit.residual,
-        "condition_number": fit.condition_number,
-    }
-    if invocation is not None:
-        payload["invocation"] = invocation
-    return payload
+    return report_to_dict(
+        "fit", fit, invocation, p=fit.pi_hat.p, labels=fit.labels, pi=fit.pi_hat.pi,
+        params=None if params is None else params_to_dict(params), converged=True)
 
 
 def fit_from_dict(payload: dict) -> RobustFitResult:
@@ -348,23 +333,6 @@ def tune_csv_rows(report: TuneReport) -> list[list[str]]:
         row.append(e.error or "")
         rows.append(row)
     return rows
-
-
-def bootstrap_to_dict(report: BootstrapReport, invocation: dict | None = None) -> dict:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "bootstrap",
-        "b_requested": report.b_requested,
-        "b_used": report.b_used,
-        "n_failed": report.n_failed,
-        "labels": list(report.labels),
-        "point": report.point,
-        "se": report.se,
-        "ratio": report.ratio,
-    }
-    if invocation is not None:
-        payload["invocation"] = invocation
-    return payload
 
 
 def bootstrap_csv_rows(report: BootstrapReport) -> list[list[str]]:

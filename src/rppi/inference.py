@@ -18,7 +18,7 @@ Three tools live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 
@@ -217,7 +217,7 @@ class BootstrapReport:
 
     b_requested: int
     n_failed: int
-    estimates: np.ndarray
+    estimates: np.ndarray = field(metadata={"report": False})
     se: np.ndarray
     point: np.ndarray
     ratio: np.ndarray
@@ -290,9 +290,9 @@ class InfluenceResult:
     weight (see :func:`influence`).
     """
 
-    z: np.ndarray
-    value: np.ndarray
-    g_matrix: np.ndarray
+    z: np.ndarray = field(metadata={"report": False})
+    value: np.ndarray = field(metadata={"report": False})
+    g_matrix: np.ndarray = field(metadata={"report": False})
     c: float
     kstar: int
     n_reference: int

@@ -48,7 +48,7 @@ holds; its residual is reported for verification.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
@@ -147,17 +147,18 @@ class RobustFitResult:
     """Converged weighted fit, with the diagnostics needed downstream.
 
     Every result is a converged fit (a failed one raises), and ``ridge``
-    is the one its loop solved with, which refits reuse.
+    is the one its loop solved with, which refits reuse.  Fields marked
+    ``report: False`` stay out of ``fit.json``, which writes ``pi_hat`` as ``pi``.
     """
 
-    pi_hat: ParamVector
+    pi_hat: ParamVector = field(metadata={"report": False})
     config: RobustConfig
     iterations: int
-    final_weights: np.ndarray
+    final_weights: np.ndarray = field(metadata={"report": False})
     weight_cv: float
     residual: float
     condition_number: float
-    d_hat: np.ndarray
+    d_hat: np.ndarray = field(metadata={"report": False})
     n_obs: int
     beta_p: float
     ridge: float

@@ -267,6 +267,18 @@ def test_sample_m_file_needs_one_column(params_json, tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("option", [["--m", "5"], ["--n", "10"]], ids=["m", "n"])
+def test_sample_m_file_takes_neither_m_nor_n(option, params_json, tmp_path, capsys):
+    # the file gives each row's total, so a second total or row count conflicts
+    totals = tmp_path / "m.csv"
+    totals.write_text("5\n6\n7\n")
+    code = main(["sample", params_json, "--m-file", str(totals), *option,
+                 "--seed", "7", "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "--m-file gives every row's total" in capsys.readouterr().err
+    assert not list(tmp_path.glob("s.*"))
+
+
 def test_sample_same_seed_same_bytes(params_json, tmp_path):
     out = str(tmp_path / "s")
     main(["sample", params_json, "--n", "25", "--seed", "3", "--out", out])
@@ -361,13 +373,18 @@ def test_tune_on_a_clean_table_does_not_import_scipy(tmp_path):
 
 def test_bootstrap_round_trip(counts_csv, tmp_path):
     fit_out = run_fit(counts_csv, tmp_path, c="0", name="bfit")
-    out = str(tmp_path / "boot")
-    code = main(["bootstrap", fit_out + ".json", counts_csv, "--b", "8",
-                 "--seed", "9", "--threads", "1", "--out", out])
-    assert code == 0
+    written = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"boot{threads}")
+        code = main(["bootstrap", fit_out + ".json", counts_csv, "--b", "8",
+                     "--seed", "9", "--threads", threads, "--out", out])
+        assert code == 0
+        written.append([Path(out + ext).read_bytes() for ext in (".json", ".csv")])
     payload = read_json(out + ".json")
     assert payload["b_requested"] == 8
     assert len(payload["se"]) == 5
+    # --threads stays out of the invocation; the replicates do not depend on it
+    assert written[0] == written[1]
 
 
 def test_bootstrap_refits_with_the_fits_ridge(counts_csv, tmp_path):
@@ -389,11 +406,14 @@ def test_bootstrap_refits_with_the_fits_ridge(counts_csv, tmp_path):
 
 def test_study_preset_and_exit_codes(tmp_path, capsys):
     out = str(tmp_path / "study")
-    code = main(["study", "sim5", "--replicates", "2", "--grid", "0",
-                 "--seed", "1", "--threads", "1", "--out", out])
+    code = main(["study", "sim5", "--replicates", "2", "--grid", "0", "--tol", "1e-9",
+                 "--max-iter", "300", "--seed", "1", "--threads", "1", "--out", out])
     assert code == 0
     payload = read_json(out + ".json")
     assert payload["scenario"] == "sim5"
+    assert payload["invocation"] == {
+        "command": "study", "scenario": "sim5", "replicates": 2, "grid": "0",
+        "a_matrix": None, "tol": 1e-9, "max_iter": 300, "seed": 1}
     assert (tmp_path / "study.csv").exists()
     capsys.readouterr()
 
@@ -401,6 +421,28 @@ def test_study_preset_and_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 6  # needs the first dataset's interaction matrix
     assert "a_matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, flag, value", [
+    ("file", "--grid", "0,1,2"),
+    ("file", "--a-matrix", "a.json"),
+    ("sim5", "--a-matrix", "a.json"),
+    ("sim8", "--a-matrix", "a.json"),
+], ids=["file-grid", "file-a-matrix", "sim5-a-matrix", "sim8-a-matrix"])
+def test_study_refuses_options_its_scenario_does_not_use(scenario, flag, value,
+                                                          tmp_path, capsys):
+    # a scenario file carries its own panel and matrix; sim5-sim8 have theirs built in
+    from rppi.dataio import scenario_to_dict
+    from rppi.study import preset_scenario
+
+    if scenario == "file":
+        scenario = str(tmp_path / "scenario.json")
+        write_json(scenario, scenario_to_dict(preset_scenario("sim5", replicates=1)))
+    code = main(["study", scenario, flag, value, "--replicates", "1", "--threads", "1",
+                 "--out", str(tmp_path / "st")])
+    assert code == 2
+    assert f"error: {flag} applies only to" in capsys.readouterr().err
+    assert not list(tmp_path.glob("st.*"))
 
 
 def test_study_scenario_file_with_threads_invariance(tmp_path):

@@ -11,7 +11,6 @@ from rppi.dataio import (
     SCHEMA_VERSION,
     _fmt,
     bootstrap_csv_rows,
-    bootstrap_to_dict,
     config_from_dict,
     fit_csv_rows,
     fit_from_dict,
@@ -337,8 +336,9 @@ def test_report_payloads_carry_schema_and_tables(tmp_path):
     data = fixture_counts()
     fit = fit_robust(proportions(data), RobustConfig(c=0.0, kstar=2))
     boot = bootstrap_se(fit, data, b=6, seed=np.random.SeedSequence(73))
-    payload = bootstrap_to_dict(boot)
+    payload = report_to_dict("bootstrap", boot, b_used=boot.b_used)
     assert payload["schema_version"] == SCHEMA_VERSION
+    assert "estimates" not in payload and payload["b_used"] == 6 - boot.n_failed
     rows = bootstrap_csv_rows(boot)
     assert len(rows) == 1 + len(boot.labels)
 

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import rppi
+from rppi import dataio
 from rppi.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +43,14 @@ SIGNATURES = {
     "preset_scenario": ["name", "a_matrix", "replicates", "seed", "cs", "tol", "max_iter"],
     "run_study": ["scenario", "threads"],
 }
+# The names rppi.dataio defines (not imports); aim 2 counts them.
+DATAIO_PUBLIC = {
+    "SCHEMA_VERSION", "WRITE_ROWS", "TableData",
+    "read_table", "write_table", "read_json", "write_json", "write_csv_rows",
+    "report_to_dict", "params_to_dict", "params_from_dict", "config_from_dict",
+    "fit_to_dict", "fit_from_dict", "scenario_to_dict", "scenario_from_dict",
+    "fit_csv_rows", "tune_csv_rows", "bootstrap_csv_rows", "rmse_csv_rows",
+}
 RESULT_FIELDS = [
     "pi_hat", "config", "iterations", "final_weights", "weight_cv", "residual",
     "condition_number", "d_hat", "n_obs", "beta_p", "ridge", "restarts",
@@ -61,6 +70,15 @@ def test_public_signatures_are_pinned():
     assert functions == SIGNATURES
     assert sum(map(len, SIGNATURES.values())) == 45
     assert [f.name for f in dataclasses.fields(rppi.RobustFitResult)] == RESULT_FIELDS
+
+
+def test_dataio_names_are_pinned():
+    # a constant has no __module__; an imported name carries its own
+    defined = {name for name, value in vars(dataio).items()
+               if not name.startswith("_") and not inspect.ismodule(value)
+               and getattr(value, "__module__", None) in (dataio.__name__, None)}
+    assert defined == DATAIO_PUBLIC
+    assert len(DATAIO_PUBLIC) == 20
 
 
 def test_readme_library_example_runs(capsys):
