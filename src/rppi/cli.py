@@ -188,25 +188,31 @@ def cmd_bootstrap(args) -> int:
 
 def cmd_study(args) -> int:
     threads = _resolve_threads(args.threads)
-    # a scenario file carries its own panel, matrix and seed; only --seed
-    # and --replicates override them
+    # a scenario file carries its own panel, configs, matrix and seed; only
+    # --seed and --replicates override them
     if args.a_matrix is not None and args.scenario not in PRESET_NAMES[:4]:
         raise ParseError("--a-matrix applies only to the presets sim1-sim4")
-    if args.grid is not None and args.scenario not in PRESET_NAMES:
-        raise ParseError("--grid applies only to a preset; a scenario file "
-                         "lists its own estimators")
+    if args.scenario not in PRESET_NAMES:
+        for flag, value in (("--grid", args.grid), ("--tol", args.tol),
+                            ("--max-iter", args.max_iter)):
+            if value is not None:
+                raise ParseError(f"{flag} applies only to a preset; a scenario "
+                                 "file lists its own estimators")
     seed = _resolve_seed(args.seed) if args.scenario in PRESET_NAMES else args.seed
     a_matrix = None
     if args.a_matrix is not None:
         payload = dataio.read_json(args.a_matrix)
         a_matrix = payload.get("a_l", payload) if isinstance(payload, dict) else payload
+    resolved = {}
     if args.scenario in PRESET_NAMES:
+        resolved = {"tol": 1e-8 if args.tol is None else args.tol,
+                    "max_iter": 500 if args.max_iter is None else args.max_iter}
         scenario = preset_scenario(
             args.scenario, a_matrix=a_matrix,
             replicates=args.replicates if args.replicates is not None else 100,
             seed=seed,
             cs=parse_grid(args.grid) if args.grid is not None else None,
-            tol=args.tol, max_iter=args.max_iter,
+            **resolved,
         )
     else:
         scenario = dataio.scenario_from_dict(dataio.read_json(args.scenario))
@@ -215,7 +221,8 @@ def cmd_study(args) -> int:
         if seed is not None:
             scenario = replace(scenario, seed=seed)
     table = run_study(scenario, threads=threads)
-    invocation = _invocation(args, replicates=scenario.replicates, seed=scenario.seed)
+    invocation = _invocation(args, replicates=scenario.replicates, seed=scenario.seed,
+                             **resolved)
     dataio.write_json(args.out + ".json",
                       dataio.report_to_dict("rmse_table", table, invocation))
     dataio.write_csv_rows(args.out + ".csv", dataio.rmse_csv_rows(table))
@@ -316,8 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override a preset's tuning-constant panel")
     q.add_argument("--a-matrix", default=None,
                    help="JSON file with the interaction matrix (sim1-sim4)")
-    q.add_argument("--tol", type=float, default=1e-8)
-    q.add_argument("--max-iter", type=int, default=500)
+    q.add_argument("--tol", type=float, default=None,
+                   help="a preset's stop rule (default 1e-8)")
+    q.add_argument("--max-iter", type=int, default=None,
+                   help="a preset's iteration cap (default 500)")
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--threads", type=int, default=None)
     q.add_argument("--out", required=True)

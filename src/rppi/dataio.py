@@ -356,13 +356,6 @@ def write_csv_rows(path, rows: list[list[str]]) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def scenario_to_dict(scenario: StudyScenario) -> dict:
-    return report_to_dict(
-        "scenario", scenario, truth=params_to_dict(scenario.truth),
-        estimators=[{"label": label, "config": asdict(cfg)}
-                    for label, cfg in scenario.estimators])
-
-
 def scenario_from_dict(payload: dict) -> StudyScenario:
     try:
         estimators = tuple(

@@ -45,9 +45,8 @@ from .model import (
 )
 from . import estimator
 from .robust import (PreparedData, RobustConfig, RobustFitResult, fit_robust, kk_mask,
-                     weight_exponents)
+                     kk_statistic, weight_exponents)
 from .sampling import round_proportions, sample_counts, sample_rppi, spawn_seeds
-from .suffstats import suff_t_a_batch
 # unused here, but bench/tracing.py installs kernel spans at these names
 from .suffstats import r_matrix_batch, s_matrix_batch  # noqa: F401
 
@@ -346,7 +345,7 @@ def influence(z, pi0, reference, c: float, kstar: int,
     for start in range(0, n, estimator.CHUNK):
         stop = start + estimator.CHUNK
         e = estimator.residuals(stats, x, start, stop)
-        ta = suff_t_a_batch(ref[start:stop], kstar)
+        ta = kk_statistic(ref[start:stop], kstar)
         g += c * np.einsum("n,nq,nr->qr", w_hat[start:stop], e, ta)
     if not np.all(np.isfinite(g)):
         raise SingularGError("sensitivity matrix has non-finite entries")

@@ -30,12 +30,17 @@ falls below SWITCH, then Anderson steps (Anderson 1965; Walker and Ni
 least-squares fit of the last DEPTH + 1 steps' residuals, plain steps
 before the switch included.  That history is dropped whenever the
 residual grows, and an extrapolated point whose residual exceeds that of
-its source step is replaced by that step's plain update.  The stop rule
-leaves the plain loop's error along its slowest mode, where the
-equation's residual (below) is small, but an Anderson point's along any
-mode, so the accelerated loop also requires that residual to be under
-RESIDUAL * max |d_hat| where it stops.  The equation is unchanged, so a
-start reaches the root of the plain steps, in fewer iterations.
+its source step is replaced by that step's plain update.  The equation is
+unchanged, so a start reaches the root of the plain steps, in fewer
+iterations.
+
+The loop stops only at a point it has evaluated: one whose step changes
+it by at most tol relative (the stop rule) and where the residual of the
+ridged weighted equation (below) is under RESIDUAL * max |d_hat|.  The
+stop rule alone would leave an Anderson point's error along any mode,
+not only along the plain loop's slowest mode, where that residual is
+small.  The point is the estimate, and its weights, W_hat, d_hat and
+condition number are the fit's: nothing is evaluated after the loop.
 
 At a fixed point, H pi_hat = pi_tilde with H = diag(1 + c on the A_KK
 entries, 1 elsewhere), so the weighted estimating equation
@@ -73,7 +78,7 @@ DAMPING = 0.5
 PATIENCE = 50
 # Anderson steps (module docstring): the relative change that starts them,
 # how many past steps they fit, and the bound on the weighted equation's
-# residual, relative to max |d_hat|, that an accelerated run also meets.
+# residual, relative to max |d_hat|, that the point a loop stops at meets.
 SWITCH = 1e-4
 DEPTH = 3
 RESIDUAL = 1e-6
@@ -130,6 +135,21 @@ def weight_exponents(U: np.ndarray, pi: np.ndarray, kstar: int, c: float) -> np.
     """
     uk = U[:, :kstar]
     return c * np.einsum("nk,kl,nl->n", uk, pi[_akk_slots(U.shape[1], kstar)], uk)
+
+
+def kk_statistic(U: np.ndarray, kstar: int) -> np.ndarray:
+    """The A_KK part t_a(u) of every row's sufficient statistic, shape (n, q).
+
+    t_a(u)' pi = u_K' A_KK u_K, so c t_a(u) is the gradient of the row's
+    weight exponent; every entry outside the A_KK slots is zero.
+    """
+    n, p = U.shape
+    V = U[:, :kstar]
+    i, j = np.triu_indices(kstar, 1)
+    ta = np.zeros((n, q_dim(p)))
+    ta[:, :kstar] = V * V
+    ta[:, _akk_slots(p, kstar)[i, j]] = 2.0 * V[:, i] * V[:, j]
+    return ta
 
 
 def _raw_weight_factors(U: np.ndarray, pi: np.ndarray, kstar: int, c: float) -> np.ndarray:
@@ -223,14 +243,17 @@ class PreparedData:
 
 
 def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
-              x, ridge: float) -> tuple[np.ndarray, float, int, int]:
-    """The loop from ``x``: (pi_hat, cond, iterations, accepted Anderson steps).
+              x, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                        np.ndarray, float, int, int]:
+    """The loop from ``x``: (pi_hat, weight factors, W_hat, d_hat, cond,
+    iterations, accepted Anderson steps).
 
-    One iteration maps x to g with residual f = g - x.  An Anderson step
-    goes to g - dG gamma, where gamma fits f by least squares on the
-    differences dF of the kept residuals and dG those of their g.  Once
-    Anderson steps have begun, the loop stops at an x that passes both
-    the stop rule and the RESIDUAL bound, and returns that x.
+    One iteration evaluates x: its weights, W_hat, d_hat and the solve
+    that maps x to g with residual f = g - x.  An Anderson step goes to
+    g - dG gamma, where gamma fits f by least squares on the differences
+    dF of the kept residuals and dG those of their g.  The loop stops at
+    the first x that passes both the stop rule and the RESIDUAL bound,
+    and returns x with the rest of that evaluation.
     """
     c = config.c
     h = np.where(outside, 1.0, 1.0 + c)
@@ -263,12 +286,10 @@ def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
             if non_monotone >= PATIENCE:
                 damped = True
         trace.append(rel)
-        if rel <= config.tol and switch is None:
-            return g, cond, iteration, 0
         if rel <= config.tol:
             hx = h * x  # the residual of the ridged system that the loop solves
             if np.abs(w_hat @ hx + ridge * hx - d_hat).max() < RESIDUAL * np.abs(d_hat).max():
-                return x, cond, iteration, accepted + (source is not None)
+                return x, eff, w_hat, d_hat, cond, iteration, accepted + (source is not None)
         if switch is None and rel < SWITCH:
             switch = iteration
         if source is not None and res > source[1]:
@@ -312,10 +333,8 @@ def _iterate(data: PreparedData, config: RobustConfig, mask, pi_init,
         iterations, accelerated = 1, 0
         eff = np.ones(n)
     else:
-        pi_hat, cond, iterations, accelerated = _reweight(U, data.stats, config, ~mask,
-                                                          pi_hat, ridge)
-        eff = _raw_weight_factors(U, pi_hat, config.kstar, c)
-        w_hat, d_hat = assemble(data.stats, eff)
+        pi_hat, eff, w_hat, d_hat, cond, iterations, accelerated = _reweight(
+            U, data.stats, config, ~mask, pi_hat, ridge)
 
     weights = eff / eff.sum()
     h = np.where(mask, 1.0 + c, 1.0)

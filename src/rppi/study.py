@@ -107,13 +107,6 @@ class RmseTable:
     truth: np.ndarray
     flagged: tuple[str, ...]
 
-    def column(self, estimator: str) -> np.ndarray:
-        return self.rmse[:, self.estimators.index(estimator)]
-
-    def cell(self, label: str, estimator: str) -> float:
-        return float(self.rmse[self.labels.index(label),
-                               self.estimators.index(estimator)])
-
 
 def _replicate(child_seed, scenario: StudyScenario):
     """Simulate one dataset and fit the whole panel; None marks a failure."""

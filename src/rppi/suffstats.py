@@ -55,25 +55,6 @@ def _pair_arrays(p: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def suff_t_a_batch(U, kstar: int) -> np.ndarray:
-    """Polynomial part of t restricted to the leading K block, shape (n, q).
-
-    Log entries are zeroed, and so are the quadratic entries that touch
-    any component outside the first ``kstar``, leaving exactly
-    t_a(u)' pi = u_K' A_KK u_K.  Being a polynomial, this is defined on
-    the whole closed simplex.
-    """
-    n, p = U.shape
-    d = p - 1
-    if not 1 <= kstar <= d:
-        raise ValueError(f"kstar must be in [1, {d}], got {kstar}")
-    I, J = _pair_arrays(p)
-    V = U[:, :d]
-    quad_diag = np.where(np.arange(d) < kstar, V * V, 0.0)
-    quad_off = np.where(J < kstar, 2.0 * V[:, I] * V[:, J], 0.0)
-    return np.concatenate([quad_diag, quad_off, np.zeros((n, d))], axis=1)
-
-
 def r_matrix_batch(U) -> np.ndarray:
     """First log-ratio derivatives of t: shape (n, q, p-1).
 

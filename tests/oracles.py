@@ -3,10 +3,13 @@
 Everything here is written straight from definitions (explicit loops,
 finite differences, textbook quadrature) and avoids the closed forms
 and vectorized paths used by the package, so agreement between the two
-is evidence rather than tautology.
+is evidence rather than tautology.  It also holds the scenario-file
+writer, which only tests need: the program reads scenario files but
+never writes one.
 """
 
 import math
+from dataclasses import asdict
 from itertools import combinations
 
 import numpy as np
@@ -276,3 +279,13 @@ def influence_ref(z, pi0, reference, c, kstar, beta_p=0.0):
         _, e, _, w = pieces(u)
         out.append(-np.linalg.solve(G, w * e))
     return np.array(out)
+
+
+def scenario_to_dict(scenario):
+    """A scenario file's payload, as rppi.dataio.scenario_from_dict reads it."""
+    from rppi.dataio import params_to_dict, report_to_dict
+
+    return report_to_dict(
+        "scenario", scenario, truth=params_to_dict(scenario.truth),
+        estimators=[{"label": label, "config": asdict(cfg)}
+                    for label, cfg in scenario.estimators])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import plain_counts, plain_draws
+from oracles import plain_counts, plain_draws, scenario_to_dict
 import rppi
 import rppi.cli
 from rppi.cli import main
@@ -426,13 +426,16 @@ def test_study_preset_and_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("scenario, flag, value", [
     ("file", "--grid", "0,1,2"),
     ("file", "--a-matrix", "a.json"),
+    ("file", "--tol", "1e-2"),
+    ("file", "--max-iter", "3"),
     ("sim5", "--a-matrix", "a.json"),
     ("sim8", "--a-matrix", "a.json"),
-], ids=["file-grid", "file-a-matrix", "sim5-a-matrix", "sim8-a-matrix"])
+], ids=["file-grid", "file-a-matrix", "file-tol", "file-max-iter", "sim5-a-matrix",
+        "sim8-a-matrix"])
 def test_study_refuses_options_its_scenario_does_not_use(scenario, flag, value,
                                                           tmp_path, capsys):
-    # a scenario file carries its own panel and matrix; sim5-sim8 have theirs built in
-    from rppi.dataio import scenario_to_dict
+    # a scenario file carries its own panel, configs and matrix; sim5-sim8
+    # have their matrix built in
     from rppi.study import preset_scenario
 
     if scenario == "file":
@@ -446,7 +449,6 @@ def test_study_refuses_options_its_scenario_does_not_use(scenario, flag, value,
 
 
 def test_study_scenario_file_with_threads_invariance(tmp_path):
-    from rppi.dataio import scenario_to_dict
     from rppi.study import preset_scenario
 
     sc = preset_scenario("sim5", replicates=3, cs=(0.0, 0.5), seed=21)
@@ -703,7 +705,6 @@ SAMPLE_INVOCATION_KEYS = {"command", "params", "seed", "n", "m", "m_file", "mode
 
 
 def test_report_schema_is_pinned(counts_csv, params_json, tmp_path):
-    from rppi.dataio import scenario_to_dict
     from rppi.study import preset_scenario
 
     out = {name: str(tmp_path / name) for name in

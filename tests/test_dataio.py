@@ -22,13 +22,12 @@ from rppi.dataio import (
     report_to_dict,
     rmse_csv_rows,
     scenario_from_dict,
-    scenario_to_dict,
     tune_csv_rows,
     write_csv_rows,
     write_json,
     write_table,
 )
-from oracles import plain_counts
+from oracles import plain_counts, scenario_to_dict
 from rppi import dataio
 from rppi.errors import ParseError
 from rppi.inference import bootstrap_se, tune_c

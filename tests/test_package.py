@@ -48,7 +48,7 @@ DATAIO_PUBLIC = {
     "SCHEMA_VERSION", "WRITE_ROWS", "TableData",
     "read_table", "write_table", "read_json", "write_json", "write_csv_rows",
     "report_to_dict", "params_to_dict", "params_from_dict", "config_from_dict",
-    "fit_to_dict", "fit_from_dict", "scenario_to_dict", "scenario_from_dict",
+    "fit_to_dict", "fit_from_dict", "scenario_from_dict",
     "fit_csv_rows", "tune_csv_rows", "bootstrap_csv_rows", "rmse_csv_rows",
 }
 RESULT_FIELDS = [
@@ -78,7 +78,7 @@ def test_dataio_names_are_pinned():
                if not name.startswith("_") and not inspect.ismodule(value)
                and getattr(value, "__module__", None) in (dataio.__name__, None)}
     assert defined == DATAIO_PUBLIC
-    assert len(DATAIO_PUBLIC) == 20
+    assert len(DATAIO_PUBLIC) == 19
 
 
 def test_readme_library_example_runs(capsys):

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import plain_draws
+from oracles import packed_stat_ref, plain_draws
 import rppi.estimator as estimator
 import rppi.robust as robust
 from rppi.errors import (DegeneracyWarning, DimensionError, NonConvergenceError,
                          SingularSystemError, WeightError)
 from rppi.estimator import CHUNK, assemble, score_stats, solve_system
 from rppi.model import RPPIParams, as_matrix, pack, pair_indices, q_dim
-from rppi.robust import PreparedData, RobustConfig, fit_robust, kk_mask
+from rppi.robust import PreparedData, RobustConfig, fit_robust, kk_mask, kk_statistic
 from rppi.sampling import contaminate, rng_from, sample_rppi, spawn_seeds
 from rppi.study import DATASET2_OUTLIER, dataset2_truth, preset_scenario
 
@@ -46,6 +46,44 @@ def test_kk_mask_selects_the_akk_block():
     assert sorted(labels[mask]) == ["a_11", "a_12", "a_22"]
 
 
+def test_suff_t_matches_definition():
+    # with K the whole non-reference block, t_a is the quadratic part of t
+    rng = np.random.default_rng(10)
+    for p in (3, 4, 5, 6):
+        U = rng.dirichlet(np.full(p, 1.5), size=5)
+        d = p - 1
+        Ta = kk_statistic(U, d)
+        for i, u in enumerate(U):
+            assert np.allclose(Ta[i, :-d], packed_stat_ref(u)[:-d], atol=1e-14)
+        assert np.all(Ta[:, -d:] == 0.0)
+
+
+def test_masked_statistic_zeroes_everything_outside_kk():
+    rng = np.random.default_rng(14)
+    U = rng.dirichlet(np.full(5, 1.5), size=6)
+    kstar = 2
+    Ta = kk_statistic(U, kstar)
+    T = np.array([packed_stat_ref(u) for u in U])
+    d = 4
+    # diagonal entries: first kstar live, rest zero
+    assert np.array_equal(Ta[:, :kstar], T[:, :kstar])
+    assert np.all(Ta[:, kstar:d] == 0.0)
+    # log block always zero
+    assert np.all(Ta[:, -d:] == 0.0)
+    # pair entries live only when both indices sit inside K
+    for col, (i, j) in enumerate(pair_indices(5)):
+        got = Ta[:, d + col]
+        if i < kstar and j < kstar:
+            assert np.array_equal(got, T[:, d + col])
+        else:
+            assert np.all(got == 0.0)
+    assert np.array_equal(kk_statistic(U[:1], kstar)[0], Ta[0])
+    # c t_a(u) is the gradient of the weight exponent c u_K' A_KK u_K
+    pi = rng.normal(size=q_dim(5))
+    assert np.allclose(Ta @ pi, robust.weight_exponents(U, pi, kstar, 1.0),
+                       rtol=1e-12, atol=1e-14)
+
+
 def test_kstar_out_of_range_is_rejected():
     rng = np.random.default_rng(31)
     U = rng.dirichlet((2.0, 2.0, 2.0), size=50)
@@ -61,10 +99,9 @@ def test_c_zero_reduces_to_the_unweighted_fit_bitwise():
     assert rob.iterations == 1 and rob.restarts == 0
 
 
-@pytest.mark.parametrize("prepared", [False, True])
-def test_c_zero_assembles_and_solves_once(monkeypatch, prepared):
-    U = plain_draws(TEST_PARAMS, 300, np.random.SeedSequence(32))
-    data = PreparedData(U) if prepared else U
+def spy_calls(monkeypatch, *names):
+    """A list that records the name of every later call made through
+    these rppi.robust attributes."""
     calls = []
 
     def spying(name):
@@ -75,8 +112,16 @@ def test_c_zero_assembles_and_solves_once(monkeypatch, prepared):
             return fn(*args, **kwargs)
         return spy
 
-    for name in ("assemble", "solve_system"):
+    for name in names:
         monkeypatch.setattr(robust, name, spying(name))
+    return calls
+
+
+@pytest.mark.parametrize("prepared", [False, True])
+def test_c_zero_assembles_and_solves_once(monkeypatch, prepared):
+    U = plain_draws(TEST_PARAMS, 300, np.random.SeedSequence(32))
+    data = PreparedData(U) if prepared else U
+    calls = spy_calls(monkeypatch, "assemble", "solve_system")
     fit_robust(data, RobustConfig(c=0.0, kstar=2))
     assert calls == ["assemble", "solve_system"]
 
@@ -160,12 +205,36 @@ def test_nonconvergence_names_where_acceleration_began():
 
 
 def test_explicit_init_is_honored():
+    # started at a fit's estimate, the loop evaluates it, finds it
+    # converged and returns it, with the diagnostics of that evaluation
     U = plain_draws(TEST_PARAMS, 600, np.random.SeedSequence(36))
     cfg = RobustConfig(c=0.5, kstar=2)
     ref = fit_robust(U, cfg)
     warm = fit_robust(U, cfg, init=ref.pi_hat)
-    assert warm.iterations <= 2
-    assert np.abs(warm.pi_hat.pi - ref.pi_hat.pi).max() < 1e-6
+    assert warm.pi_hat.pi.tobytes() == ref.pi_hat.pi.tobytes()
+    assert (warm.iterations, warm.restarts, warm.accelerated_steps) == (1, 0, 0)
+    assert warm.final_weights.tobytes() == ref.final_weights.tobytes()
+    assert (warm.residual, warm.condition_number) == (ref.residual, ref.condition_number)
+
+
+def test_weighted_fit_assembles_once_per_iteration_and_not_after_its_loop(monkeypatch):
+    # The default start's system is assembled once per PreparedData, then
+    # each start's loop assembles and solves once per iteration; the fit
+    # is built from the last evaluation, with no assemble after the loop.
+    truth, U = contaminated_sample()
+    data = PreparedData(U)
+    calls = spy_calls(monkeypatch, "assemble", "solve_system", "_reweight")
+    for c, shared_start in ((0.5, ["assemble", "solve_system"]), (1.0, [])):
+        calls.clear()
+        fit = fit_robust(data, RobustConfig(c=c, kstar=4))
+        starts = [i for i, name in enumerate(calls) if name == "_reweight"]
+        assert calls[:starts[0]] == shared_start
+        assert len(starts) == fit.restarts + 1
+        for a, b in zip(starts, starts[1:] + [len(calls)]):
+            loop = calls[a + 1:b]
+            assert loop == ["assemble", "solve_system"] * (len(loop) // 2)
+        assert len(calls) - starts[-1] - 1 == 2 * fit.iterations
+        assert fit.restarts > 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -355,11 +424,11 @@ def _plain_run(U, stats, cfg, pi_prev, accelerate=True):
             non_monotone += 1
             damped = damped or non_monotone >= robust.PATIENCE
         trace.append(rel)
-        if rel <= cfg.tol and not accelerating:
+        if rel <= cfg.tol and not accelerate:
             pi_prev = pi_new
             break
-        # accelerated, the loop stops only where the weighted equation's
-        # residual is also small, and returns the point it checked
+        # accelerated, the loop stops only at a point it evaluated, where
+        # the weighted equation's residual is also small
         equation = float(np.max(np.abs(w_it @ (h * pi_prev) - d_it)))
         if rel <= cfg.tol and equation < robust.RESIDUAL * float(np.max(np.abs(d_it))):
             kept += came_from is not None
@@ -464,6 +533,29 @@ def test_acceleration_keeps_the_fixed_point_loop_root(case):
     assert steps == (0, 0, 0) and fit.restarts == restarts
     assert np.max(np.abs(fit.pi_hat.pi - pi)) <= 1e-6 * np.max(np.abs(pi))
     assert fit.iterations <= iterations
+
+
+@pytest.mark.filterwarnings("ignore::rppi.errors.DegeneracyWarning")
+@pytest.mark.parametrize("case", LOOP_CASES + ["ridge"])
+def test_fit_diagnostics_are_those_of_its_estimate(case):
+    # the weights, d_hat, residual and condition number of a fit are its
+    # estimate's own, recomputed here bit for bit
+    if case == "ridge":
+        U, cfg = _loop_case("c025-base")
+        ridge = 1e-4
+    else:
+        (U, cfg), ridge = _loop_case(case), 0.0
+    fit = fit_robust(U, cfg, ridge=ridge)
+    U = as_matrix(U)  # the rows the fit validated
+    pi = fit.pi_hat.pi
+    eff = robust._raw_weight_factors(U, pi, cfg.kstar, cfg.c)
+    w_hat, d_hat = assemble(score_stats(U), eff)
+    cond = solve_system(w_hat, d_hat, ridge=ridge)[1]
+    h = np.where(kk_mask(U.shape[1], cfg.kstar), 1.0 + cfg.c, 1.0)
+    residual = float(np.max(np.abs(w_hat @ (h * pi) - d_hat)))
+    assert fit.final_weights.tobytes() == (eff / eff.sum()).tobytes()
+    assert fit.d_hat.tobytes() == d_hat.tobytes()
+    assert (fit.residual, fit.condition_number) == (residual, cond)
 
 
 def sim8_sample():

@@ -118,14 +118,13 @@ def test_failures_are_counted_and_flagged():
     # one iteration never satisfies the tolerance for c > 0
     assert table.failures[1] == 4
     assert "c=0.5" in table.flagged
-    assert np.all(np.isnan(table.column("c=0.5")))
+    assert np.all(np.isnan(table.rmse[:, table.estimators.index("c=0.5")]))
     assert table.failures[0] == 0  # the plain fit is a single solve
 
 
-def test_rmse_table_lookup_helpers():
+def test_rmse_table_rows_and_columns_are_labelled():
     sc = tiny_scenario(replicates=3)
     table = run_study(sc)
-    assert table.cell("beta_1", "c=0") == table.rmse[3, 0]
-    assert np.array_equal(table.column("c=0.5"), table.rmse[:, 1])
-    with pytest.raises(ValueError):
-        table.cell("nope", "c=0")
+    assert table.labels == tuple(param_labels(3)) and table.labels[3] == "beta_1"
+    assert table.estimators == ("c=0", "c=0.5")
+    assert table.rmse.shape == (len(table.labels), len(table.estimators))

@@ -1,25 +1,13 @@
 import numpy as np
 
-from oracles import fd_stat_jacobian, fd_stat_second, packed_stat_ref
+from oracles import fd_stat_jacobian, fd_stat_second
 from rppi.estimator import residuals, score_stats
-from rppi.model import pair_indices, q_dim
-from rppi.suffstats import r_matrix_batch, s_matrix_batch, suff_t_a_batch
+from rppi.model import q_dim
+from rppi.suffstats import r_matrix_batch, s_matrix_batch
 
 
 def interior_points(rng, p, n):
     return rng.dirichlet(np.full(p, 1.5), size=n)
-
-
-def test_suff_t_matches_definition():
-    # with K the whole non-reference block, t_a is the quadratic part of t
-    rng = np.random.default_rng(10)
-    for p in (3, 4, 5, 6):
-        U = interior_points(rng, p, 5)
-        d = p - 1
-        Ta = suff_t_a_batch(U, d)
-        for i, u in enumerate(U):
-            assert np.allclose(Ta[i, :-d], packed_stat_ref(u)[:-d], atol=1e-14)
-        assert np.all(Ta[:, -d:] == 0.0)
 
 
 def test_kernels_evaluate_exactly_the_rows_they_are_given():
@@ -73,28 +61,6 @@ def test_batch_versions_stack_the_single_ones():
         row = U[i:i + 1]
         assert np.array_equal(Rb[i], r_matrix_batch(row)[0])
         assert np.array_equal(Sb[i], s_matrix_batch(row)[0])
-
-
-def test_masked_statistic_zeroes_everything_outside_kk():
-    rng = np.random.default_rng(14)
-    U = interior_points(rng, 5, 6)
-    kstar = 2
-    Ta = suff_t_a_batch(U, kstar)
-    T = np.array([packed_stat_ref(u) for u in U])
-    d = 4
-    # diagonal entries: first kstar live, rest zero
-    assert np.array_equal(Ta[:, :kstar], T[:, :kstar])
-    assert np.all(Ta[:, kstar:d] == 0.0)
-    # log block always zero
-    assert np.all(Ta[:, -d:] == 0.0)
-    # pair entries live only when both indices sit inside K
-    for col, (i, j) in enumerate(pair_indices(5)):
-        got = Ta[:, d + col]
-        if i < kstar and j < kstar:
-            assert np.array_equal(got, T[:, d + col])
-        else:
-            assert np.all(got == 0.0)
-    assert np.array_equal(suff_t_a_batch(U[:1], kstar)[0], Ta[0])
 
 
 def test_score_blocks_shapes_and_symmetry():
