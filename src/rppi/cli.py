@@ -205,8 +205,8 @@ def cmd_study(args) -> int:
         a_matrix = payload.get("a_l", payload) if isinstance(payload, dict) else payload
     resolved = {}
     if args.scenario in PRESET_NAMES:
-        resolved = {"tol": 1e-8 if args.tol is None else args.tol,
-                    "max_iter": 500 if args.max_iter is None else args.max_iter}
+        resolved = {"tol": RobustConfig.tol if args.tol is None else args.tol,
+                    "max_iter": RobustConfig.max_iter if args.max_iter is None else args.max_iter}
         scenario = preset_scenario(
             args.scenario, a_matrix=a_matrix,
             replicates=args.replicates if args.replicates is not None else 100,
@@ -324,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--a-matrix", default=None,
                    help="JSON file with the interaction matrix (sim1-sim4)")
     q.add_argument("--tol", type=float, default=None,
-                   help="a preset's stop rule (default 1e-8)")
+                   help=f"a preset's stop rule (default {RobustConfig.tol:g})")
     q.add_argument("--max-iter", type=int, default=None,
-                   help="a preset's iteration cap (default 500)")
+                   help=f"a preset's iteration cap (default {RobustConfig.max_iter})")
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--threads", type=int, default=None)
     q.add_argument("--out", required=True)

@@ -34,12 +34,12 @@ its source step is replaced by that step's plain update.  The equation is
 unchanged, so a start reaches the root of the plain steps, in fewer
 iterations.
 
-The loop stops only at a point it has evaluated: one whose step changes
-it by at most tol relative (the stop rule) and where the residual of the
-ridged weighted equation (below) is under RESIDUAL * max |d_hat|.  The
-stop rule alone would leave an Anderson point's error along any mode,
-not only along the plain loop's slowest mode, where that residual is
-small.  The point is the estimate, and its weights, W_hat, d_hat and
+The loop stops only at a point it has evaluated, whose step changes it
+by at most tol relative (the stop rule).  That rule leaves the plain
+loop's error along its slowest mode, where the residual of the ridged
+weighted equation (below) is small, but an Anderson point's along any
+mode, so once Anderson steps have begun the point's residual must also
+be under RESIDUAL * max |d_hat|.  Its weights, W_hat, d_hat and
 condition number are the fit's: nothing is evaluated after the loop.
 
 At a fixed point, H pi_hat = pi_tilde with H = diag(1 + c on the A_KK
@@ -78,7 +78,7 @@ DAMPING = 0.5
 PATIENCE = 50
 # Anderson steps (module docstring): the relative change that starts them,
 # how many past steps they fit, and the bound on the weighted equation's
-# residual, relative to max |d_hat|, that the point a loop stops at meets.
+# residual, relative to max |d_hat|, that a stop point meets once they began.
 SWITCH = 1e-4
 DEPTH = 3
 RESIDUAL = 1e-6
@@ -252,8 +252,8 @@ def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
     that maps x to g with residual f = g - x.  An Anderson step goes to
     g - dG gamma, where gamma fits f by least squares on the differences
     dF of the kept residuals and dG those of their g.  The loop stops at
-    the first x that passes both the stop rule and the RESIDUAL bound,
-    and returns x with the rest of that evaluation.
+    the first x that passes the stop rule (and the RESIDUAL bound once
+    Anderson steps have begun), and returns x with the rest of that evaluation.
     """
     c = config.c
     h = np.where(outside, 1.0, 1.0 + c)
@@ -288,7 +288,8 @@ def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
         trace.append(rel)
         if rel <= config.tol:
             hx = h * x  # the residual of the ridged system that the loop solves
-            if np.abs(w_hat @ hx + ridge * hx - d_hat).max() < RESIDUAL * np.abs(d_hat).max():
+            if switch is None or (np.abs(w_hat @ hx + ridge * hx - d_hat).max()
+                                  < RESIDUAL * np.abs(d_hat).max()):
                 return x, eff, w_hat, d_hat, cond, iteration, accepted + (source is not None)
         if switch is None and rel < SWITCH:
             switch = iteration

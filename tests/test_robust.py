@@ -428,9 +428,11 @@ def _plain_run(U, stats, cfg, pi_prev, accelerate=True):
             pi_prev = pi_new
             break
         # accelerated, the loop stops only at a point it evaluated, where
-        # the weighted equation's residual is also small
+        # the weighted equation's residual is also small once Anderson
+        # steps have begun
         equation = float(np.max(np.abs(w_it @ (h * pi_prev) - d_it)))
-        if rel <= cfg.tol and equation < robust.RESIDUAL * float(np.max(np.abs(d_it))):
+        if rel <= cfg.tol and (not accelerating
+                               or equation < robust.RESIDUAL * float(np.max(np.abs(d_it)))):
             kept += came_from is not None
             break
         accelerating = accelerate and (accelerating or rel < robust.SWITCH)
@@ -533,6 +535,25 @@ def test_acceleration_keeps_the_fixed_point_loop_root(case):
     assert steps == (0, 0, 0) and fit.restarts == restarts
     assert np.max(np.abs(fit.pi_hat.pi - pi)) <= 1e-6 * np.max(np.abs(pi))
     assert fit.iterations <= iterations
+
+
+@pytest.mark.filterwarnings("ignore::rppi.errors.DegeneracyWarning")
+@pytest.mark.parametrize("case", ["three-chunks", "reject-and-reset", "c025-base"])
+def test_a_tol_above_switch_stops_at_the_first_point_that_meets_it(case):
+    # the stop rule is met before Anderson steps begin, so the loop
+    # returns the first evaluated point whose step meets tol, after as
+    # many iterations as the plain fixed-point loop takes
+    U, cfg = _loop_case(case)
+    cfg = replace(cfg, tol=1e-3)
+    assert cfg.tol >= robust.SWITCH
+    fit = fit_robust(U, cfg)
+    pi, weights, residual, cond, iterations, steps, restarts = _plain_fit(U, cfg)
+    assert fit.pi_hat.pi.tobytes() == pi.tobytes()
+    assert fit.final_weights.tobytes() == weights.tobytes()
+    assert (fit.residual, fit.condition_number) == (residual, cond)
+    plain = _plain_fit(U, cfg, accelerate=False)
+    assert (fit.iterations, fit.restarts) == (iterations, restarts) == (plain[4], plain[6])
+    assert fit.accelerated_steps == 0 and steps == (0, 0, 0)
 
 
 @pytest.mark.filterwarnings("ignore::rppi.errors.DegeneracyWarning")
