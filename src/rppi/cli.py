@@ -275,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--kstar", type=int, default=None,
                    help="size of the leading rare block (default p-1)")
     q.add_argument("--beta-p", type=float, default=0.0)
-    q.add_argument("--tol", type=float, default=1e-8)
-    q.add_argument("--max-iter", type=int, default=500)
+    q.add_argument("--tol", type=float, default=RobustConfig.tol)
+    q.add_argument("--max-iter", type=int, default=RobustConfig.max_iter)
     q.add_argument("--ridge", type=float, default=0.0)
     q.add_argument("--out", required=True, help="output path prefix")
     q.set_defaults(func=cmd_fit)
@@ -300,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--alpha", type=float, default=0.05)
     q.add_argument("--quantile", type=float, default=0.95)
     q.add_argument("--beta-p", type=float, default=0.0)
-    q.add_argument("--tol", type=float, default=1e-8)
-    q.add_argument("--max-iter", type=int, default=500)
+    q.add_argument("--tol", type=float, default=RobustConfig.tol)
+    q.add_argument("--max-iter", type=int, default=RobustConfig.max_iter)
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_tune)

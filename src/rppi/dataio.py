@@ -264,8 +264,8 @@ def config_from_dict(payload: dict) -> RobustConfig:
         return RobustConfig(
             c=float(payload["c"]),
             kstar=int(payload["kstar"]),
-            tol=float(payload.get("tol", 1e-8)),
-            max_iter=int(payload.get("max_iter", 500)),
+            tol=float(payload.get("tol", RobustConfig.tol)),
+            max_iter=int(payload.get("max_iter", RobustConfig.max_iter)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad config payload: {exc}") from exc

@@ -28,11 +28,10 @@ GEMM splits its output columns by thread count and rounds their edges
 differently).  The first chunk seeds the sums as chunk + 0.0: that is
 what a compensated step from zero computes, with a correction that
 stays +0.0 because every block is finite, so a table of at most CHUNK
-rows does no compensation pass.  Weights are accepted after a minimum,
-a maximum and one sum when none is negative and the largest is positive
-and too small for the sum to overflow; anything else goes through the
-full checks (shape, finite, sign, zero sum, a sum past the float range),
-each with its own error.
+rows does no compensation pass.  Weights of the right shape are
+accepted after a minimum and one sum when none is negative and the sum
+is positive and finite; otherwise the first failed check (finite, sign,
+zero sum, a sum past the float range) raises its own error.
 The solve equilibrates the system symmetrically by its diagonal and
 diagonalizes it with one symmetric eigendecomposition; the condition
 number reported (and checked against the rejection threshold) is that
@@ -54,8 +53,6 @@ from .suffstats import d1_batch, r_matrix_batch, s_matrix_batch
 
 CHUNK = 4096
 COND_MAX = 1e12
-# weights below this over n are summed without an overflow check
-_SUMMABLE = np.finfo(float).max / 2
 
 
 def _normalized_weights(weights, n: int) -> np.ndarray:
@@ -64,9 +61,7 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise WeightError(f"weights must have shape ({n},), got {w.shape}")
-    lo, hi = w.min(), w.max()
-    if lo >= 0.0 and 0.0 < hi < _SUMMABLE / n:
-        return w / w.sum()
+    lo = w.min()
     with np.errstate(all="ignore"):
         total = w.sum()
     if 0.0 < total < np.inf and lo >= 0.0:

@@ -137,8 +137,8 @@ def parse_grid(spec: str) -> tuple[float, ...]:
 
 
 def tune_c(data: CountDataset, grid, kstar: int, sim_size: int = 10_000,
-           seed=None, beta_p: float = 0.0, tol: float = 1e-8,
-           max_iter: int = 500, quantile: float = 0.95,
+           seed=None, beta_p: float = 0.0, tol: float = RobustConfig.tol,
+           max_iter: int = RobustConfig.max_iter, quantile: float = 0.95,
            alpha: float = 0.05) -> TuneReport:
     """Select the weighting constant by simulated marginal agreement.
 
@@ -147,8 +147,9 @@ def tune_c(data: CountDataset, grid, kstar: int, sim_size: int = 10_000,
     sim_size exceeds n), and KS-compare each non-reference component.
     Recommended is the smallest c whose p-values all clear ``alpha``; if
     none does, the c with the largest worst-case p-value.  Raises ValueError before any fit unless
-    ``sim_size >= 2``, ``0 < alpha < 1``, ``0 < quantile <= 1`` and
-    ``1 <= kstar <= p - 1``.
+    ``sim_size >= 2``, ``0 < alpha < 1``, ``0 < quantile <= 1``,
+    ``1 <= kstar <= p - 1`` and every grid value c makes a valid
+    :class:`RobustConfig` (c finite and >= 0, ``tol`` > 0, ``max_iter`` >= 1).
     """
     if not sim_size >= 2:
         raise ValueError(f"sim_size must be at least 2, got {sim_size}")
@@ -163,12 +164,13 @@ def tune_c(data: CountDataset, grid, kstar: int, sim_size: int = 10_000,
     candidates = tuple(sorted(float(c) for c in grid))
     if not candidates:
         raise ValueError("empty tuning grid")
+    configs = [RobustConfig(c=c, kstar=kstar, tol=tol, max_iter=max_iter)
+               for c in candidates]
     components = tuple(range(p - 1))
     seeds = spawn_seeds(seed, len(candidates))
     prepared = None  # one PreparedData for the grid, built as in study._replicate
     entries = []
-    for c, child in zip(candidates, seeds):
-        cfg = RobustConfig(c=c, kstar=kstar, tol=tol, max_iter=max_iter)
+    for cfg, child in zip(configs, seeds):
         try:
             if prepared is None:
                 prepared = PreparedData(u_obs, beta_p)
@@ -185,12 +187,12 @@ def tune_c(data: CountDataset, grid, kstar: int, sim_size: int = 10_000,
                 stats.append(stat)
                 pvals.append(pval)
             entries.append(TuneEntry(
-                c=c, converged=True, error=None, weight_cv=fit.weight_cv,
+                c=cfg.c, converged=True, error=None, weight_cv=fit.weight_cv,
                 ks_stats=tuple(stats), ks_pvalues=tuple(pvals),
             ))
         except RPPIError as exc:
             entries.append(TuneEntry(
-                c=c, converged=False, error=f"{type(exc).__name__}: {exc}",
+                c=cfg.c, converged=False, error=f"{type(exc).__name__}: {exc}",
                 weight_cv=float("nan"), ks_stats=(), ks_pvalues=(),
             ))
     usable = [e for e in entries if e.error is None]

@@ -34,13 +34,15 @@ its source step is replaced by that step's plain update.  The equation is
 unchanged, so a start reaches the root of the plain steps, in fewer
 iterations.
 
+Each start, the default one or a rung of :func:`fit_robust`'s restart
+ladder, is one call of ``_iterate``: it runs the loop and builds the fit.
 The loop stops only at a point it has evaluated, whose step changes it
 by at most tol relative (the stop rule).  That rule leaves the plain
 loop's error along its slowest mode, where the residual of the ridged
 weighted equation (below) is small, but an Anderson point's along any
 mode, so once Anderson steps have begun the point's residual must also
-be under RESIDUAL * max |d_hat|.  Its weights, W_hat, d_hat and
-condition number are the fit's: nothing is evaluated after the loop.
+be under RESIDUAL * max |d_hat|.  The stop point's weights, W_hat, d_hat
+and condition number are the fit's: nothing is evaluated after the loop.
 
 At a fixed point, H pi_hat = pi_tilde with H = diag(1 + c on the A_KK
 entries, 1 elsewhere), so the weighted estimating equation
@@ -60,7 +62,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimensionError, NonConvergenceError, SingularSystemError
-from .estimator import ScoreStats, assemble, score_stats, solve_system
+from .estimator import assemble, score_stats, solve_system
 from .model import (
     ParamVector,
     RPPIParams,
@@ -242,118 +244,104 @@ class PreparedData:
         return self._scales[kstar]
 
 
-def _reweight(U: np.ndarray, stats: ScoreStats, config: RobustConfig, outside,
-              x, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                        np.ndarray, float, int, int]:
-    """The loop from ``x``: (pi_hat, weight factors, W_hat, d_hat, cond,
-    iterations, accepted Anderson steps).
+def _iterate(data: PreparedData, config: RobustConfig, mask, x, ridge: float,
+             restarts: int) -> RobustFitResult:
+    """One start of the reweighting iteration: from ``x``, or from the
+    default start (the unweighted solve) when ``x`` is None.
 
-    One iteration evaluates x: its weights, W_hat, d_hat and the solve
+    ``data`` holds the rows and score statistics from :func:`fit_robust`
+    and ``mask`` is its :func:`kk_mask`; only the weights change between
+    iterations.  At c = 0 the default start's solve is the fit.  Otherwise
+    one iteration evaluates x: its weights, W_hat, d_hat and the solve
     that maps x to g with residual f = g - x.  An Anderson step goes to
     g - dG gamma, where gamma fits f by least squares on the differences
     dF of the kept residuals and dG those of their g.  The loop stops at
     the first x that passes the stop rule (and the RESIDUAL bound once
-    Anderson steps have begun), and returns x with the rest of that evaluation.
-    """
-    c = config.c
-    h = np.where(outside, 1.0, 1.0 + c)
-    trace: list[float] = []
-    non_monotone = 0
-    damped = False
-    switch = None  # iteration where the change first fell below SWITCH
-    history: list[tuple[np.ndarray, np.ndarray, float]] = []  # (f, g, max |f|)
-    source = None  # (g, max |f|) of the step an extrapolated x came from
-    accepted = 0
-    for iteration in range(1, config.max_iter + 1):
-        eff = _raw_weight_factors(U, x, config.kstar, c)
-        w_hat, d_hat = assemble(stats, eff)
-        try:
-            pi_tilde, cond = solve_system(w_hat, d_hat, ridge=ridge)
-        except SingularSystemError as exc:
-            w = eff / eff.sum()
-            raise SingularSystemError(
-                f"{exc} at iteration {iteration}; the weights' effective sample "
-                f"size 1/sum(w^2) is {1.0 / np.sum(w * w):.1f} of {w.size}",
-                condition_number=exc.condition_number) from exc
-        g = (pi_tilde + c * np.where(outside, x, 0.0)) / (1.0 + c)
-        if damped:
-            g = x + DAMPING * (g - x)
-        f = g - x
-        res = float(np.abs(f).max())
-        rel = res / max(float(np.abs(x).max()), _TINY)
-        if trace and rel > trace[-1]:
-            non_monotone += 1
-            if non_monotone >= PATIENCE:
-                damped = True
-        trace.append(rel)
-        if rel <= config.tol:
-            hx = h * x  # the residual of the ridged system that the loop solves
-            if switch is None or (np.abs(w_hat @ hx + ridge * hx - d_hat).max()
-                                  < RESIDUAL * np.abs(d_hat).max()):
-                return x, eff, w_hat, d_hat, cond, iteration, accepted + (source is not None)
-        if switch is None and rel < SWITCH:
-            switch = iteration
-        if source is not None and res > source[1]:
-            x, source, history = source[0], None, []
-            continue
-        accepted += source is not None
-        kept = history[-DEPTH:] if history and res <= history[-1][2] else []
-        history = kept + [(f, g, res)]
-        if switch is None or len(history) < 2:
-            x, source = g, None
-            continue
-        df = np.diff([step[0] for step in history], axis=0).T
-        dg = np.diff([step[1] for step in history], axis=0).T
-        x, source = g - dg @ np.linalg.lstsq(df, f, rcond=None)[0], (g, res)
-    began = "never" if switch is None else f"after iteration {switch}"
-    raise NonConvergenceError(
-        f"no convergence after {config.max_iter} iterations "
-        f"(last relative change {trace[-1]:.3e}; Anderson steps began {began})",
-        trace=trace,
-    )
-
-
-def _iterate(data: PreparedData, config: RobustConfig, mask, pi_init,
-             ridge: float, restarts: int) -> RobustFitResult:
-    """One run of the reweighting iteration from a given start.
-
-    ``data`` holds the rows and score statistics from :func:`fit_robust`
-    and ``mask`` is its :func:`kk_mask`; only the weights change between
-    iterations.
+    Anderson steps have begun), and the fit is x with the rest of that
+    evaluation; a start that exhausts ``max_iter`` raises NonConvergenceError.
     """
     U = data.rows
-    n = U.shape[0]
     c = config.c
-    if pi_init is None:
-        w_hat, d_hat, pi_hat, cond = data._start(ridge)
+    h = np.where(mask, 1.0 + c, 1.0)
+    if x is None and c == 0.0:
+        # every weight factor is exactly 1.0, so the first iteration would
+        # solve the default start's system again and stop: the start is the fit
+        w_hat, d_hat, x, cond = data._start(ridge)
+        eff, iteration, accepted = np.ones(U.shape[0]), 1, 0
     else:
-        pi_hat = np.array(pi_init, dtype=float)
-    if c == 0.0 and pi_init is None:
-        # every weight factor is exactly 1.0, so the first iteration
-        # would solve this same system and stop: the start is the fit
-        iterations, accelerated = 1, 0
-        eff = np.ones(n)
-    else:
-        pi_hat, eff, w_hat, d_hat, cond, iterations, accelerated = _reweight(
-            U, data.stats, config, ~mask, pi_hat, ridge)
+        x = data._start(ridge)[2] if x is None else np.array(x, dtype=float)
+        trace: list[float] = []
+        non_monotone = 0
+        damped = False
+        switch = None  # iteration where the change first fell below SWITCH
+        history: list[tuple[np.ndarray, np.ndarray, float]] = []  # (f, g, max |f|)
+        source = None  # (g, max |f|) of the step an extrapolated x came from
+        accepted = 0
+        for iteration in range(1, config.max_iter + 1):
+            eff = _raw_weight_factors(U, x, config.kstar, c)
+            w_hat, d_hat = assemble(data.stats, eff)
+            try:
+                pi_tilde, cond = solve_system(w_hat, d_hat, ridge=ridge)
+            except SingularSystemError as exc:
+                w = eff / eff.sum()
+                raise SingularSystemError(
+                    f"{exc} at iteration {iteration}; the weights' effective sample "
+                    f"size 1/sum(w^2) is {1.0 / np.sum(w * w):.1f} of {w.size}",
+                    condition_number=exc.condition_number) from exc
+            g = (pi_tilde + c * np.where(mask, 0.0, x)) / (1.0 + c)
+            if damped:
+                g = x + DAMPING * (g - x)
+            f = g - x
+            res = float(np.abs(f).max())
+            rel = res / max(float(np.abs(x).max()), _TINY)
+            if trace and rel > trace[-1]:
+                non_monotone += 1
+                if non_monotone >= PATIENCE:
+                    damped = True
+            trace.append(rel)
+            if rel <= config.tol:
+                hx = h * x  # the residual of the ridged system that the loop solves
+                if switch is None or (np.abs(w_hat @ hx + ridge * hx - d_hat).max()
+                                      < RESIDUAL * np.abs(d_hat).max()):
+                    accepted += source is not None
+                    break
+            if switch is None and rel < SWITCH:
+                switch = iteration
+            if source is not None and res > source[1]:
+                x, source, history = source[0], None, []
+                continue
+            accepted += source is not None
+            kept = history[-DEPTH:] if history and res <= history[-1][2] else []
+            history = kept + [(f, g, res)]
+            if switch is None or len(history) < 2:
+                x, source = g, None
+                continue
+            df = np.diff([step[0] for step in history], axis=0).T
+            dg = np.diff([step[1] for step in history], axis=0).T
+            x, source = g - dg @ np.linalg.lstsq(df, f, rcond=None)[0], (g, res)
+        else:
+            began = "never" if switch is None else f"after iteration {switch}"
+            raise NonConvergenceError(
+                f"no convergence after {config.max_iter} iterations "
+                f"(last relative change {trace[-1]:.3e}; Anderson steps began {began})",
+                trace=trace,
+            )
 
     weights = eff / eff.sum()
-    h = np.where(mask, 1.0 + c, 1.0)
-    residual = float(np.max(np.abs(w_hat @ (h * pi_hat) - d_hat)))
     return RobustFitResult(
-        pi_hat=ParamVector(pi_hat),
+        pi_hat=ParamVector(x),
         config=config,
-        iterations=iterations,
+        iterations=iteration,
         final_weights=weights,
         weight_cv=float(np.std(weights) / np.mean(weights)),
-        residual=residual,
+        residual=float(np.max(np.abs(w_hat @ (h * x) - d_hat))),
         condition_number=cond,
         d_hat=d_hat,
-        n_obs=n,
+        n_obs=U.shape[0],
         beta_p=data.beta_p,
         ridge=ridge,
         restarts=restarts,
-        accelerated_steps=accelerated,
+        accelerated_steps=accepted,
     )
 
 
@@ -402,13 +390,10 @@ def fit_robust(data, config: RobustConfig, init: ParamVector | None = None,
     if not isinstance(data, PreparedData):
         data = PreparedData(data)
     p = data.rows.shape[1]
-    d = p - 1
-    if not 1 <= config.kstar <= d:
-        raise DimensionError(f"kstar must be in [1, {d}] for p={p}, got {config.kstar}")
+    mask = kk_mask(p, config.kstar)
     if init is not None and init.q != q_dim(p):
         raise DimensionError("init vector length does not match the data dimension")
     first = None if init is None else init.pi
-    mask = kk_mask(p, config.kstar)
     last_error = None
     for restarts, start in enumerate(chain([first], _failover_inits(data, config))):
         try:

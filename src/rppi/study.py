@@ -166,8 +166,9 @@ def run_study(scenario: StudyScenario, threads: int = 1) -> RmseTable:
     )
 
 
-def estimator_panel(cs, kstar: int, tol: float = 1e-8,
-                    max_iter: int = 500) -> tuple[tuple[str, RobustConfig], ...]:
+def estimator_panel(cs, kstar: int, tol: float = RobustConfig.tol,
+                    max_iter: int = RobustConfig.max_iter,
+                    ) -> tuple[tuple[str, RobustConfig], ...]:
     """Label a grid of tuning constants as an estimator panel."""
     return tuple((f"c={c:g}", RobustConfig(c=float(c), kstar=kstar, tol=tol,
                                            max_iter=max_iter))
@@ -175,8 +176,8 @@ def estimator_panel(cs, kstar: int, tol: float = 1e-8,
 
 
 def preset_scenario(name: str, a_matrix=None, replicates: int = 100,
-                    seed: int = DEFAULT_SEED, cs=None, tol: float = 1e-8,
-                    max_iter: int = 500) -> StudyScenario:
+                    seed: int = DEFAULT_SEED, cs=None, tol: float = RobustConfig.tol,
+                    max_iter: int = RobustConfig.max_iter) -> StudyScenario:
     """Built-in scenario designs ``sim1`` ... ``sim8``.
 
     Designs 1-4 are built around the first dataset's published fit: the

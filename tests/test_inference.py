@@ -162,6 +162,19 @@ def test_tune_c_reports_every_candidate_and_recommends_one():
                for a, b in zip(again.entries, report.entries))
 
 
+def test_tune_c_checks_its_whole_grid_before_any_fit(monkeypatch):
+    fits = []
+
+    def fit_spy(*args, **kwargs):
+        fits.append(args[1].c)
+        return fit_robust(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "fit_robust", fit_spy)
+    with pytest.raises(ValueError, match="c must be finite"):
+        tune_c(small_counts(), (0.0, 0.5, float("nan")), kstar=2, sim_size=100)
+    assert fits == []
+
+
 def test_bootstrap_is_deterministic_and_thread_invariant():
     data = small_counts()
     fit = fit_robust(proportions(data), RobustConfig(c=0.5, kstar=2))

@@ -196,10 +196,8 @@ def test_nonconvergence_names_where_acceleration_began():
     fit = fit_robust(U, cfg)
     assert fit.restarts == 0 and fit.accelerated_steps > 0
     capped = RobustConfig(c=0.7, kstar=2, max_iter=fit.iterations - 1)
-    stats = score_stats(U)
-    start = solve_system(*assemble(stats))[0]
     with pytest.raises(NonConvergenceError) as err:
-        robust._reweight(U, stats, capped, ~kk_mask(3, 2), start, 0.0)
+        robust._iterate(PreparedData(U), capped, kk_mask(3, 2), None, 0.0, 0)
     switch = 1 + next(i for i, rel in enumerate(err.value.trace) if rel < robust.SWITCH)
     assert f"Anderson steps began after iteration {switch})" in str(err.value)
 
@@ -218,20 +216,29 @@ def test_explicit_init_is_honored():
 
 
 def test_weighted_fit_assembles_once_per_iteration_and_not_after_its_loop(monkeypatch):
-    # The default start's system is assembled once per PreparedData, then
-    # each start's loop assembles and solves once per iteration; the fit
-    # is built from the last evaluation, with no assemble after the loop.
+    # Each start is one _iterate call.  The default start's unweighted
+    # system is assembled and solved once per PreparedData, inside the
+    # first start that takes it; then each start's loop assembles and
+    # solves once per iteration, and the fit is built from the last
+    # evaluation, with no assemble after the loop.
     truth, U = contaminated_sample()
     data = PreparedData(U)
-    calls = spy_calls(monkeypatch, "assemble", "solve_system", "_reweight")
-    for c, shared_start in ((0.5, ["assemble", "solve_system"]), (1.0, [])):
+    calls = spy_calls(monkeypatch, "solve_system", "_iterate")
+    real_assemble = robust.assemble
+
+    def assemble_spy(stats, weights=None):
+        calls.append("assemble" if weights is not None else "unweighted assemble")
+        return real_assemble(stats, weights)
+
+    monkeypatch.setattr(robust, "assemble", assemble_spy)
+    for c, default_start in ((0.5, ["unweighted assemble", "solve_system"]), (1.0, [])):
         calls.clear()
         fit = fit_robust(data, RobustConfig(c=c, kstar=4))
-        starts = [i for i, name in enumerate(calls) if name == "_reweight"]
-        assert calls[:starts[0]] == shared_start
-        assert len(starts) == fit.restarts + 1
+        starts = [i for i, name in enumerate(calls) if name == "_iterate"]
+        assert starts[0] == 0 and len(starts) == fit.restarts + 1
+        assert calls[1:1 + len(default_start)] == default_start
         for a, b in zip(starts, starts[1:] + [len(calls)]):
-            loop = calls[a + 1:b]
+            loop = calls[a + 1 + (len(default_start) if a == 0 else 0):b]
             assert loop == ["assemble", "solve_system"] * (len(loop) // 2)
         assert len(calls) - starts[-1] - 1 == 2 * fit.iterations
         assert fit.restarts > 0
