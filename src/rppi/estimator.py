@@ -28,10 +28,7 @@ GEMM splits its output columns by thread count and rounds their edges
 differently).  The first chunk seeds the sums as chunk + 0.0: that is
 what a compensated step from zero computes, with a correction that
 stays +0.0 because every block is finite, so a table of at most CHUNK
-rows does no compensation pass.  Weights of the right shape are
-accepted after a minimum and one sum when none is negative and the sum
-is positive and finite; otherwise the first failed check (finite, sign,
-zero sum, a sum past the float range) raises its own error.
+rows does no compensation pass.
 The solve equilibrates the system symmetrically by its diagonal and
 diagonalizes it with one symmetric eigendecomposition; the condition
 number reported (and checked against the rejection threshold) is that
@@ -47,32 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import DegeneracyWarning, SingularSystemError, WeightError
+from .errors import DegeneracyWarning, SingularSystemError
 from .model import dim_from_q, param_labels, q_dim
 from .suffstats import d1_batch, r_matrix_batch, s_matrix_batch
 
 CHUNK = 4096
 COND_MAX = 1e12
-
-
-def _normalized_weights(weights, n: int) -> np.ndarray:
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise WeightError(f"weights must have shape ({n},), got {w.shape}")
-    lo = w.min()
-    with np.errstate(all="ignore"):
-        total = w.sum()
-    if 0.0 < total < np.inf and lo >= 0.0:
-        return w / total
-    if not np.all(np.isfinite(w)):
-        raise WeightError("weights have non-finite entries")
-    if lo < 0.0:
-        raise WeightError("weights must be nonnegative")
-    if total <= 0.0:
-        raise WeightError("weights sum to zero")
-    raise WeightError("weights' sum overflows the float range")
 
 
 def _neumaier_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -130,12 +107,13 @@ def _chunk_sums(r: np.ndarray, d1: np.ndarray, w: np.ndarray,
 def assemble(stats: ScoreStats, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """Weighted averages (W_hat, d_hat) of the per-row blocks in ``stats``.
 
-    ``weights`` are normalized to sum to one; omitted means uniform.
+    ``weights`` sum to one, as :func:`rppi.robust.normalized_weights`
+    gives them, and are used as given; omitted means uniform.
     """
     n = len(stats)
     q, nd = stats.r.shape
     d = nd // n
-    w = _normalized_weights(weights, n)
+    w = np.full(n, 1.0 / n) if weights is None else weights
     w_hat, d_hat = _chunk_sums(stats.r[:, :CHUNK * d], stats.d1[:CHUNK], w[:CHUNK], d)
     w_hat += 0.0  # a compensated step from zero
     d_hat += 0.0
@@ -182,8 +160,6 @@ def solve_system(w_hat: np.ndarray, d_hat: np.ndarray, ridge: float = 0.0,
     if not 0.0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     q = w_hat.shape[0]
-    if w_hat.shape != (q, q) or d_hat.shape != (q,):
-        raise SingularSystemError("system blocks have inconsistent shapes")
     if ridge > 0.0:
         w_hat = w_hat + ridge * np.eye(q)
     diag = w_hat.diagonal()

@@ -45,7 +45,7 @@ from .model import (
 )
 from . import estimator
 from .robust import (PreparedData, RobustConfig, RobustFitResult, fit_robust, kk_mask,
-                     kk_statistic, weight_exponents)
+                     kk_statistic, normalized_weights, weight_exponents)
 from .sampling import round_proportions, sample_counts, sample_rppi, spawn_seeds
 # unused here, but bench/tracing.py installs kernel spans at these names
 from .suffstats import r_matrix_batch, s_matrix_batch  # noqa: F401
@@ -129,6 +129,8 @@ def parse_grid(spec: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {spec!r}")
         start, stop, step = (float(x) for x in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"grid range {spec!r} has a bound that is not finite")
         if step <= 0 or stop < start:
             raise ValueError(f"bad grid range {spec!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -316,9 +318,9 @@ def influence(z, pi0, reference, c: float, kstar: int,
     sum and z weights by the reference's mean weight, which leaves the
     influence function unchanged and keeps the weights from
     overflowing.  Raises SingularGError when the sensitivity matrix is
-    (numerically) singular, and WeightError when a z point's weight, or
-    its weighted residual, exceeds the float range even after that
-    scaling.
+    (numerically) singular, and WeightError when the reference weights
+    are not finite or a z point's weight, or its weighted residual,
+    exceeds the float range even after that scaling.
     """
     if isinstance(pi0, RPPIParams):
         pi_vec = pack(pi0).pi
@@ -336,14 +338,10 @@ def influence(z, pi0, reference, c: float, kstar: int,
         raise ValueError("z dimension does not match the reference sample")
     h = np.where(kk_mask(p, kstar), 1.0 + c, 1.0)
     x = h * pi_vec
-    expo = weight_exponents(ref, pi_vec, kstar, c)
-    shift = float(expo.max())
-    w = np.exp(expo - shift)
-    total = w.sum()
-    w_hat = w / total
+    w_hat, shift, total = normalized_weights(ref, pi_vec, kstar, c)
 
     stats = estimator.score_stats(ref, beta_p)
-    g = estimator.assemble(stats, w)[0] * h[None, :]
+    g = estimator.assemble(stats, w_hat)[0] * h[None, :]
     for start in range(0, n, estimator.CHUNK):
         stop = start + estimator.CHUNK
         e = estimator.residuals(stats, x, start, stop)

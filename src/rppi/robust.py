@@ -19,7 +19,7 @@ iteration:
 Step 3 is algebraically the blockwise correction (divide the KK block
 by 1 + c, shift the remaining blocks by c times their previous values
 and divide), written directly on the packed vector so that c = 0
-reduces bit-for-bit to the unweighted estimator: every weight is 1.0,
+reduces bit-for-bit to the unweighted estimator: every weight is 1/n,
 so a first step would repeat the unweighted solve and stop there, and
 the default start's solve is returned without it.
 So :func:`fit_robust` is the package's one fit, plain and weighted.
@@ -61,7 +61,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionError, NonConvergenceError, SingularSystemError
+from .errors import DimensionError, NonConvergenceError, SingularSystemError, WeightError
 from .estimator import assemble, score_stats, solve_system
 from .model import (
     ParamVector,
@@ -154,14 +154,23 @@ def kk_statistic(U: np.ndarray, kstar: int) -> np.ndarray:
     return ta
 
 
-def _raw_weight_factors(U: np.ndarray, pi: np.ndarray, kstar: int, c: float) -> np.ndarray:
-    """Unnormalized weights exp(c u_K' A_KK u_K), max-shifted.
+def normalized_weights(U: np.ndarray, pi: np.ndarray, kstar: int,
+                       c: float) -> tuple[np.ndarray, float, float]:
+    """Weights exp(c u_K' A_KK u_K) / total of every row of U, for the fit
+    and :func:`rppi.inference.influence` alike, with (shift, total).
 
-    The shift cancels in the normalized weighted averages and keeps the
-    exponentials in (0, 1].  At c = 0 every factor is exactly 1.0.
+    The exponentials are max-shifted into [0, 1], so their sum is finite
+    and at least 1 unless the largest exponent (NaN if any is) is not
+    finite; that raises WeightError.  The shift cancels in the weighted
+    averages.
     """
     expo = weight_exponents(U, pi, kstar, c)
-    return np.exp(expo - expo.max())
+    shift = float(expo.max())
+    eff = np.exp(expo - shift)
+    total = float(eff.sum())
+    if not total > 0.0:  # NaN
+        raise WeightError("weights have non-finite entries")
+    return eff / total, shift, total
 
 
 @dataclass(frozen=True)
@@ -264,10 +273,10 @@ def _iterate(data: PreparedData, config: RobustConfig, mask, x, ridge: float,
     c = config.c
     h = np.where(mask, 1.0 + c, 1.0)
     if x is None and c == 0.0:
-        # every weight factor is exactly 1.0, so the first iteration would
-        # solve the default start's system again and stop: the start is the fit
+        # every weight is 1/n, so the first iteration would solve the
+        # default start's system again and stop: the start is the fit
         w_hat, d_hat, x, cond = data._start(ridge)
-        eff, iteration, accepted = np.ones(U.shape[0]), 1, 0
+        w, iteration, accepted = np.full(U.shape[0], 1.0 / U.shape[0]), 1, 0
     else:
         x = data._start(ridge)[2] if x is None else np.array(x, dtype=float)
         trace: list[float] = []
@@ -278,12 +287,11 @@ def _iterate(data: PreparedData, config: RobustConfig, mask, x, ridge: float,
         source = None  # (g, max |f|) of the step an extrapolated x came from
         accepted = 0
         for iteration in range(1, config.max_iter + 1):
-            eff = _raw_weight_factors(U, x, config.kstar, c)
-            w_hat, d_hat = assemble(data.stats, eff)
+            w = normalized_weights(U, x, config.kstar, c)[0]
+            w_hat, d_hat = assemble(data.stats, w)
             try:
                 pi_tilde, cond = solve_system(w_hat, d_hat, ridge=ridge)
             except SingularSystemError as exc:
-                w = eff / eff.sum()
                 raise SingularSystemError(
                     f"{exc} at iteration {iteration}; the weights' effective sample "
                     f"size 1/sum(w^2) is {1.0 / np.sum(w * w):.1f} of {w.size}",
@@ -327,13 +335,12 @@ def _iterate(data: PreparedData, config: RobustConfig, mask, x, ridge: float,
                 trace=trace,
             )
 
-    weights = eff / eff.sum()
     return RobustFitResult(
         pi_hat=ParamVector(x),
         config=config,
         iterations=iteration,
-        final_weights=weights,
-        weight_cv=float(np.std(weights) / np.mean(weights)),
+        final_weights=w,
+        weight_cv=float(np.std(w) / np.mean(w)),
         residual=float(np.max(np.abs(w_hat @ (h * x) - d_hat))),
         condition_number=cond,
         d_hat=d_hat,

@@ -329,6 +329,18 @@ def test_tune_empty_grid_exits_2(counts_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["tune", "study"])
+def test_a_grid_range_with_an_infinite_bound_exits_2(command, counts_csv, tmp_path,
+                                                     capsys):
+    head = ["tune", counts_csv, "--kstar", "2"] if command == "tune" else \
+        ["study", "sim5", "--replicates", "1", "--threads", "1"]
+    for grid in ("0:inf:1", "-inf:0:1"):
+        code = main(head + [f"--grid={grid}", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "not finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("option, value", [
     ("--sim-size", "0"), ("--sim-size", "-5"), ("--sim-size", "1"),
     ("--alpha", "nan"), ("--alpha", "0"), ("--alpha", "1"), ("--alpha", "inf"),

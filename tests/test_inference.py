@@ -142,6 +142,10 @@ def test_parse_grid_forms():
         parse_grid("0:1:0:5")
     with pytest.raises(ValueError):
         parse_grid("1:0:0.1")
+    # a range bound that is not finite is refused before any count is formed
+    for spec in ("0:inf:1", "-inf:0:1", "0:1:inf", "nan:1:0.5", "0:nan:0.5", "0:1:nan"):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_grid(spec)
 
 
 def test_tune_c_reports_every_candidate_and_recommends_one():

@@ -12,6 +12,7 @@ import rppi.robust as robust
 from rppi.errors import (DegeneracyWarning, DimensionError, NonConvergenceError,
                          SingularSystemError, WeightError)
 from rppi.estimator import CHUNK, assemble, score_stats, solve_system
+from rppi.inference import influence
 from rppi.model import RPPIParams, as_matrix, pack, pair_indices, q_dim
 from rppi.robust import PreparedData, RobustConfig, fit_robust, kk_mask, kk_statistic
 from rppi.sampling import contaminate, rng_from, sample_rppi, spawn_seeds
@@ -200,6 +201,19 @@ def test_nonconvergence_names_where_acceleration_began():
         robust._iterate(PreparedData(U), capped, kk_mask(3, 2), None, 0.0, 0)
     switch = 1 + next(i for i, rel in enumerate(err.value.trace) if rel < robust.SWITCH)
     assert f"Anderson steps began after iteration {switch})" in str(err.value)
+
+
+def test_a_nan_parameter_is_a_weight_error_in_the_fit_and_in_influence():
+    # both weigh their rows through robust.normalized_weights, which checks
+    # the weights' sum; past it, NaN weights would reach a solve
+    U = as_matrix(plain_draws(TEST_PARAMS, 200, np.random.SeedSequence(35)))
+    nan = np.full(q_dim(3), np.nan)
+    message = "^weights have non-finite entries$"
+    with pytest.raises(WeightError, match=message):
+        robust._iterate(PreparedData(U), RobustConfig(c=0.5, kstar=2), kk_mask(3, 2),
+                        nan, 0.0, 0)
+    with pytest.raises(WeightError, match=message):
+        influence(U[:3], nan, U, c=0.5, kstar=2)
 
 
 def test_explicit_init_is_honored():
@@ -576,12 +590,14 @@ def test_fit_diagnostics_are_those_of_its_estimate(case):
     fit = fit_robust(U, cfg, ridge=ridge)
     U = as_matrix(U)  # the rows the fit validated
     pi = fit.pi_hat.pi
-    eff = robust._raw_weight_factors(U, pi, cfg.kstar, cfg.c)
-    w_hat, d_hat = assemble(score_stats(U), eff)
+    expo = robust.weight_exponents(U, pi, cfg.kstar, cfg.c)
+    eff = np.exp(expo - expo.max())
+    weights = eff / eff.sum()
+    w_hat, d_hat = assemble(score_stats(U), weights)
     cond = solve_system(w_hat, d_hat, ridge=ridge)[1]
     h = np.where(kk_mask(U.shape[1], cfg.kstar), 1.0 + cfg.c, 1.0)
     residual = float(np.max(np.abs(w_hat @ (h * pi) - d_hat)))
-    assert fit.final_weights.tobytes() == (eff / eff.sum()).tobytes()
+    assert fit.final_weights.tobytes() == weights.tobytes()
     assert fit.d_hat.tobytes() == d_hat.tobytes()
     assert (fit.residual, fit.condition_number) == (residual, cond)
 
