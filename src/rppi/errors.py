@@ -22,7 +22,7 @@ class DegenerateRowError(RPPIError):
 
 
 class WeightError(RPPIError):
-    """Observation weights are negative, non-finite, or sum to zero."""
+    """Weights are not finite, or a z point's weight overflows the float range."""
 
 
 class SingularSystemError(RPPIError):

@@ -134,7 +134,7 @@ def test_converged_fit_satisfies_the_weighted_equation():
     # recompute the equation pieces independently of the fit loop
     uk = U[:, :2]
     w = np.exp(cfg.c * np.einsum("nk,kl,nl->n", uk, fit.params.a_l[:2, :2], uk))
-    W, d = assemble(score_stats(U), w)
+    W, d = assemble(score_stats(U), w / w.sum())
     h = np.where(kk_mask(3, 2), 1.0 + cfg.c, 1.0)
     residual = np.abs(W @ (h * fit.pi_hat.pi) - d).max()
     assert residual < 1e-6 * max(np.abs(d).max(), 1e-30)
