@@ -20,15 +20,13 @@ them; a reweighting loop pays for the kernels once, not per iteration.
 cache.  The fit and :func:`rppi.inference.influence` use these three,
 so :func:`score_stats` is the only caller of the kernels.
 
-Accumulation detail: fixed-size chunks are reduced with Neumaier
-compensated summation in a fixed order, and each chunk's contraction
-is one einsum over the cached R, without BLAS dispatch, so W_hat and
-d_hat are bit-reproducible whatever the BLAS thread count (a threaded
-GEMM splits its output columns by thread count and rounds their edges
-differently).  The first chunk seeds the sums as chunk + 0.0: that is
-what a compensated step from zero computes, with a correction that
-stays +0.0 because every block is finite, so a table of at most CHUNK
-rows does no compensation pass.
+Accumulation detail: fixed-size chunks are added to zero in a fixed
+order, and each chunk's contraction is one einsum over the cached R,
+without BLAS dispatch, so W_hat and d_hat are bit-reproducible whatever
+the BLAS thread count (a threaded GEMM splits its output columns by
+thread count and rounds their edges differently).  The rounding error
+sits in each chunk's einsum over up to CHUNK rows, not in the sum of a
+few dozen chunk partials, so the chunks are summed plainly.
 The solve equilibrates the system symmetrically by its diagonal and
 diagonalizes it with one symmetric eigendecomposition; the condition
 number reported (and checked against the rejection threshold) is that
@@ -50,14 +48,6 @@ from .suffstats import d1_batch, r_matrix_batch, s_matrix_batch
 
 CHUNK = 4096
 COND_MAX = 1e12
-
-
-def _neumaier_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One compensated accumulation step; mutates comp, returns new total."""
-    t = total + x
-    big = np.abs(total) >= np.abs(x)
-    comp += np.where(big, (total - t) + x, (x - t) + total)
-    return t
 
 
 @dataclass(frozen=True)
@@ -98,12 +88,6 @@ def score_stats(U: np.ndarray, beta_p: float = 0.0) -> ScoreStats:
     return ScoreStats(r=r, d1=d1)
 
 
-def _chunk_sums(r: np.ndarray, d1: np.ndarray, w: np.ndarray,
-                d: int) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk's unsymmetrized W_hat and d_hat terms, one einsum each."""
-    return np.einsum("qk,rk->qr", r, r * w.repeat(d)), np.einsum("n,nq->q", w, d1)
-
-
 def assemble(stats: ScoreStats, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """Weighted averages (W_hat, d_hat) of the per-row blocks in ``stats``.
 
@@ -114,20 +98,13 @@ def assemble(stats: ScoreStats, weights=None) -> tuple[np.ndarray, np.ndarray]:
     q, nd = stats.r.shape
     d = nd // n
     w = np.full(n, 1.0 / n) if weights is None else weights
-    w_hat, d_hat = _chunk_sums(stats.r[:, :CHUNK * d], stats.d1[:CHUNK], w[:CHUNK], d)
-    w_hat += 0.0  # a compensated step from zero
-    d_hat += 0.0
-    if n > CHUNK:
-        w_comp = np.zeros((q, q))
-        d_comp = np.zeros(q)
-        for start in range(CHUNK, n, CHUNK):
-            w_chunk, d_chunk = _chunk_sums(stats.r[:, start * d:(start + CHUNK) * d],
-                                           stats.d1[start:start + CHUNK],
-                                           w[start:start + CHUNK], d)
-            w_hat = _neumaier_add(w_hat, w_comp, w_chunk)
-            d_hat = _neumaier_add(d_hat, d_comp, d_chunk)
-        w_hat += w_comp
-        d_hat += d_comp
+    w_hat = np.zeros((q, q))
+    d_hat = np.zeros(q)
+    for start in range(0, n, CHUNK):
+        r = stats.r[:, start * d:(start + CHUNK) * d]
+        wc = w[start:start + CHUNK]
+        w_hat += np.einsum("qk,rk->qr", r, r * wc.repeat(d))
+        d_hat += np.einsum("n,nq->q", wc, stats.d1[start:start + CHUNK])
     return 0.5 * (w_hat + w_hat.T), d_hat
 
 

@@ -54,6 +54,8 @@ G_COND_MAX = 1e12
 # bootstrap_se raises BootstrapDegradedError when more than this share of
 # its replicates fail
 MAX_FAILURE_FRAC = 0.2
+# parse_grid refuses a start:stop:step range with more points than this
+MAX_GRID_POINTS = 10_000
 
 
 def ks_truncated(observed, simulated, quantile: float = 0.95) -> tuple[float, float]:
@@ -122,7 +124,7 @@ class TuneReport:
 
 
 def parse_grid(spec: str) -> tuple[float, ...]:
-    """Parse 'start:stop:step' (inclusive stop) or a comma list."""
+    """Parse 'start:stop:step' (inclusive stop, ``MAX_GRID_POINTS`` at most) or a comma list."""
     text = spec.strip()
     if ":" in text:
         parts = text.split(":")
@@ -133,7 +135,11 @@ def parse_grid(spec: str) -> tuple[float, ...]:
             raise ValueError(f"grid range {spec!r} has a bound that is not finite")
         if step <= 0 or stop < start:
             raise ValueError(f"bad grid range {spec!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9  # inf when the quotient overflows
+        count = math.floor(span) + 1 if span < math.inf else span
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"grid range {spec!r} has {count:,} points, more than "
+                             f"{MAX_GRID_POINTS:,}")
         return tuple(start + k * step for k in range(count))
     return tuple(float(x) for x in text.split(","))
 
@@ -170,12 +176,10 @@ def tune_c(data: CountDataset, grid, kstar: int, sim_size: int = 10_000,
                for c in candidates]
     components = tuple(range(p - 1))
     seeds = spawn_seeds(seed, len(candidates))
-    prepared = None  # one PreparedData for the grid, built as in study._replicate
+    prepared = PreparedData(u_obs, beta_p)
     entries = []
     for cfg, child in zip(configs, seeds):
         try:
-            if prepared is None:
-                prepared = PreparedData(u_obs, beta_p)
             fit = fit_robust(prepared, cfg)
             params = fit.params
             if params is None:

@@ -11,9 +11,9 @@ proportional to 1 on each sum-one face gives the maximum M_face on the
 face {sum v = 1} exactly (up to roundoff in the small solves), and
 M+ = max(0, M_face) adds the origin.  There are 2^(p-1) faces, so the
 faces of one size are solved in stacks of ``FACE_CHUNK``
-(k*k*8*FACE_CHUNK bytes each); a stack with a singular face falls back
-to one solve per face, and the maximum equals a face-by-face loop bit
-for bit.
+(k*k*8*FACE_CHUNK bytes each), one solve call per stack in which a
+singular face is a NaN row, and the maximum equals a face-by-face loop
+bit for bit.
 
 Each proposal is split radially, u = (s*v, 1 - s) with s = sum(u_L).
 Under Dirichlet(alpha), s ~ Beta(sum alpha_L, alpha_p) and
@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionError, LowAcceptanceError
 from .model import CountDataset, RPPIParams, as_matrix
@@ -105,10 +106,11 @@ def _face_max(a: np.ndarray) -> float:
 
     Faces of one size k are taken ``FACE_CHUNK`` at a time and their
     A_TT solved as one stack, which holds k*k*8*FACE_CHUNK bytes (8 MB at
-    k = 16).  A stack with a singular member is solved again one face at
-    a time, skipping the singular ones.  Each face still gets its own
-    LAPACK solve and the maximum does not depend on order, so the result
-    equals a face-by-face loop bit for bit.
+    k = 16).  The solve is np.linalg.solve's gufunc without its wrapper,
+    which ignores the floating-point flags but raises on a singular face:
+    each face gets its own LAPACK solve, a singular one is a NaN row that
+    the finiteness test drops, and the maximum does not depend on order,
+    so the result equals a face-by-face loop bit for bit.
     """
     d = a.shape[0]
     best = float(np.max(np.diag(a)))
@@ -117,7 +119,9 @@ def _face_max(a: np.ndarray) -> float:
         faces = combinations(range(d), size)
         while chunk := list(islice(faces, FACE_CHUNK)):
             idx = np.array(chunk)
-            z = _solve_faces(a[idx[:, :, None], idx[:, None, :]], ones)
+            with np.errstate(all="ignore"):
+                z = _umath_linalg.solve(a[idx[:, :, None], idx[:, None, :]], ones,
+                                        signature="dd->d")[..., 0]
             s = z.sum(axis=1)
             ok = (s != 0.0) & np.isfinite(z).all(axis=1)
             z, s = z[ok], s[ok]
@@ -125,25 +129,6 @@ def _face_max(a: np.ndarray) -> float:
             if feasible.any():
                 best = max(best, float(np.max(1.0 / s[feasible])))
     return best
-
-
-def _solve_faces(stack: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """Solutions of stack[i] z = 1, one row each; NaN rows where singular.
-
-    ``ones`` has shape (1, k, 1), the rank of ``stack``, so every numpy
-    version reads it as one right-hand-side matrix broadcast over the
-    stack (numpy 1.x would read a (k, 1) array as a stack of vectors).
-    """
-    try:
-        return np.linalg.solve(stack, ones)[..., 0]
-    except np.linalg.LinAlgError:
-        z = np.full(stack.shape[:2], np.nan)
-        for i, att in enumerate(stack):
-            try:
-                z[i] = np.linalg.solve(att, ones[0])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
-        return z
 
 
 @dataclass(frozen=True)

@@ -121,14 +121,10 @@ def _replicate(child_seed, scenario: StudyScenario):
     if scenario.contamination > 0.0:
         u_obs = contaminate(u_obs, scenario.contamination,
                             np.asarray(scenario.outlier), seed=contam_seed)
-    # one PreparedData for the whole panel, built in the try so that rows
-    # which fail validation fail every estimator, as each fit would
-    prepared = None
+    prepared = PreparedData(u_obs, float(scenario.truth.beta[-1]))
     out = []
     for _, cfg in scenario.estimators:
         try:
-            if prepared is None:
-                prepared = PreparedData(u_obs, float(scenario.truth.beta[-1]))
             out.append(fit_robust(prepared, cfg).pi_hat.pi)
         except RPPIError:
             out.append(None)

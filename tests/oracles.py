@@ -104,7 +104,7 @@ def naive_blocks(U, weights=None, beta_p=0.0):
     """Accumulate the estimating-equation blocks one row at a time.
 
     Uses the package's per-observation matrices but plain Python sums,
-    exercising none of the chunked or compensated machinery.
+    exercising none of the chunked machinery or the cached score blocks.
     """
     from rppi.suffstats import r_matrix_batch, s_matrix_batch
 

@@ -341,6 +341,19 @@ def test_a_grid_range_with_an_infinite_bound_exits_2(command, counts_csv, tmp_pa
         assert "not finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["tune", "study"])
+def test_a_grid_range_with_too_many_points_exits_2(command, counts_csv, tmp_path,
+                                                   capsys):
+    head = ["tune", counts_csv, "--kstar", "2"] if command == "tune" else \
+        ["study", "sim5", "--replicates", "1", "--threads", "1"]
+    code = main(head + ["--grid", "0:1:1e-4", "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: grid range '0:1:1e-4' has 10,001 points, "
+                                "more than 10,000"]
+    assert not list(tmp_path.glob("x*"))
+
+
 @pytest.mark.parametrize("option, value", [
     ("--sim-size", "0"), ("--sim-size", "-5"), ("--sim-size", "1"),
     ("--alpha", "nan"), ("--alpha", "0"), ("--alpha", "1"), ("--alpha", "inf"),

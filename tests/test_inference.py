@@ -146,6 +146,14 @@ def test_parse_grid_forms():
     for spec in ("0:inf:1", "-inf:0:1", "0:1:inf", "nan:1:0.5", "0:nan:0.5", "0:1:nan"):
         with pytest.raises(ValueError, match="not finite"):
             parse_grid(spec)
+    # a range is counted before it is built, and refused above 10,000 points
+    assert inference.MAX_GRID_POINTS == 10_000
+    for spec, count in (("0:1:1e-5", "100,001"), ("0:1:1e-4", "10,001"),
+                        ("0:1e308:1e-308", "inf")):  # the quotient overflows
+        with pytest.raises(ValueError, match=f"has {count} points"):
+            parse_grid(spec)
+    grid = parse_grid("0:1:2e-4")
+    assert len(grid) == 5_001 and abs(grid[-1] - 1.0) < 1e-12
 
 
 def test_tune_c_reports_every_candidate_and_recommends_one():

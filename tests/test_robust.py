@@ -346,7 +346,7 @@ def test_damping_slows_the_fit_but_keeps_its_root(monkeypatch):
 
 
 # The reweighting loop written out plainly: full weight validation,
-# Neumaier sums seeded with zeros over every chunk, the np.ix_ solve,
+# plain sums from zeros over every chunk, the np.ix_ solve,
 # A_KK rebuilt by a loop on every call, the c = 0 fit iterated like any
 # other, and the Anderson step kept in separate lists.  fit_robust must
 # match it bit for bit; without the Anderson step it is the plain
@@ -374,20 +374,14 @@ def _plain_assemble(stats, weights):
     d = nd // n
     w = _plain_weights(weights, n)
     sums = [np.zeros((q, q)), np.zeros(q)]
-    comps = [np.zeros((q, q)), np.zeros(q)]
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
         r = stats.r[:, start * d:stop * d]
         wc = w[start:stop]
         chunk = (np.einsum("qk,rk->qr", r, r * np.repeat(wc, d)),
                  np.einsum("n,nq->q", wc, stats.d1[start:stop]))
-        for k in range(2):
-            t = sums[k] + chunk[k]
-            big = np.abs(sums[k]) >= np.abs(chunk[k])
-            comps[k] += np.where(big, (sums[k] - t) + chunk[k], (chunk[k] - t) + sums[k])
-            sums[k] = t
-    w_hat = sums[0] + comps[0]
-    return 0.5 * (w_hat + w_hat.T), sums[1] + comps[1]
+        sums = [sums[k] + chunk[k] for k in range(2)]
+    return 0.5 * (sums[0] + sums[0].T), sums[1]
 
 
 def _plain_solve(w_hat, d_hat):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -70,7 +72,7 @@ def test_quad_max_equals_the_face_by_face_loop(monkeypatch):
         want = quad_max_faces_ref(A)
         assert quad_max_simplex(A) == want
         with monkeypatch.context() as m:
-            # chunk edges, partial last chunks, singular-stack fallback
+            # chunk edges, partial last chunks, stacks with singular faces
             m.setattr(sampling, "FACE_CHUNK", 3)
             assert quad_max_simplex(A) == want
 
@@ -85,23 +87,24 @@ def test_face_max_is_the_face_loop_without_the_origin():
 
 def test_quad_max_solves_each_face_size_in_one_stack(monkeypatch):
     calls = []
-    solve = np.linalg.solve
+    gufunc = sampling._umath_linalg
 
-    def counting(a, b):
+    def counting(a, b, **kwargs):
         calls.append((np.ndim(a), np.ndim(b)))
-        return solve(a, b)
+        return gufunc.solve(a, b, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(sampling, "_umath_linalg", SimpleNamespace(solve=counting))
     B = np.random.default_rng(55).normal(size=(10, 10))
-    quad_max_simplex((B + B.T) / 2.0)
-    assert len(calls) == 9  # face sizes 2..10, each at most C(10, 5) = 252 faces
-    # b has a's rank, which numpy 1.x and 2.x both read as a matrix of
-    # right-hand sides (numpy 1.x reads rank ndim(a) - 1 as vectors)
-    assert calls == [(3, 3)] * 9
-    calls.clear()
-    B[:, 1], B[1, :] = B[:, 0], B[0, :]  # singular faces: the one-by-one fallback
-    quad_max_simplex((B + B.T) / 2.0)
-    assert all(nd_a == nd_b for nd_a, nd_b in calls) and (2, 2) in calls
+    plain = (B + B.T) / 2.0
+    dup = plain.copy()
+    dup[:, 1], dup[1, :] = dup[:, 0], dup[0, :]  # every face holding both copies is singular
+    for A in (plain, dup):
+        calls.clear()
+        M = quad_max_simplex(A)
+        # face sizes 2..10, each at most C(10, 5) = 252 faces in one
+        # stack, with a right-hand side of the stack's rank
+        assert calls == [(3, 3)] * 9
+    assert M == quad_max_faces_ref(dup)
 
 
 def test_rejection_sampler_is_deterministic_and_interior():
