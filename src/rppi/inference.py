@@ -56,6 +56,8 @@ G_COND_MAX = 1e12
 MAX_FAILURE_FRAC = 0.2
 # parse_grid refuses a start:stop:step range with more points than this
 MAX_GRID_POINTS = 10_000
+# simplex_grid refuses a grid with more points than this
+MAX_SIMPLEX_POINTS = 1_000_000
 
 
 def ks_truncated(observed, simulated, quantile: float = 0.95) -> tuple[float, float]:
@@ -399,11 +401,15 @@ def influence(z, pi0, reference, c: float, kstar: int,
 def simplex_grid(p: int, resolution: int) -> np.ndarray:
     """All compositions with entries k/resolution; includes the boundary.
 
-    Returns an array with C(resolution + p - 1, p - 1) rows.
+    Returns an array with C(resolution + p - 1, p - 1) rows; raises
+    ValueError, before allocating, when that is over MAX_SIMPLEX_POINTS.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     total = math.comb(resolution + p - 1, p - 1)
+    if total > MAX_SIMPLEX_POINTS:
+        raise ValueError(f"a simplex grid of resolution {resolution} at p={p} has "
+                         f"{total:,} points, more than {MAX_SIMPLEX_POINTS:,}")
     out = np.empty((total, p))
     for row, bars in enumerate(combinations(range(resolution + p - 1), p - 1)):
         edges = (-1,) + bars + (resolution + p - 1,)

@@ -14,12 +14,18 @@ beta_j > -1.  The natural parameter vector packs A_L and beta as
           1 + beta_1, ..., 1 + beta_{p-1}),
 
 with off-diagonal pairs in lexicographic order, giving
-q = p(p-1)/2 + (p-1) free parameters.
+q = p(p-1)/2 + (p-1) free parameters.  :func:`a_slots` is the one
+definition of that layout: the row and column of a_ij at each A_L slot,
+and the slot of each entry of A_L.  :func:`pack`, :func:`unpack` and
+:func:`param_labels` read it here, :mod:`rppi.suffstats` forms the A_L
+statistic and the R and S rows over it, and :mod:`rppi.robust` takes
+the A_KK slots from its leading corner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,22 +52,32 @@ def dim_from_q(q: int) -> int:
     return p
 
 
-def pair_indices(p: int) -> list[tuple[int, int]]:
-    """0-based (i, j) pairs with i < j <= p-2, lexicographic order.
+@lru_cache(maxsize=None)
+def a_slots(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The packed layout of A_L for a p-part model: (row, col, slot).
 
-    These index the off-diagonal entries of A_L in the packed vector.
+    Slot s < d(d+1)/2 of pi (d = p - 1) holds a_ij with i = row[s] and
+    j = col[s], 0-based: the diagonal first, then the pairs i < j in
+    lexicographic order; the last d slots hold 1 + beta.  ``slot`` is the
+    (d, d) matrix of the slot of every entry of A_L, so pi[slot] is A_L.
+    Cached and read-only, as every caller shares the arrays.
     """
     d = p - 1
-    return [(i, j) for i in range(d) for j in range(i + 1, d)]
+    i, j = np.triu_indices(d, 1)
+    row = np.concatenate([np.arange(d), i])
+    col = np.concatenate([np.arange(d), j])
+    slot = np.empty((d, d), dtype=np.intp)
+    slot[row, col] = slot[col, row] = np.arange(row.size)
+    for a in (row, col, slot):
+        a.flags.writeable = False
+    return row, col, slot
 
 
 def param_labels(p: int) -> list[str]:
     """Human-readable labels for the packed parameter vector (1-based)."""
-    d = p - 1
-    labels = [f"a_{j + 1}{j + 1}" for j in range(d)]
-    labels += [f"a_{i + 1}{j + 1}" for i, j in pair_indices(p)]
-    labels += [f"beta_{j + 1}" for j in range(d)]
-    return labels
+    row, col, _ = a_slots(p)
+    return ([f"a_{i + 1}{j + 1}" for i, j in zip(row, col)]
+            + [f"beta_{j + 1}" for j in range(p - 1)])
 
 
 def as_matrix(data) -> np.ndarray:
@@ -231,11 +247,8 @@ class ParamVector:
 
 def pack(params: RPPIParams) -> ParamVector:
     """Pack (A_L, beta) into the natural parameter vector."""
-    p = params.p
-    d = p - 1
-    diag = np.diag(params.a_l)
-    off = np.array([params.a_l[i, j] for i, j in pair_indices(p)])
-    return ParamVector(np.concatenate([diag, off, 1.0 + params.beta[:d]]))
+    row, col, _ = a_slots(params.p)
+    return ParamVector(np.concatenate([params.a_l[row, col], 1.0 + params.beta[:-1]]))
 
 
 def unpack(pi, kstar: int | None = None, beta_p: float = 0.0) -> RPPIParams:
@@ -243,10 +256,6 @@ def unpack(pi, kstar: int | None = None, beta_p: float = 0.0) -> RPPIParams:
     vec = pi.pi if isinstance(pi, ParamVector) else np.asarray(pi, dtype=float)
     p = dim_from_q(vec.size)
     d = p - 1
-    n_off = d * (d - 1) // 2
-    a = np.zeros((d, d))
-    a[np.diag_indices(d)] = vec[:d]
-    for slot, (i, j) in enumerate(pair_indices(p)):
-        a[i, j] = a[j, i] = vec[d + slot]
-    beta = np.append(vec[d + n_off:] - 1.0, beta_p)
-    return RPPIParams(a_l=a, beta=beta, kstar=kstar if kstar is not None else d)
+    beta = np.append(vec[-d:] - 1.0, beta_p)
+    return RPPIParams(a_l=vec[a_slots(p)[2]], beta=beta,
+                      kstar=kstar if kstar is not None else d)

@@ -56,21 +56,14 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 from .errors import DimensionError, NonConvergenceError, SingularSystemError, WeightError
 from .estimator import assemble, score_stats, solve_system
-from .model import (
-    ParamVector,
-    RPPIParams,
-    as_matrix,
-    pair_indices,
-    q_dim,
-    unpack,
-)
+from .model import ParamVector, RPPIParams, a_slots, as_matrix, q_dim, unpack
+from .suffstats import a_statistic
 
 _TINY = 1e-300
 # Once PATIENCE relative changes have grown instead of shrunk, every
@@ -106,25 +99,13 @@ class RobustConfig:
             raise ValueError("max_iter must be >= 1")
 
 
-@lru_cache(maxsize=None)
-def _akk_slots(p: int, kstar: int) -> np.ndarray:
-    """Packed-vector slot of every A_KK entry, shape (kstar, kstar)."""
-    slots = np.zeros((kstar, kstar), dtype=np.intp)
-    slots[np.diag_indices(kstar)] = range(kstar)
-    for slot, (i, j) in enumerate(pair_indices(p)):
-        if j < kstar:
-            slots[i, j] = slots[j, i] = p - 1 + slot
-    slots.flags.writeable = False  # the cache hands it to every caller
-    return slots
-
-
 def kk_mask(p: int, kstar: int) -> np.ndarray:
     """Boolean mask over the packed vector selecting the A_KK entries."""
     d = p - 1
     if not 1 <= kstar <= d:
         raise DimensionError(f"kstar must be in [1, {d}], got {kstar}")
     mask = np.zeros(q_dim(p), dtype=bool)
-    mask[_akk_slots(p, kstar)] = True
+    mask[a_slots(p)[2][:kstar, :kstar]] = True
     return mask
 
 
@@ -136,7 +117,8 @@ def weight_exponents(U: np.ndarray, pi: np.ndarray, kstar: int, c: float) -> np.
     vectors may be outside the parameter space (for example 1 + beta <= 0).
     """
     uk = U[:, :kstar]
-    return c * np.einsum("nk,kl,nl->n", uk, pi[_akk_slots(U.shape[1], kstar)], uk)
+    akk = pi[a_slots(U.shape[1])[2][:kstar, :kstar]]
+    return c * np.einsum("nk,kl,nl->n", uk, akk, uk)
 
 
 def kk_statistic(U: np.ndarray, kstar: int) -> np.ndarray:
@@ -146,11 +128,9 @@ def kk_statistic(U: np.ndarray, kstar: int) -> np.ndarray:
     weight exponent; every entry outside the A_KK slots is zero.
     """
     n, p = U.shape
-    V = U[:, :kstar]
-    i, j = np.triu_indices(kstar, 1)
     ta = np.zeros((n, q_dim(p)))
-    ta[:, :kstar] = V * V
-    ta[:, _akk_slots(p, kstar)[i, j]] = 2.0 * V[:, i] * V[:, j]
+    col = a_slots(p)[1]  # row <= col, so col < kstar puts a slot in A_KK
+    ta[:, :col.size] = np.where(col < kstar, a_statistic(U), 0.0)
     return ta
 
 
@@ -215,9 +195,11 @@ class PreparedData:
     Holds the rows as :func:`rppi.model.as_matrix` validates them, their
     score statistics at ``beta_p``, and two things that the first fit
     needing them computes: the default start's unweighted solve for each
-    ridge (or the SingularSystemError it raised) and the restart ladder's
-    scale for each kstar.  None of these depends on c, so fits over a c
-    panel from one PreparedData are bit for bit the fits from the rows.
+    ridge and the restart ladder's scale for each kstar.  None of these
+    depends on c, so fits over a c panel from one PreparedData are bit for
+    bit the fits from the rows.  Only a solved start is kept: a singular
+    default start is solved again, and raises again, in each fit that
+    needs it.
     A fit at a nonzero ``beta_p`` takes its rows through here.
     """
 
@@ -232,18 +214,11 @@ class PreparedData:
         """(W_hat, d_hat, pi, cond) of the default start's solve."""
         if ridge not in self._starts:
             w_hat, d_hat = assemble(self.stats, None)
-            try:
-                start = (w_hat, d_hat) + solve_system(w_hat, d_hat, ridge=ridge)
-            except SingularSystemError as exc:
-                start = exc
-            else:
-                for a in start[:3]:
-                    a.flags.writeable = False  # every later fit reads them
+            start = (w_hat, d_hat) + solve_system(w_hat, d_hat, ridge=ridge)
+            for a in start[:3]:
+                a.flags.writeable = False  # every later fit reads them
             self._starts[ridge] = start
-        start = self._starts[ridge]
-        if isinstance(start, SingularSystemError):
-            raise start.with_traceback(None)
-        return start
+        return self._starts[ridge]
 
     def _restart_scale(self, kstar: int) -> float:
         """The 98% quantile of |u_K|^2 over the rows (see _failover_inits)."""
@@ -370,13 +345,12 @@ def _failover_inits(data: PreparedData, config: RobustConfig) -> Iterator[np.nda
     if c == 0.0:
         return
     p = data.rows.shape[1]
-    d = p - 1
     scale = data._restart_scale(config.kstar)
     for strength in (4.0, 64.0, 1024.0):
         kappa = strength / (c * scale)
         vec = np.zeros(q_dim(p))
         vec[:config.kstar] = -kappa
-        vec[d + (d * (d - 1)) // 2:] = 1.0  # beta = 0
+        vec[-(p - 1):] = 1.0  # beta = 0
         yield vec
 
 

@@ -77,25 +77,12 @@ def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
     return parent.spawn(n)
 
 
-def quad_max_simplex(a_l, *, face: bool = False) -> float:
-    """Exact maximum of v' A v over {v >= 0, sum(v) <= 1}.
+def quad_max_simplex(a_l) -> float:
+    """Exact maximum M_face of v' A v over the face {v >= 0, sum(v) = 1}.
 
-    With ``face=True``, the maximum M_face over the face {v >= 0,
-    sum(v) = 1} alone, which may be negative; the default is
-    max(0, M_face), the origin's value 0 included.  ``sample_rppi`` asks
-    for M_face and takes M+ from it, so the faces are enumerated once per
-    sampler run.
-    """
-    a = np.asarray(a_l, dtype=float)
-    d = a.shape[0]
-    if a.shape != (d, d):
-        raise DimensionError(f"interaction matrix must be square, got {a.shape}")
-    m_face = _face_max(a)
-    return m_face if face else max(0.0, m_face)
-
-
-def _face_max(a: np.ndarray) -> float:
-    """Exact maximum of v' A v over {v >= 0, sum(v) = 1}.
+    M_face may be negative; the maximum M+ over {v >= 0, sum(v) <= 1} is
+    max(0, M_face), the origin's value 0 included, which ``sample_rppi``
+    takes from it, so the faces are enumerated once per sampler run.
 
     For every nonempty subset T, the critical point of the quadratic on
     the face {sum_T v = 1, v_T > 0} solves A_TT z = 1 up to scale.
@@ -112,7 +99,10 @@ def _face_max(a: np.ndarray) -> float:
     the finiteness test drops, and the maximum does not depend on order,
     so the result equals a face-by-face loop bit for bit.
     """
+    a = np.asarray(a_l, dtype=float)
     d = a.shape[0]
+    if a.shape != (d, d):
+        raise DimensionError(f"interaction matrix must be square, got {a.shape}")
     best = float(np.max(np.diag(a)))
     for size in range(2, d + 1):
         ones = np.ones((1, size, 1))
@@ -203,7 +193,7 @@ def sample_rppi(params: RPPIParams, n: int, seed=None) -> tuple[np.ndarray, Samp
     alpha_l, alpha_p = alpha[:d], float(alpha[d])
     a_sum = float(alpha_l.sum())
     by_inversion = alpha_p == 1.0  # s ~ Beta(a_sum, 1) has CDF s^a_sum
-    face = quad_max_simplex(params.a_l, face=True)
+    face = quad_max_simplex(params.a_l)
     envelope = max(0.0, face)
     kept: list[np.ndarray] = []
     n_acc = 0

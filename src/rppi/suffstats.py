@@ -14,7 +14,11 @@ first and second partial derivatives of t with respect to each y_j.
 Using du_i/dy_j = u_i (delta_ij - u_j), both collapse to short closed
 forms in u.  R stacks the gradients (one column per y_j) and S the
 pure second derivatives; all entries are polynomials in u, so both stay
-finite on the closed simplex (zeros included).
+finite on the closed simplex (zeros included).  Every A_L entry of t,
+u_i^2 and 2 u_i u_j alike, is t_ij = m_ij u_i u_j with
+dt_ij/dy = t_ij (delta_i + delta_j - 2 u), so R and S each have two row
+blocks: one formula over the A_L slots of
+:func:`rppi.model.a_slots`, the layout's one owner, and the log rows.
 
 Per observation the estimating equations use
 
@@ -23,6 +27,7 @@ Per observation the estimating equations use
 
 Each piece is written once:
 
+* the A_L part of t is :func:`a_statistic`;
 * R and S are defined in :func:`r_matrix_batch` and
   :func:`s_matrix_batch`;
 * d1 is formed from them in :func:`d1_batch`;
@@ -40,71 +45,63 @@ validated once by :func:`rppi.model.as_matrix` where data enters.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .model import pair_indices
+from .model import a_slots
 
 
-@lru_cache(maxsize=None)
-def _pair_arrays(p: int) -> tuple[np.ndarray, np.ndarray]:
-    pairs = pair_indices(p)
-    i = np.array([a for a, _ in pairs], dtype=np.intp)
-    j = np.array([b for _, b in pairs], dtype=np.intp)
-    return i, j
+def a_statistic(U) -> np.ndarray:
+    """The A_L part of t(u) for every row of U: shape (n, d(d+1)/2), d = p - 1.
+
+    Entry s of a row is t_ij = m_ij u_i u_j at the slot of a_ij, with
+    m_ij = 1 on the diagonal and 2 on the pairs, so that t' pi_A is
+    u_L' A_L u_L.  The product u_i u_j is rounded before the exact
+    doubling.
+    """
+    row, col, _ = a_slots(U.shape[1])
+    return U[:, row] * U[:, col] * np.where(row == col, 1.0, 2.0)
 
 
 def r_matrix_batch(U) -> np.ndarray:
     """First log-ratio derivatives of t: shape (n, q, p-1).
 
-    Row blocks follow the packed layout.  With delta the Kronecker
-    symbol against the column index:
+    Two row blocks, in the packed layout.  With t_ij from
+    :func:`a_statistic` and delta the Kronecker symbol against the
+    column index:
 
-        diagonal a_ii rows:   2 u_i^2 (delta_i. - u_.)
-        pair a_ij rows:       2 u_i u_j (delta_i. + delta_j. - 2 u_.)
-        log rows:             delta_i. - u_.
+        A_L rows (slot of a_ij):  t_ij (delta_i. + delta_j. - 2 u_.)
+        log rows:                 delta_i. - u_.
     """
     n, p = U.shape
-    d = p - 1
-    I, J = _pair_arrays(p)
-    V = U[:, :d]
-    eye = np.eye(d)
-    d_diag = eye[None, :, :] - V[:, None, :]
-    d_pair = (eye[I] + eye[J])[None, :, :] - 2.0 * V[:, None, :]
-    P = V[:, I] * V[:, J]
-    r_a = 2.0 * (V * V)[:, :, None] * d_diag
-    r_b = 2.0 * P[:, :, None] * d_pair
-    r_c = np.broadcast_to(d_diag, (n, d, d))
-    return np.concatenate([r_a, r_b, r_c], axis=1)
+    row, col, _ = a_slots(p)
+    V = U[:, :-1]
+    eye = np.eye(p - 1)
+    step = (eye[row] + eye[col])[None, :, :] - 2.0 * V[:, None, :]
+    return np.concatenate([a_statistic(U)[:, :, None] * step,
+                           eye[None, :, :] - V[:, None, :]], axis=1)
 
 
 def s_matrix_batch(U) -> np.ndarray:
     """Second log-ratio derivatives of t: shape (n, q, p-1).
 
-    Per block, with delta the Kronecker symbol against the column index:
+    Two row blocks, in the packed layout, with t_ij and delta as in
+    :func:`r_matrix_batch` and D = delta_i. + delta_j. - 2 u_.:
 
-        diagonal a_ii rows: 4 u_i^2 (delta_i. - u_.)^2 - 2 u_i^2 u_.(1 - u_.)
-        pair a_ij rows:     2 u_i u_j (delta_i. + delta_j. - 2 u_.)^2
-                            - 4 u_i u_j u_.(1 - u_.)
-        log rows:           -u_.(1 - u_.)
+        A_L rows (slot of a_ij):  t_ij D^2 - 2 t_ij u_.(1 - u_.)
+        log rows:                 -u_.(1 - u_.)
 
-    The quadratic-in-delta forms expand to the same polynomials case by
-    case (column equal to i, equal to j, or neither).
+    Differentiating t_ij D once more in y gives t_ij D^2 from t_ij and
+    -2 t_ij u_.(1 - u_.) from D, since du_./dy_. = u_.(1 - u_.).
     """
     n, p = U.shape
-    d = p - 1
-    I, J = _pair_arrays(p)
-    V = U[:, :d]
-    eye = np.eye(d)
+    row, col, _ = a_slots(p)
+    V = U[:, :-1]
+    eye = np.eye(p - 1)
     curv = (V * (1.0 - V))[:, None, :]
-    d_diag = eye[None, :, :] - V[:, None, :]
-    d_pair = (eye[I] + eye[J])[None, :, :] - 2.0 * V[:, None, :]
-    P = V[:, I] * V[:, J]
-    s_a = 4.0 * (V * V)[:, :, None] * d_diag ** 2 - 2.0 * (V * V)[:, :, None] * curv
-    s_b = 2.0 * P[:, :, None] * d_pair ** 2 - 4.0 * P[:, :, None] * curv
-    s_c = np.broadcast_to(-curv, (n, d, d))
-    return np.concatenate([s_a, s_b, s_c], axis=1)
+    step = (eye[row] + eye[col])[None, :, :] - 2.0 * V[:, None, :]
+    t = a_statistic(U)[:, :, None]
+    return np.concatenate([t * step ** 2 - 2.0 * t * curv,
+                           np.broadcast_to(-curv, (n, p - 1, p - 1))], axis=1)
 
 
 def d1_batch(U: np.ndarray, R: np.ndarray, S: np.ndarray,

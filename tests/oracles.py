@@ -63,6 +63,33 @@ def fd_stat_second(u, h=1e-4):
     return np.column_stack(cols)
 
 
+def rs_blocks_ref(u):
+    """R and S of one row in three row blocks, entry by entry in the
+    packed order: the a_ii rows 2 u_i^2 (delta - u_j) and
+    4 u_i^2 (delta - u_j)^2 - 2 u_i^2 u_j (1 - u_j), the a_ik rows
+    2 u_i u_k (delta_ij + delta_kj - 2 u_j) and its square form, then the
+    log rows delta - u_j and -u_j (1 - u_j).  Python floats, so every
+    product and sum is one IEEE operation in the order written."""
+    u = [float(x) for x in u]
+    d = len(u) - 1
+    R, S = [], []
+    for i in range(d):
+        sq = u[i] * u[i]
+        R.append([2.0 * sq * ((i == j) - u[j]) for j in range(d)])
+        S.append([4.0 * sq * (((i == j) - u[j]) * ((i == j) - u[j]))
+                  - 2.0 * sq * (u[j] * (1.0 - u[j])) for j in range(d)])
+    for i, k in combinations(range(d), 2):
+        prod = u[i] * u[k]
+        step = [((i == j) + (k == j)) - 2.0 * u[j] for j in range(d)]
+        R.append([2.0 * prod * step[j] for j in range(d)])
+        S.append([2.0 * prod * (step[j] * step[j]) - 4.0 * prod * (u[j] * (1.0 - u[j]))
+                  for j in range(d)])
+    for i in range(d):
+        R.append([(i == j) - u[j] for j in range(d)])
+        S.append([-(u[j] * (1.0 - u[j])) for j in range(d)])
+    return np.array(R), np.array(S)
+
+
 def quadrature_nodes(params, order=80):
     """Tensor Gauss-Jacobi rule for the p=3 model density.
 

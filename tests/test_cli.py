@@ -499,6 +499,22 @@ def test_influence_grid_sweep(counts_csv, tmp_path, capsys):
     assert "sup |IF|" in capsys.readouterr().out
 
 
+def test_influence_refuses_a_simplex_grid_over_its_bound(tmp_path, capsys):
+    # p = 10 at the default resolution 20 has C(29, 9) = 10,015,005 points
+    rows = np.random.default_rng(19).dirichlet(np.full(10, 2.0), size=300)
+    data = tmp_path / "p10.csv"
+    np.savetxt(data, rows, delimiter=",")
+    fit_out = str(tmp_path / "p10fit")
+    assert main(["fit", str(data), "--out", fit_out]) == 0
+    capsys.readouterr()
+    code = main(["influence", fit_out + ".json", "--out", str(tmp_path / "big")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: a simplex grid of resolution 20 at p=10 has "
+                                "10,015,005 points, more than 1,000,000"]
+    assert not list(tmp_path.glob("big*"))
+
+
 def test_influence_accepts_explicit_points(counts_csv, tmp_path):
     fit_out = run_fit(counts_csv, tmp_path, c="0", name="zfit")
     out = str(tmp_path / "zi")

@@ -380,3 +380,16 @@ def test_simplex_grid_counts_and_boundary():
         assert np.any(np.all(grid == vertex, axis=1))
     grid5 = simplex_grid(5, 20)
     assert grid5.shape[0] == 10626
+
+
+def test_simplex_grid_is_counted_before_it_is_built():
+    assert inference.MAX_SIMPLEX_POINTS == 1_000_000
+    tracemalloc.start()
+    try:
+        for p, count in ((17, "7,307,872,110"), (10, "10,015,005")):
+            with pytest.raises(ValueError, match=f"has {count} points"):
+                simplex_grid(p, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # nothing of the grid was allocated

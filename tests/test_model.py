@@ -6,15 +6,16 @@ from rppi.model import (
     CountDataset,
     ParamVector,
     RPPIParams,
+    a_slots,
     as_matrix,
     dim_from_q,
     pack,
-    pair_indices,
     param_labels,
     proportions,
     q_dim,
     unpack,
 )
+from rppi.robust import kk_mask
 
 
 def random_params(rng, p):
@@ -36,9 +37,43 @@ def test_dim_from_q_rejects_lengths_that_fit_no_p():
             dim_from_q(bad)
 
 
-def test_pair_indices_are_lexicographic():
-    assert pair_indices(4) == [(0, 1), (0, 2), (1, 2)]
-    assert pair_indices(5) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+def test_a_slots_put_the_diagonal_first_then_the_pairs_in_lexicographic_order():
+    row, col, slot = a_slots(4)
+    assert list(zip(row, col)) == [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+    pairs = list(zip(*a_slots(5)[:2]))[4:]
+    assert pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert np.array_equal(slot, [[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+    for a in (row, col, slot):
+        assert not a.flags.writeable  # the cache hands them to every caller
+    assert a_slots(4)[2] is slot
+
+
+def test_layout_round_trips_and_labels_every_slot():
+    rng = np.random.default_rng(43)
+    for p in range(3, 18):
+        d = p - 1
+        row, col, slot = a_slots(p)
+        labels = param_labels(p)
+        assert len(set(labels)) == len(labels) == q_dim(p)
+        # slot (i, j) holds a_{i+1}{j+1}, and slot[i, j] points back at it
+        for s, (i, j) in enumerate(zip(row, col)):
+            assert labels[s] == f"a_{i + 1}{j + 1}"
+            assert slot[i, j] == slot[j, i] == s
+        assert labels[row.size:] == [f"beta_{j + 1}" for j in range(d)]
+        # A_L round-trips bit for bit; 1 + beta only through its own
+        # rounding, (1 + beta) - 1 one way and (v - 1) + 1 the other
+        params = random_params(rng, p)
+        back = unpack(pack(params))
+        assert back.a_l.tobytes() == params.a_l.tobytes()
+        assert back.beta.tobytes() == np.append((1.0 + params.beta[:-1]) - 1.0, 0.0).tobytes()
+        x = rng.normal(size=q_dim(p))
+        x[-d:] = rng.uniform(0.1, 3.0, size=d)  # 1 + beta > 0
+        again = pack(unpack(x)).pi
+        assert again[:-d].tobytes() == x[:-d].tobytes()
+        assert again[-d:].tobytes() == ((x[-d:] - 1.0) + 1.0).tobytes()
+        for kstar in range(1, p):
+            names = {f"a_{i + 1}{j + 1}" for i in range(kstar) for j in range(i, kstar)}
+            assert np.array_equal(kk_mask(p, kstar), [lab in names for lab in labels])
 
 
 def test_param_labels_order_matches_packing():

@@ -10,7 +10,7 @@ import pytest
 import rppi.estimator as estimator
 import rppi.robust as robust
 import rppi.study as study
-from rppi.errors import RPPIError
+from rppi.errors import RPPIError, SingularSystemError
 from rppi.estimator import assemble, score_stats
 from rppi.inference import tune_c
 from rppi.model import CountDataset, ParamVector, RPPIParams, as_matrix
@@ -94,6 +94,20 @@ def test_ridges_do_not_share_a_start():
             fresh = outcome(fit_robust, u, cfg, **kwargs)
             assert isinstance(fresh, dict)
             assert outcome(fit_robust, data, cfg, **kwargs) == fresh, (c, kwargs)
+
+
+def test_a_singular_plain_start_fails_each_fit_as_a_fresh_fit_does():
+    # 50 copies of one row: the plain solve is singular (cond inf), so
+    # every start fails, and a shared PreparedData keeps no failed start
+    u = np.tile([0.2, 0.3, 0.5], (50, 1))
+    data = PreparedData(u)
+    for c in FULL_GRID:
+        cfg = RobustConfig(c=c, kstar=2)
+        fresh = outcome(fit_robust, PreparedData(u), cfg)
+        assert fresh[0] is SingularSystemError
+        assert outcome(fit_robust, data, cfg) == fresh, c
+    assert outcome(fit_robust, u, RobustConfig(c=0.0, kstar=2))[1] == (
+        "equilibrated system condition number inf exceeds 1e+12")
 
 
 def test_a_weighted_fit_with_a_ridge_solves_the_ridged_equation():

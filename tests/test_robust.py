@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from rppi.errors import (DegeneracyWarning, DimensionError, NonConvergenceError,
                          SingularSystemError, WeightError)
 from rppi.estimator import CHUNK, assemble, score_stats, solve_system
 from rppi.inference import influence
-from rppi.model import RPPIParams, as_matrix, pack, pair_indices, q_dim
+from rppi.model import RPPIParams, as_matrix, pack, q_dim
 from rppi.robust import PreparedData, RobustConfig, fit_robust, kk_mask, kk_statistic
 from rppi.sampling import contaminate, rng_from, sample_rppi, spawn_seeds
 from rppi.study import DATASET2_OUTLIER, dataset2_truth, preset_scenario
@@ -72,7 +73,7 @@ def test_masked_statistic_zeroes_everything_outside_kk():
     # log block always zero
     assert np.all(Ta[:, -d:] == 0.0)
     # pair entries live only when both indices sit inside K
-    for col, (i, j) in enumerate(pair_indices(5)):
+    for col, (i, j) in enumerate(combinations(range(d), 2)):
         got = Ta[:, d + col]
         if i < kstar and j < kstar:
             assert np.array_equal(got, T[:, d + col])
@@ -405,7 +406,7 @@ def _plain_factors(U, pi, kstar, c):
     p = U.shape[1]
     akk = np.zeros((kstar, kstar))
     akk[np.diag_indices(kstar)] = pi[:kstar]
-    for slot, (i, j) in enumerate(pair_indices(p)):
+    for slot, (i, j) in enumerate(combinations(range(p - 1), 2)):
         if j < kstar:
             akk[i, j] = akk[j, i] = pi[p - 1 + slot]
     expo = c * np.einsum("nk,kl,nl->n", U[:, :kstar], akk, U[:, :kstar])
@@ -416,7 +417,7 @@ def _plain_run(U, stats, cfg, pi_prev, accelerate=True):
     c, p = cfg.c, U.shape[1]
     mask = np.zeros(q_dim(p), dtype=bool)
     mask[:cfg.kstar] = True
-    for slot, (i, j) in enumerate(pair_indices(p)):
+    for slot, (i, j) in enumerate(combinations(range(p - 1), 2)):
         mask[p - 1 + slot] = j < cfg.kstar
     if pi_prev is None:
         pi_prev, cond = _plain_solve(*_plain_assemble(stats, None))

@@ -34,8 +34,8 @@ EDGE_PARAMS = RPPIParams(a_l=[[1.0, 2.0], [2.0, 1.0]], beta=[0.5, -0.3, 1.0])
 
 
 def test_quad_max_handles_known_cases():
-    # negative definite: supremum sits at the origin vertex
-    assert quad_max_simplex([[-3.0, 0.5], [0.5, -1.0]]) == 0.0
+    # negative definite: M_face < 0, so M+ sits at the origin vertex
+    assert max(0.0, quad_max_simplex([[-3.0, 0.5], [0.5, -1.0]])) == 0.0
     # positive diagonal: a vertex of the L block wins
     assert quad_max_simplex([[2.0, 0.0], [0.0, 5.0]]) == 5.0
     # indefinite with an off-vertex maximum on the unit-sum face
@@ -48,7 +48,7 @@ def test_quad_max_dominates_a_dense_grid():
         for _ in range(6):
             B = rng.normal(scale=3.0, size=(d, d))
             A = (B + B.T) / 2.0
-            M = quad_max_simplex(A)
+            M = max(0.0, quad_max_simplex(A))
             assert M >= quad_max_grid(A, 60) - 1e-9
 
 
@@ -70,19 +70,19 @@ def envelope_cases():
 def test_quad_max_equals_the_face_by_face_loop(monkeypatch):
     for A in envelope_cases():
         want = quad_max_faces_ref(A)
-        assert quad_max_simplex(A) == want
+        assert max(0.0, quad_max_simplex(A)) == want
         with monkeypatch.context() as m:
             # chunk edges, partial last chunks, stacks with singular faces
             m.setattr(sampling, "FACE_CHUNK", 3)
-            assert quad_max_simplex(A) == want
+            assert max(0.0, quad_max_simplex(A)) == want
 
 
 def test_face_max_is_the_face_loop_without_the_origin():
     for A in (A for A in envelope_cases() if len(A) <= 8):
-        face = quad_max_simplex(A, face=True)
+        face = quad_max_simplex(A)
         assert face == quad_max_faces_ref(A, origin=False)
-        assert max(0.0, face) == quad_max_simplex(A)
-    assert quad_max_simplex(dataset2_truth().a_l, face=True) == -141.924
+        assert max(0.0, face) == quad_max_faces_ref(A)
+    assert quad_max_simplex(dataset2_truth().a_l) == -141.924
 
 
 def test_quad_max_solves_each_face_size_in_one_stack(monkeypatch):
@@ -100,7 +100,7 @@ def test_quad_max_solves_each_face_size_in_one_stack(monkeypatch):
     dup[:, 1], dup[1, :] = dup[:, 0], dup[0, :]  # every face holding both copies is singular
     for A in (plain, dup):
         calls.clear()
-        M = quad_max_simplex(A)
+        M = max(0.0, quad_max_simplex(A))
         # face sizes 2..10, each at most C(10, 5) = 252 faces in one
         # stack, with a right-hand side of the stack's rank
         assert calls == [(3, 3)] * 9

@@ -1,6 +1,6 @@
 import numpy as np
 
-from oracles import fd_stat_jacobian, fd_stat_second
+from oracles import fd_stat_jacobian, fd_stat_second, rs_blocks_ref
 from rppi.estimator import residuals, score_stats
 from rppi.model import q_dim
 from rppi.suffstats import r_matrix_batch, s_matrix_batch
@@ -25,6 +25,25 @@ def test_kernels_evaluate_exactly_the_rows_they_are_given():
     assert np.array_equal(R[:, :d], 2.0 * (V * V)[:, :, None] * step)
     assert np.array_equal(R[:, q - d:], step)
     assert np.array_equal(S[:, q - d:], np.broadcast_to(-curv, (200, d, d)))
+
+
+def test_kernels_are_the_three_block_loops_byte_for_byte():
+    # one A_L formula t_ij (delta_i + delta_j - 2u) rounds as the
+    # separate diagonal and pair forms do: it only moves factors of two
+    rng = np.random.default_rng(18)
+    for p in range(3, 18):
+        interior = rng.dirichlet(10.0 ** rng.uniform(-2, 3, size=p), size=4)
+        zeros = rng.dirichlet(np.full(p, 1.5), size=4)
+        zeros[rng.random(zeros.shape) < 0.3] = 0.0
+        zeros[:, 0] += 0.1  # no all-zero row
+        vertex = rng.dirichlet(np.r_[5000.0, np.ones(p - 1)], size=4)
+        tiny = rng.dirichlet(np.full(p, 0.01), size=4)  # entries far below 1e-150
+        for U in (interior, zeros / zeros.sum(axis=1, keepdims=True), vertex, tiny):
+            R, S = r_matrix_batch(U), s_matrix_batch(U)
+            for i, u in enumerate(U):
+                R_ref, S_ref = rs_blocks_ref(u)
+                assert R[i].tobytes() == R_ref.tobytes(), (p, i)
+                assert S[i].tobytes() == S_ref.tobytes(), (p, i)
 
 
 def test_r_matrix_matches_finite_differences():
