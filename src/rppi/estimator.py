@@ -27,11 +27,11 @@ the BLAS thread count (a threaded GEMM splits its output columns by
 thread count and rounds their edges differently).  The rounding error
 sits in each chunk's einsum over up to CHUNK rows, not in the sum of a
 few dozen chunk partials, so the chunks are summed plainly.
-The solve equilibrates the system symmetrically by its diagonal and
-diagonalizes it with one symmetric eigendecomposition; the condition
-number reported (and checked against the rejection threshold) is that
-of the equilibrated matrix, which is the meaningful one at these
-scales.
+The solve equilibrates the system symmetrically to a unit diagonal and
+checks it by its Cholesky pivots before an LU solve;
+:func:`condition_number` takes the eigenvalues of the same equilibrated
+matrix, whose condition number is the one that matters at these scales,
+once per fit: for the system that the fit returns.
 """
 
 from __future__ import annotations
@@ -121,58 +121,84 @@ def residuals(stats: ScoreStats, x: np.ndarray, start: int = 0,
     return np.einsum("qnj,nj->nq", r, np.einsum("qnj,q->nj", r, x)) - d1
 
 
-def solve_system(w_hat: np.ndarray, d_hat: np.ndarray, ridge: float = 0.0,
-                 ) -> tuple[np.ndarray, float]:
-    """Solve W_hat pi = d_hat with diagonal equilibration.
-
-    Returns (pi, condition number of the equilibrated system).  Rows with
-    an exactly zero diagonal (where each row of the data is zero in that
-    statistic or has zero weight: an all-zero component column, or
-    weights of the reweighting loop that underflow on the rows carrying
-    it) are dropped from the solve and their parameters pinned to zero,
-    with a DegeneracyWarning; otherwise the full matrix is equilibrated
-    as it is.  A ``ridge`` that is negative or not finite raises
-    ValueError.
+def _equilibrated(w_hat: np.ndarray, ridge: float):
+    """(matrix, scale, keep): the ridged W_hat without its rows and
+    columns of zero diagonal, scaled by ``scale`` on both sides to a unit
+    diagonal.  ``keep`` marks the rows kept, None when every row is.
+    A ``ridge`` that is negative or not finite raises ValueError.
     """
     if not 0.0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
-    q = w_hat.shape[0]
     if ridge > 0.0:
-        w_hat = w_hat + ridge * np.eye(q)
+        w_hat = w_hat + ridge * np.eye(w_hat.shape[0])
     diag = w_hat.diagonal()
-    full = diag.min() > 0.0
-    if not full:
+    keep = None
+    if not diag.min() > 0.0:
         keep = diag > 0.0
-        degenerate = np.nonzero(diag <= 0.0)[0]
-        if degenerate.size:
-            labels = param_labels(dim_from_q(q))
-            names = ", ".join(labels[i] for i in degenerate)
-            warnings.warn(
-                f"statistics for {names} vanish: each row is zero in them or has "
-                "zero weight; pinning them to zero",
-                DegeneracyWarning,
-                stacklevel=2,
-            )
         w_hat = w_hat[np.ix_(keep, keep)]
-        d_hat = d_hat[keep]
         diag = diag[keep]
     scale = 1.0 / np.sqrt(diag)
-    # np.linalg.eigh's own gufunc, without its wrapper: the matrix is a
-    # float64 square, and a failed decomposition (numpy warns of an invalid
-    # value) or a NaN entry leaves NaN eigenvalues, which the check rejects
-    lam, vec = _umath_linalg.eigh_lo(w_hat * scale[:, None] * scale[None, :],
-                                     signature="d->dd")
-    # the 2-norm condition number of a positive definite matrix; any
-    # other matrix (or none left to solve) is not a usable system
+    return w_hat * scale[:, None] * scale[None, :], scale, keep
+
+
+def solve_system(w_hat: np.ndarray, d_hat: np.ndarray, ridge: float = 0.0) -> np.ndarray:
+    """Solve (W_hat + ridge I) pi = d_hat with diagonal equilibration.
+
+    Rows with an exactly zero diagonal (where each row of the data is
+    zero in that statistic or has zero weight: an all-zero component
+    column, or weights of the reweighting loop that underflow on the
+    rows carrying it) are dropped from the solve and their parameters
+    pinned to zero, with a DegeneracyWarning; otherwise the full matrix
+    is equilibrated as it is.  A Cholesky pivot L_ii^2 of the
+    equilibrated matrix under 1 / COND_MAX, or NaN (the matrix is not
+    positive definite), raises SingularSystemError: the matrix has a
+    unit diagonal, so its largest eigenvalue is at least 1 and its
+    smallest at most any pivot, and its condition number exceeds
+    COND_MAX.  A matrix whose pivots pass may still exceed it;
+    :func:`condition_number` tells.
+    """
+    a, scale, keep = _equilibrated(w_hat, ridge)
+    if keep is not None:
+        d_hat = d_hat[keep]
+        labels = param_labels(dim_from_q(keep.size))
+        names = ", ".join(labels[i] for i in np.nonzero(~keep)[0])
+        warnings.warn(
+            f"statistics for {names} vanish: each row is zero in them or has "
+            "zero weight; pinning them to zero",
+            DegeneracyWarning,
+            stacklevel=2,
+        )
+    # np.linalg's own gufuncs, without their wrappers: the matrix is a
+    # float64 square, and a failed factorization leaves NaN, not an error
+    with np.errstate(invalid="ignore"):
+        low = _umath_linalg.cholesky_lo(a, signature="d->d")
+    pivot = float(low.diagonal().min()) ** 2 if low.size else 0.0
+    if not pivot >= 1.0 / COND_MAX:  # also catches nan
+        raise SingularSystemError(
+            f"equilibrated system's smallest Cholesky pivot {pivot:.3e} puts its "
+            f"condition number over {COND_MAX:.0e}")
+    z = scale * _umath_linalg.solve1(a, scale * d_hat, signature="dd->d")
+    if keep is None:
+        return z
+    pi = np.zeros(keep.size)
+    pi[keep] = z
+    return pi
+
+
+def condition_number(w_hat: np.ndarray, ridge: float = 0.0) -> float:
+    """The 2-norm condition number of the system :func:`solve_system`
+    solves, from the eigenvalues of its equilibrated matrix; over
+    COND_MAX (inf when that matrix is not positive definite or empty, nan
+    when its eigendecomposition fails) raises SingularSystemError.
+    """
+    a = _equilibrated(w_hat, ridge)[0]
+    # eigh's gufunc, not eigvalsh's, whose eigenvalues differ in their
+    # last bits: the condition numbers reported and checked stay eigh's
+    lam = _umath_linalg.eigh_lo(a, signature="d->dd")[0]
     cond = float(lam[-1] / lam[0]) if lam.size and lam[0] > 0.0 else float("inf")
-    if not cond <= COND_MAX:  # also catches inf and nan
+    if not cond <= COND_MAX:  # also catches nan
         raise SingularSystemError(
             f"equilibrated system condition number {cond:.3e} exceeds {COND_MAX:.0e}",
             condition_number=cond,
         )
-    z = scale * (vec @ ((vec.T @ (scale * d_hat)) / lam))
-    if full:
-        return z, cond
-    pi = np.zeros(q)
-    pi[keep] = z
-    return pi, cond
+    return cond

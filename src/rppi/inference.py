@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -344,15 +344,15 @@ def influence(z, pi0, reference, c: float, kstar: int,
         raise ValueError("z dimension does not match the reference sample")
     h = np.where(kk_mask(p, kstar), 1.0 + c, 1.0)
     x = h * pi_vec
-    w_hat, shift, total = normalized_weights(ref, pi_vec, kstar, c)
+    ta = kk_statistic(ref, kstar)
+    w_hat, shift, total = normalized_weights(ta, pi_vec, c)
 
     stats = estimator.score_stats(ref, beta_p)
     g = estimator.assemble(stats, w_hat)[0] * h[None, :]
     for start in range(0, n, estimator.CHUNK):
         stop = start + estimator.CHUNK
         e = estimator.residuals(stats, x, start, stop)
-        ta = kk_statistic(ref[start:stop], kstar)
-        g += c * np.einsum("n,nq,nr->qr", w_hat[start:stop], e, ta)
+        g += c * np.einsum("n,nq,nr->qr", w_hat[start:stop], e, ta[start:stop])
     if not np.all(np.isfinite(g)):
         raise SingularGError("sensitivity matrix has non-finite entries")
 
@@ -373,7 +373,9 @@ def influence(z, pi0, reference, c: float, kstar: int,
         raise SingularGError(f"sensitivity matrix condition {cond:.3e} "
                              f"exceeds {G_COND_MAX:.0e}")
 
-    z_expo = weight_exponents(Z, pi_vec, kstar, c)
+    z_expo = np.concatenate([
+        weight_exponents(kk_statistic(Z[start:start + estimator.CHUNK], kstar), pi_vec, c)
+        for start in range(0, Z.shape[0], estimator.CHUNK)])
     over = np.nonzero(z_expo - shift > np.log(np.finfo(float).max * (total / n)))[0]
     if over.size:
         i = int(over[0])
@@ -410,8 +412,9 @@ def simplex_grid(p: int, resolution: int) -> np.ndarray:
     if total > MAX_SIMPLEX_POINTS:
         raise ValueError(f"a simplex grid of resolution {resolution} at p={p} has "
                          f"{total:,} points, more than {MAX_SIMPLEX_POINTS:,}")
-    out = np.empty((total, p))
-    for row, bars in enumerate(combinations(range(resolution + p - 1), p - 1)):
-        edges = (-1,) + bars + (resolution + p - 1,)
-        out[row] = [edges[i + 1] - edges[i] - 1 for i in range(p)]
-    return out / resolution
+    # stars and bars: the p - 1 bar positions of each row, in lexicographic
+    # order, and the stars between consecutive bars
+    bars = np.fromiter(chain.from_iterable(combinations(range(resolution + p - 1), p - 1)),
+                       dtype=np.int64, count=total * (p - 1)).reshape(total, p - 1)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, resolution + p - 1))
+    return (np.diff(edges, axis=1) - 1) / resolution

@@ -41,8 +41,16 @@ by at most tol relative (the stop rule).  That rule leaves the plain
 loop's error along its slowest mode, where the residual of the ridged
 weighted equation (below) is small, but an Anderson point's along any
 mode, so once Anderson steps have begun the point's residual must also
-be under RESIDUAL * max |d_hat|.  The stop point's weights, W_hat, d_hat
-and condition number are the fit's: nothing is evaluated after the loop.
+be under RESIDUAL * max |d_hat|.  The stop point's weights, W_hat and
+d_hat are the fit's: nothing is assembled after the loop.
+
+Each iteration reads its weight exponents c t_a(u)' pi from the rows'
+A_KK statistic, which :class:`PreparedData` keeps, and its solve checks
+the system by its Cholesky pivots alone, which never turns down a system
+that its eigenvalues would pass.  The stop point's system gets the one
+eigendecomposition of a start: :func:`rppi.estimator.condition_number`
+gives the fit's condition number and raises, like a failed solve, over
+COND_MAX.
 
 At a fixed point, H pi_hat = pi_tilde with H = diag(1 + c on the A_KK
 entries, 1 elsewhere), so the weighted estimating equation
@@ -61,7 +69,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimensionError, NonConvergenceError, SingularSystemError, WeightError
-from .estimator import assemble, score_stats, solve_system
+from .estimator import assemble, condition_number, score_stats, solve_system
 from .model import ParamVector, RPPIParams, a_slots, as_matrix, q_dim, unpack
 from .suffstats import a_statistic
 
@@ -109,23 +117,12 @@ def kk_mask(p: int, kstar: int) -> np.ndarray:
     return mask
 
 
-def weight_exponents(U: np.ndarray, pi: np.ndarray, kstar: int, c: float) -> np.ndarray:
-    """Weight exponents c u_K' A_KK u_K of every row of U, for the fit and
-    :func:`rppi.inference.influence` alike.
-
-    A_KK is read from the packed pi without validation: mid-iteration
-    vectors may be outside the parameter space (for example 1 + beta <= 0).
-    """
-    uk = U[:, :kstar]
-    akk = pi[a_slots(U.shape[1])[2][:kstar, :kstar]]
-    return c * np.einsum("nk,kl,nl->n", uk, akk, uk)
-
-
 def kk_statistic(U: np.ndarray, kstar: int) -> np.ndarray:
     """The A_KK part t_a(u) of every row's sufficient statistic, shape (n, q).
 
-    t_a(u)' pi = u_K' A_KK u_K, so c t_a(u) is the gradient of the row's
-    weight exponent; every entry outside the A_KK slots is zero.
+    t_a(u)' pi = u_K' A_KK u_K, so c t_a(u)' pi is the row's weight
+    exponent and c t_a(u) its gradient; every entry outside the A_KK
+    slots is zero.
     """
     n, p = U.shape
     ta = np.zeros((n, q_dim(p)))
@@ -134,17 +131,29 @@ def kk_statistic(U: np.ndarray, kstar: int) -> np.ndarray:
     return ta
 
 
-def normalized_weights(U: np.ndarray, pi: np.ndarray, kstar: int,
+def weight_exponents(ta: np.ndarray, pi: np.ndarray, c: float) -> np.ndarray:
+    """Weight exponents c t_a(u)' pi = c u_K' A_KK u_K of the rows whose
+    :func:`kk_statistic` is ``ta``, for the fit and
+    :func:`rppi.inference.influence` alike.
+
+    A_KK is read from the packed pi without validation: mid-iteration
+    vectors may be outside the parameter space (for example 1 + beta <= 0).
+    """
+    return c * np.einsum("nq,q->n", ta, pi)
+
+
+def normalized_weights(ta: np.ndarray, pi: np.ndarray,
                        c: float) -> tuple[np.ndarray, float, float]:
-    """Weights exp(c u_K' A_KK u_K) / total of every row of U, for the fit
-    and :func:`rppi.inference.influence` alike, with (shift, total).
+    """Weights exp(c u_K' A_KK u_K) / total of the rows whose
+    :func:`kk_statistic` is ``ta``, for the fit and
+    :func:`rppi.inference.influence` alike, with (shift, total).
 
     The exponentials are max-shifted into [0, 1], so their sum is finite
     and at least 1 unless the largest exponent (NaN if any is) is not
     finite; that raises WeightError.  The shift cancels in the weighted
     averages.
     """
-    expo = weight_exponents(U, pi, kstar, c)
+    expo = weight_exponents(ta, pi, c)
     shift = float(expo.max())
     eff = np.exp(expo - shift)
     total = float(eff.sum())
@@ -193,9 +202,10 @@ class PreparedData:
     """One dataset prepared once for fits at any number of configurations.
 
     Holds the rows as :func:`rppi.model.as_matrix` validates them, their
-    score statistics at ``beta_p``, and two things that the first fit
+    score statistics at ``beta_p``, and three things that the first fit
     needing them computes: the default start's unweighted solve for each
-    ridge and the restart ladder's scale for each kstar.  None of these
+    ridge, and the rows' :func:`kk_statistic` (8 n q bytes) and the
+    restart ladder's scale for each kstar.  None of these
     depends on c, so fits over a c panel from one PreparedData are bit for
     bit the fits from the rows.  Only a solved start is kept: a singular
     default start is solved again, and raises again, in each fit that
@@ -208,17 +218,25 @@ class PreparedData:
         self.beta_p = beta_p
         self.stats = score_stats(self.rows, beta_p)
         self._starts: dict = {}
+        self._statistics: dict[int, np.ndarray] = {}
         self._scales: dict[int, float] = {}
 
     def _start(self, ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """(W_hat, d_hat, pi, cond) of the default start's solve."""
         if ridge not in self._starts:
             w_hat, d_hat = assemble(self.stats, None)
-            start = (w_hat, d_hat) + solve_system(w_hat, d_hat, ridge=ridge)
+            cond = condition_number(w_hat, ridge)
+            start = (w_hat, d_hat, solve_system(w_hat, d_hat, ridge=ridge), cond)
             for a in start[:3]:
                 a.flags.writeable = False  # every later fit reads them
             self._starts[ridge] = start
         return self._starts[ridge]
+
+    def _kk_statistic(self, kstar: int) -> np.ndarray:
+        """The rows' :func:`kk_statistic`, which the weights read."""
+        if kstar not in self._statistics:
+            self._statistics[kstar] = kk_statistic(self.rows, kstar)
+        return self._statistics[kstar]
 
     def _restart_scale(self, kstar: int) -> float:
         """The 98% quantile of |u_K|^2 over the rows (see _failover_inits)."""
@@ -254,6 +272,7 @@ def _iterate(data: PreparedData, config: RobustConfig, mask, x, ridge: float,
         w, iteration, accepted = np.full(U.shape[0], 1.0 / U.shape[0]), 1, 0
     else:
         x = data._start(ridge)[2] if x is None else np.array(x, dtype=float)
+        ta = data._kk_statistic(config.kstar)
         trace: list[float] = []
         non_monotone = 0
         damped = False
@@ -261,54 +280,57 @@ def _iterate(data: PreparedData, config: RobustConfig, mask, x, ridge: float,
         history: list[tuple[np.ndarray, np.ndarray, float]] = []  # (f, g, max |f|)
         source = None  # (g, max |f|) of the step an extrapolated x came from
         accepted = 0
-        for iteration in range(1, config.max_iter + 1):
-            w = normalized_weights(U, x, config.kstar, c)[0]
-            w_hat, d_hat = assemble(data.stats, w)
-            try:
-                pi_tilde, cond = solve_system(w_hat, d_hat, ridge=ridge)
-            except SingularSystemError as exc:
-                raise SingularSystemError(
-                    f"{exc} at iteration {iteration}; the weights' effective sample "
-                    f"size 1/sum(w^2) is {1.0 / np.sum(w * w):.1f} of {w.size}",
-                    condition_number=exc.condition_number) from exc
-            g = (pi_tilde + c * np.where(mask, 0.0, x)) / (1.0 + c)
-            if damped:
-                g = x + DAMPING * (g - x)
-            f = g - x
-            res = float(np.abs(f).max())
-            rel = res / max(float(np.abs(x).max()), _TINY)
-            if trace and rel > trace[-1]:
-                non_monotone += 1
-                if non_monotone >= PATIENCE:
-                    damped = True
-            trace.append(rel)
-            if rel <= config.tol:
-                hx = h * x  # the residual of the ridged system that the loop solves
-                if switch is None or (np.abs(w_hat @ hx + ridge * hx - d_hat).max()
-                                      < RESIDUAL * np.abs(d_hat).max()):
-                    accepted += source is not None
-                    break
-            if switch is None and rel < SWITCH:
-                switch = iteration
-            if source is not None and res > source[1]:
-                x, source, history = source[0], None, []
-                continue
-            accepted += source is not None
-            kept = history[-DEPTH:] if history and res <= history[-1][2] else []
-            history = kept + [(f, g, res)]
-            if switch is None or len(history) < 2:
-                x, source = g, None
-                continue
-            df = np.diff([step[0] for step in history], axis=0).T
-            dg = np.diff([step[1] for step in history], axis=0).T
-            x, source = g - dg @ np.linalg.lstsq(df, f, rcond=None)[0], (g, res)
-        else:
-            began = "never" if switch is None else f"after iteration {switch}"
-            raise NonConvergenceError(
-                f"no convergence after {config.max_iter} iterations "
-                f"(last relative change {trace[-1]:.3e}; Anderson steps began {began})",
-                trace=trace,
-            )
+        try:
+            for iteration in range(1, config.max_iter + 1):
+                w = normalized_weights(ta, x, c)[0]
+                w_hat, d_hat = assemble(data.stats, w)
+                pi_tilde = solve_system(w_hat, d_hat, ridge=ridge)
+                g = (pi_tilde + c * np.where(mask, 0.0, x)) / (1.0 + c)
+                if damped:
+                    g = x + DAMPING * (g - x)
+                f = g - x
+                res = float(np.abs(f).max())
+                rel = res / max(float(np.abs(x).max()), _TINY)
+                if trace and rel > trace[-1]:
+                    non_monotone += 1
+                    if non_monotone >= PATIENCE:
+                        damped = True
+                trace.append(rel)
+                if rel <= config.tol:
+                    hx = h * x  # the residual of the ridged system that the loop solves
+                    if switch is None or (np.abs(w_hat @ hx + ridge * hx - d_hat).max()
+                                          < RESIDUAL * np.abs(d_hat).max()):
+                        accepted += source is not None
+                        break
+                if switch is None and rel < SWITCH:
+                    switch = iteration
+                if source is not None and res > source[1]:
+                    x, source, history = source[0], None, []
+                    continue
+                accepted += source is not None
+                kept = history[-DEPTH:] if history and res <= history[-1][2] else []
+                history = kept + [(f, g, res)]
+                if switch is None or len(history) < 2:
+                    x, source = g, None
+                    continue
+                df = np.diff([step[0] for step in history], axis=0).T
+                dg = np.diff([step[1] for step in history], axis=0).T
+                x, source = g - dg @ np.linalg.lstsq(df, f, rcond=None)[0], (g, res)
+            else:
+                began = "never" if switch is None else f"after iteration {switch}"
+                raise NonConvergenceError(
+                    f"no convergence after {config.max_iter} iterations "
+                    f"(last relative change {trace[-1]:.3e}; Anderson steps began {began})",
+                    trace=trace,
+                )
+            # the one eigendecomposition of a start: its iterations' solves
+            # check their pivots alone, the returned system its condition
+            cond = condition_number(w_hat, ridge)
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                f"{exc} at iteration {iteration}; the weights' effective sample "
+                f"size 1/sum(w^2) is {1.0 / np.sum(w * w):.1f} of {w.size}",
+                condition_number=exc.condition_number) from exc
 
     return RobustFitResult(
         pi_hat=ParamVector(x),

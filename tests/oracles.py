@@ -308,6 +308,35 @@ def influence_ref(z, pi0, reference, c, kstar, beta_p=0.0):
     return np.array(out)
 
 
+def equilibrated_ref(w_hat):
+    """(matrix, scale, kept rows) of a score matching system: W_hat
+    without its rows and columns of zero diagonal, scaled to a unit
+    diagonal as scale * W * scale."""
+    diag = np.diag(w_hat)
+    keep = diag > 0.0
+    wk = w_hat[np.ix_(keep, keep)]
+    scale = 1.0 / np.sqrt(np.diag(wk))
+    return wk * scale[:, None] * scale[None, :], scale, keep
+
+
+def eigh_solve_ref(w_hat, d_hat):
+    """(pi, condition number) of W_hat pi = d_hat by one eigendecomposition
+    of the equilibrated matrix, as every iteration solved before pivot
+    checks: a condition number over COND_MAX (inf when the matrix is not
+    positive definite) raises SingularSystemError."""
+    from rppi.errors import SingularSystemError
+    from rppi.estimator import COND_MAX
+
+    a, scale, keep = equilibrated_ref(w_hat)
+    lam, vec = np.linalg.eigh(a)
+    cond = float(lam[-1] / lam[0]) if lam.size and lam[0] > 0.0 else math.inf
+    if not cond <= COND_MAX:
+        raise SingularSystemError("singular")
+    pi = np.zeros(keep.size)
+    pi[keep] = scale * (vec @ ((vec.T @ (scale * d_hat[keep])) / lam))
+    return pi, cond
+
+
 def scenario_to_dict(scenario):
     """A scenario file's payload, as rppi.dataio.scenario_from_dict reads it."""
     from rppi.dataio import params_to_dict, report_to_dict

@@ -112,7 +112,7 @@ def test_criterion_05_weighted_fixed_point_and_c0_reduction():
         fit = fit_robust(U, RobustConfig(c=c, kstar=kstar))
         assert fit.residual < 1e-6 * max(np.abs(fit.d_hat).max(), 1e-300)
         if k % 10 == 0:
-            plain, _ = solve_system(*assemble(score_stats(as_matrix(U))))
+            plain = solve_system(*assemble(score_stats(as_matrix(U))))
             zero = fit_robust(U, RobustConfig(c=0.0, kstar=kstar))
             assert zero.pi_hat.pi.tobytes() == plain.tobytes()
 

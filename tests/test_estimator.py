@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_blocks, plain_draws
+from oracles import eigh_solve_ref, equilibrated_ref, naive_blocks, plain_draws
 from rppi.errors import DegeneracyWarning, SingularSystemError
 import rppi.estimator as estimator
-from rppi.estimator import assemble, score_stats, solve_system
+from rppi.estimator import COND_MAX, assemble, condition_number, score_stats, solve_system
 from rppi.model import CountDataset, RPPIParams, pack, param_labels, proportions, q_dim
 from rppi.robust import RobustConfig, fit_robust
 
@@ -69,9 +71,9 @@ def test_solve_system_recovers_a_manufactured_solution():
     d = W @ target
     with warnings.catch_warnings():
         warnings.simplefilter("error", DegeneracyWarning)  # nothing is pinned
-        pi, cond = solve_system(W, d)
+        pi = solve_system(W, d)
     assert np.abs(pi - target).max() < 1e-9
-    assert cond >= 1.0
+    assert condition_number(W) >= 1.0
     assert np.abs(W @ pi - d).max() < 1e-12 * np.abs(d).max()
 
 
@@ -83,12 +85,12 @@ def test_solve_system_survives_wild_scale_disparity():
     B = rng.normal(size=(q, q))
     W = scales[:, None] * (B @ B.T + np.eye(q)) * scales[None, :]
     target = rng.normal(size=q) / scales
-    pi, cond = solve_system(W, W @ target)
+    pi = solve_system(W, W @ target)
     assert np.abs((pi - target) / target).max() < 1e-8
-    assert cond < 1e3  # condition is reported for the equilibrated system
+    assert condition_number(W) < 1e3  # that of the equilibrated system
 
 
-def test_solve_system_reports_the_2_norm_condition_number():
+def test_condition_number_reports_the_2_norm_condition_number():
     rng = np.random.default_rng(30)
     for _ in range(50):
         q = int(rng.integers(2, 20))
@@ -99,8 +101,7 @@ def test_solve_system_reports_the_2_norm_condition_number():
         s = 1.0 / np.sqrt(np.diag(W))
         want = np.linalg.cond(W * s[:, None] * s[None, :])
         assert want < 1e6
-        _, cond = solve_system(W, W @ rng.normal(size=q))
-        assert cond == pytest.approx(want, rel=1e-8)
+        assert condition_number(W) == pytest.approx(want, rel=1e-8)
 
 
 def test_solve_system_pins_vanished_coordinates():
@@ -112,7 +113,7 @@ def test_solve_system_pins_vanished_coordinates():
     W[:, 2] = 0.0
     d = W @ rng.normal(size=q)
     with pytest.warns(DegeneracyWarning) as caught:
-        pi, _ = solve_system(W, d)
+        pi = solve_system(W, d)
     assert len(caught) == 1
     assert str(caught[0].message).startswith(f"statistics for {param_labels(3)[2]} vanish")
     assert pi[2] == 0.0
@@ -123,6 +124,51 @@ def test_solve_system_raises_on_numerically_singular_input():
     W = np.outer(v, v) + 1e-16 * np.eye(5)
     with pytest.raises(SingularSystemError):
         solve_system(W, v)
+    with pytest.raises(SingularSystemError):
+        condition_number(W)
+
+
+def spd_with_condition(seed, q, log_cond):
+    """A random symmetric positive definite matrix of size q whose
+    equilibrated condition number is about 10**log_cond, under a random
+    diagonal scaling over eight orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(q, q)))
+    lam = np.logspace(-log_cond, 0.0, q)
+    core = (basis * lam) @ basis.T
+    s = 1.0 / np.sqrt(np.diag(core))
+    core = 0.5 * (core + core.T) * s[:, None] * s[None, :]
+    scales = 10.0 ** rng.uniform(-4.0, 4.0, size=q)
+    return scales[:, None] * core * scales[None, :], rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(2, 20),
+       log_cond=st.floats(8.0, 14.0))
+def test_a_pivot_rejection_implies_a_condition_number_over_cond_max(seed, q, log_cond):
+    # The equilibrated matrix has a unit diagonal, so its largest
+    # eigenvalue is at least 1 and its smallest at most every Cholesky
+    # pivot: a pivot under 1 / COND_MAX means a condition number over
+    # COND_MAX.  Below it, the LU solve agrees with the eigen-solve to
+    # within what either's rounding allows.
+    W, rng = spd_with_condition(seed, q, log_cond)
+    d = W @ rng.normal(size=q)
+    try:
+        pi = solve_system(W, d)
+    except SingularSystemError:
+        with pytest.raises(SingularSystemError):
+            condition_number(W)
+        return
+    try:
+        cond = condition_number(W)
+    except SingularSystemError:
+        return
+    assert cond <= COND_MAX
+    ref, ref_cond = eigh_solve_ref(W, d)
+    assert cond == ref_cond
+    scale = 1.0 / equilibrated_ref(W)[1]  # compare in the equilibrated coordinates
+    assert (np.linalg.norm(scale * (pi - ref))
+            <= cond * 1e-14 * np.linalg.norm(scale * ref))
 
 
 @pytest.mark.parametrize("ridge", [-5.0, -1e-300, float("nan"), float("inf")])
@@ -131,6 +177,8 @@ def test_solve_system_rejects_a_negative_or_non_finite_ridge(ridge):
     W = np.eye(5) + 0.1
     with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
         solve_system(W, np.ones(5), ridge=ridge)
+    with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+        condition_number(W, ridge=ridge)
     U = plain_draws(RPPIParams(a_l=-np.eye(2), beta=np.zeros(3)), 50,
                     np.random.SeedSequence(26))
     for c in (0.0, 0.5):

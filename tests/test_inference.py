@@ -382,6 +382,15 @@ def test_simplex_grid_counts_and_boundary():
     assert grid5.shape[0] == 10626
 
 
+@pytest.mark.parametrize("p", range(2, 9))
+def test_simplex_grid_is_the_reference_lattice_byte_for_byte(p):
+    # the rows in combinations' order of their bar positions, each row the
+    # stars between consecutive bars, divided by the resolution
+    for resolution in (1, 2, 7):
+        assert simplex_grid(p, resolution).tobytes() == (
+            closed_simplex_grid_ref(p, resolution).tobytes())
+
+
 def test_simplex_grid_is_counted_before_it_is_built():
     assert inference.MAX_SIMPLEX_POINTS == 1_000_000
     tracemalloc.start()

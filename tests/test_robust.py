@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import packed_stat_ref, plain_draws
+from oracles import eigh_solve_ref, equilibrated_ref, packed_stat_ref, plain_draws
 import rppi.estimator as estimator
 import rppi.robust as robust
 from rppi.errors import (DegeneracyWarning, DimensionError, NonConvergenceError,
                          SingularSystemError, WeightError)
-from rppi.estimator import CHUNK, assemble, score_stats, solve_system
+from rppi.estimator import CHUNK, assemble, condition_number, score_stats, solve_system
 from rppi.inference import influence
-from rppi.model import RPPIParams, as_matrix, pack, q_dim
+from rppi.model import RPPIParams, a_slots, as_matrix, pack, q_dim
 from rppi.robust import PreparedData, RobustConfig, fit_robust, kk_mask, kk_statistic
 from rppi.sampling import contaminate, rng_from, sample_rppi, spawn_seeds
 from rppi.study import DATASET2_OUTLIER, dataset2_truth, preset_scenario
@@ -80,9 +80,11 @@ def test_masked_statistic_zeroes_everything_outside_kk():
         else:
             assert np.all(got == 0.0)
     assert np.array_equal(kk_statistic(U[:1], kstar)[0], Ta[0])
-    # c t_a(u) is the gradient of the weight exponent c u_K' A_KK u_K
+    # c t_a(u)' pi is the weight exponent c u_K' A_KK u_K
     pi = rng.normal(size=q_dim(5))
-    assert np.allclose(Ta @ pi, robust.weight_exponents(U, pi, kstar, 1.0),
+    akk = pi[a_slots(5)[2][:kstar, :kstar]]
+    quadratic = np.einsum("nk,kl,nl->n", U[:, :kstar], akk, U[:, :kstar])
+    assert np.allclose(robust.weight_exponents(Ta, pi, 0.7), 0.7 * quadratic,
                        rtol=1e-12, atol=1e-14)
 
 
@@ -95,7 +97,7 @@ def test_kstar_out_of_range_is_rejected():
 
 def test_c_zero_reduces_to_the_unweighted_fit_bitwise():
     U = plain_draws(TEST_PARAMS, 500, np.random.SeedSequence(32))
-    plain, _ = solve_system(*assemble(score_stats(as_matrix(U))))
+    plain = solve_system(*assemble(score_stats(as_matrix(U))))
     rob = fit_robust(U, RobustConfig(c=0.0, kstar=2))
     assert rob.pi_hat.pi.tobytes() == plain.tobytes()
     assert rob.iterations == 1 and rob.restarts == 0
@@ -232,13 +234,14 @@ def test_explicit_init_is_honored():
 
 def test_weighted_fit_assembles_once_per_iteration_and_not_after_its_loop(monkeypatch):
     # Each start is one _iterate call.  The default start's unweighted
-    # system is assembled and solved once per PreparedData, inside the
-    # first start that takes it; then each start's loop assembles and
-    # solves once per iteration, and the fit is built from the last
-    # evaluation, with no assemble after the loop.
+    # system is assembled, checked by its eigenvalues and solved once per
+    # PreparedData, inside the first start that takes it; then each
+    # start's loop assembles and solves once per iteration, and its stop
+    # point's system alone is checked by its eigenvalues.  The fit is
+    # built from the last evaluation, with no assemble after the loop.
     truth, U = contaminated_sample()
     data = PreparedData(U)
-    calls = spy_calls(monkeypatch, "solve_system", "_iterate")
+    calls = spy_calls(monkeypatch, "solve_system", "condition_number", "_iterate")
     real_assemble = robust.assemble
 
     def assemble_spy(stats, weights=None):
@@ -246,16 +249,20 @@ def test_weighted_fit_assembles_once_per_iteration_and_not_after_its_loop(monkey
         return real_assemble(stats, weights)
 
     monkeypatch.setattr(robust, "assemble", assemble_spy)
-    for c, default_start in ((0.5, ["unweighted assemble", "solve_system"]), (1.0, [])):
+    default_start = ["unweighted assemble", "condition_number", "solve_system"]
+    for c, shared in ((0.5, default_start), (1.0, [])):
         calls.clear()
         fit = fit_robust(data, RobustConfig(c=c, kstar=4))
         starts = [i for i, name in enumerate(calls) if name == "_iterate"]
         assert starts[0] == 0 and len(starts) == fit.restarts + 1
-        assert calls[1:1 + len(default_start)] == default_start
+        assert calls[1:1 + len(shared)] == shared
         for a, b in zip(starts, starts[1:] + [len(calls)]):
-            loop = calls[a + 1 + (len(default_start) if a == 0 else 0):b]
+            loop = calls[a + 1 + (len(shared) if a == 0 else 0):b]
+            if loop[-1] == "condition_number":  # a start that reached its stop point
+                loop = loop[:-1]
             assert loop == ["assemble", "solve_system"] * (len(loop) // 2)
-        assert len(calls) - starts[-1] - 1 == 2 * fit.iterations
+        assert calls[-1] == "condition_number"
+        assert len(calls) - starts[-1] - 1 == 2 * fit.iterations + 1
         assert fit.restarts > 0
 
 
@@ -347,11 +354,14 @@ def test_damping_slows_the_fit_but_keeps_its_root(monkeypatch):
 
 
 # The reweighting loop written out plainly: full weight validation,
-# plain sums from zeros over every chunk, the np.ix_ solve,
-# A_KK rebuilt by a loop on every call, the c = 0 fit iterated like any
-# other, and the Anderson step kept in separate lists.  fit_robust must
-# match it bit for bit; without the Anderson step it is the plain
-# fixed-point loop the fit ran before, whose roots the fit must keep.
+# plain sums from zeros over every chunk, the np.ix_ solve checked by its
+# Cholesky pivots, eigenvalues only at the default start and the stop
+# point, the A_KK statistic built by a loop, the c = 0 fit iterated like
+# any other, and the Anderson step kept in separate lists.  fit_robust
+# must match it bit for bit; without the Anderson step it is the plain
+# fixed-point loop the fit ran before, whose roots the fit must keep, and
+# with eigh_solve_ref as its solve it is the loop that checked every
+# iteration's eigenvalues, whose roots and restarts the fit must keep too.
 
 def _plain_weights(weights, n):
     if weights is None:
@@ -386,41 +396,51 @@ def _plain_assemble(stats, weights):
 
 
 def _plain_solve(w_hat, d_hat):
-    q = w_hat.shape[0]
-    diag = np.diag(w_hat)
-    if np.any(diag <= 0.0):
+    a, scale, keep = equilibrated_ref(w_hat)
+    if not np.all(keep):
         warnings.warn("pinned", DegeneracyWarning)
-    keep = diag > 0.0
-    wk = w_hat[np.ix_(keep, keep)]
-    scale = 1.0 / np.sqrt(np.diag(wk))
-    lam, vec = np.linalg.eigh(wk * scale[:, None] * scale[None, :])
-    cond = float(lam[-1] / lam[0]) if lam.size and lam[0] > 0.0 else float("inf")
-    if not np.isfinite(cond) or cond > estimator.COND_MAX:
+    try:
+        pivots = np.diag(np.linalg.cholesky(a)) ** 2
+    except np.linalg.LinAlgError:
+        raise SingularSystemError("not positive definite") from None
+    if not (pivots.size and pivots.min() >= 1.0 / estimator.COND_MAX):
         raise SingularSystemError("singular")
-    pi = np.zeros(q)
-    pi[keep] = scale * (vec @ ((vec.T @ (scale * d_hat[keep])) / lam))
-    return pi, cond
+    pi = np.zeros(keep.size)
+    pi[keep] = scale * np.linalg.solve(a, scale * d_hat[keep])
+    return pi
 
 
-def _plain_factors(U, pi, kstar, c):
+def _eigh_solve(w_hat, d_hat):
+    return eigh_solve_ref(w_hat, d_hat)[0]
+
+
+def _plain_statistic(U, kstar):
     p = U.shape[1]
-    akk = np.zeros((kstar, kstar))
-    akk[np.diag_indices(kstar)] = pi[:kstar]
+    ta = np.zeros((U.shape[0], q_dim(p)))
+    for i in range(kstar):
+        ta[:, i] = U[:, i] * U[:, i]
     for slot, (i, j) in enumerate(combinations(range(p - 1), 2)):
         if j < kstar:
-            akk[i, j] = akk[j, i] = pi[p - 1 + slot]
-    expo = c * np.einsum("nk,kl,nl->n", U[:, :kstar], akk, U[:, :kstar])
+            ta[:, p - 1 + slot] = U[:, i] * U[:, j] * 2.0
+    return ta
+
+
+def _plain_factors(ta, pi, c):
+    expo = c * np.einsum("nq,q->n", ta, pi)
     return np.exp(expo - expo.max())
 
 
-def _plain_run(U, stats, cfg, pi_prev, accelerate=True):
+def _plain_run(U, stats, cfg, pi_prev, accelerate=True, solve=_plain_solve):
     c, p = cfg.c, U.shape[1]
+    ta = _plain_statistic(U, cfg.kstar)
     mask = np.zeros(q_dim(p), dtype=bool)
     mask[:cfg.kstar] = True
     for slot, (i, j) in enumerate(combinations(range(p - 1), 2)):
         mask[p - 1 + slot] = j < cfg.kstar
     if pi_prev is None:
-        pi_prev, cond = _plain_solve(*_plain_assemble(stats, None))
+        w_0, d_0 = _plain_assemble(stats, None)
+        eigh_solve_ref(w_0, d_0)  # the default start's eigenvalues are checked
+        pi_prev = solve(w_0, d_0)
     trace, non_monotone, damped = [], 0, False
     # since the last reset, plain steps before the switch included: each
     # step's change f, its plain update g and max |f|; came_from holds the
@@ -429,9 +449,9 @@ def _plain_run(U, stats, cfg, pi_prev, accelerate=True):
     kept = rejected = resets = 0
     h = np.where(mask, 1.0 + c, 1.0)
     for iteration in range(1, cfg.max_iter + 1):
-        eff = _plain_factors(U, pi_prev, cfg.kstar, c)
+        eff = _plain_factors(ta, pi_prev, c)
         w_it, d_it = _plain_assemble(stats, eff)
-        pi_tilde, cond = _plain_solve(w_it, d_it)
+        pi_tilde = solve(w_it, d_it)
         pi_new = (pi_tilde + c * np.where(~mask, pi_prev, 0.0)) / (1.0 + c)
         if damped:
             pi_new = pi_prev + robust.DAMPING * (pi_new - pi_prev)
@@ -475,19 +495,22 @@ def _plain_run(U, stats, cfg, pi_prev, accelerate=True):
         pi_prev, came_from = pi_new - dg @ gamma, (pi_new, norm)
     else:
         raise NonConvergenceError("no convergence")
-    eff = _plain_factors(U, pi_prev, cfg.kstar, c)
+    eff = _plain_factors(ta, pi_prev, c)
     w_fin, d_fin = _plain_assemble(stats, eff)
     residual = float(np.max(np.abs(w_fin @ (h * pi_prev) - d_fin)))
+    cond = eigh_solve_ref(w_fin, d_fin)[1]  # the stop point's eigenvalues
     return pi_prev, eff / eff.sum(), residual, cond, iteration, (kept, rejected, resets)
 
 
-def _plain_fit(data, cfg, accelerate=True):
+def _plain_fit(data, cfg, accelerate=True, solve=_plain_solve):
     U = as_matrix(data)
     stats = score_stats(U)
-    starts = [None] + list(robust._failover_inits(robust.PreparedData(U), cfg))
+    # the restart ladder of the rows as given: as_matrix normalizes them,
+    # and a second normalization can move their last bits
+    starts = [None] + list(robust._failover_inits(robust.PreparedData(data), cfg))
     for restarts, start in enumerate(starts):
         try:
-            return _plain_run(U, stats, cfg, start, accelerate) + (restarts,)
+            return _plain_run(U, stats, cfg, start, accelerate, solve) + (restarts,)
         except (SingularSystemError, NonConvergenceError) as exc:
             error = exc
     raise error
@@ -554,6 +577,19 @@ def test_acceleration_keeps_the_fixed_point_loop_root(case):
 
 
 @pytest.mark.filterwarnings("ignore::rppi.errors.DegeneracyWarning")
+@pytest.mark.parametrize("case", LOOP_CASES)
+def test_pivot_checks_keep_the_roots_and_restarts_of_eigh_solves(case):
+    # an iteration's solve rejects its system by Cholesky pivots alone,
+    # and a start's returned system by its eigenvalues; the loop that
+    # checked every iteration's eigenvalues reaches the same roots
+    U, cfg = _loop_case(case)
+    fit = fit_robust(U, cfg)
+    pi, *_, restarts = _plain_fit(U, cfg, solve=_eigh_solve)
+    assert fit.restarts == restarts
+    assert np.max(np.abs(fit.pi_hat.pi - pi)) <= 1e-6 * np.max(np.abs(pi))
+
+
+@pytest.mark.filterwarnings("ignore::rppi.errors.DegeneracyWarning")
 @pytest.mark.parametrize("case", ["three-chunks", "reject-and-reset", "c025-base"])
 def test_a_tol_above_switch_stops_at_the_first_point_that_meets_it(case):
     # the stop rule is met before Anderson steps begin, so the loop
@@ -585,11 +621,11 @@ def test_fit_diagnostics_are_those_of_its_estimate(case):
     fit = fit_robust(U, cfg, ridge=ridge)
     U = as_matrix(U)  # the rows the fit validated
     pi = fit.pi_hat.pi
-    expo = robust.weight_exponents(U, pi, cfg.kstar, cfg.c)
+    expo = robust.weight_exponents(kk_statistic(U, cfg.kstar), pi, cfg.c)
     eff = np.exp(expo - expo.max())
     weights = eff / eff.sum()
     w_hat, d_hat = assemble(score_stats(U), weights)
-    cond = solve_system(w_hat, d_hat, ridge=ridge)[1]
+    cond = condition_number(w_hat, ridge=ridge)
     h = np.where(kk_mask(U.shape[1], cfg.kstar), 1.0 + cfg.c, 1.0)
     residual = float(np.max(np.abs(w_hat @ (h * pi) - d_hat)))
     assert fit.final_weights.tobytes() == weights.tobytes()
