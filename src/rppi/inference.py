@@ -44,8 +44,8 @@ from .model import (
     q_dim,
 )
 from . import estimator
-from .robust import (PreparedData, RobustConfig, RobustFitResult, fit_robust, kk_mask,
-                     kk_statistic, normalized_weights, weight_exponents)
+from .robust import (PreparedData, RobustConfig, RobustFitResult, fit_robust, kk_statistic,
+                     normalized_weights, tilt, weight_exponents)
 from .sampling import round_proportions, sample_counts, sample_rppi, spawn_seeds
 # unused here, but bench/tracing.py installs kernel spans at these names
 from .suffstats import r_matrix_batch, s_matrix_batch  # noqa: F401
@@ -342,7 +342,7 @@ def influence(z, pi0, reference, c: float, kstar: int,
         raise ValueError(f"pi0 must have length {q} for p={p}")
     if Z.shape[1] != p:
         raise ValueError("z dimension does not match the reference sample")
-    h = np.where(kk_mask(p, kstar), 1.0 + c, 1.0)
+    h = tilt(p, kstar, c)
     x = h * pi_vec
     ta = kk_statistic(ref, kstar)
     w_hat, shift, total = normalized_weights(ta, pi_vec, c)

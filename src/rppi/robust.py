@@ -12,16 +12,14 @@ iteration:
 
     1. weights from the current A_KK,
     2. weighted linear fit  ->  pi_tilde,
-    3. undo the tilt:  pi_new = (pi_tilde + c * pi_prev_outside_KK)
-                                / (1 + c),
-       where "outside KK" zeroes the entries of the A_KK block.
+    3. undo the tilt:  pi_new = pi_tilde / h,
+       where h (:func:`tilt`) is 1 + c on the A_KK entries and 1 elsewhere.
 
-Step 3 is algebraically the blockwise correction (divide the KK block
-by 1 + c, shift the remaining blocks by c times their previous values
-and divide), written directly on the packed vector so that c = 0
-reduces bit-for-bit to the unweighted estimator: every weight is 1/n,
-so a first step would repeat the unweighted solve and stop there, and
-the default start's solve is returned without it.
+Only A_KK feeds back through the weights, so step 3 divides the KK
+block by 1 + c and takes every other entry of pi_tilde as it is.  At
+c = 0, h is 1 and every weight is 1/n, so a first step would repeat the
+unweighted solve and stop there, and the default start's solve is
+returned without it.
 So :func:`fit_robust` is the package's one fit, plain and weighted.
 
 The loop takes these steps as they are until the relative change first
@@ -52,8 +50,8 @@ eigendecomposition of a start: :func:`rppi.estimator.condition_number`
 gives the fit's condition number and raises, like a failed solve, over
 COND_MAX.
 
-At a fixed point, H pi_hat = pi_tilde with H = diag(1 + c on the A_KK
-entries, 1 elsewhere), so the weighted estimating equation
+At a fixed point, H pi_hat = pi_tilde with H = diag(h), so the weighted
+estimating equation
 
     sum_i w_i (W1(u_i) H pi_hat - d1(u_i)) = 0
 
@@ -107,14 +105,17 @@ class RobustConfig:
             raise ValueError("max_iter must be >= 1")
 
 
-def kk_mask(p: int, kstar: int) -> np.ndarray:
-    """Boolean mask over the packed vector selecting the A_KK entries."""
+def tilt(p: int, kstar: int, c: float) -> np.ndarray:
+    """The diagonal h of H over the packed vector: 1 + c on the A_KK
+    entries, 1 elsewhere.  Weighting the model by exp(c u_K' A_KK u_K)
+    multiplies its A_KK by 1 + c, so the loop's step, its fit's residual
+    and :func:`rppi.inference.influence` read H from here."""
     d = p - 1
     if not 1 <= kstar <= d:
         raise DimensionError(f"kstar must be in [1, {d}], got {kstar}")
-    mask = np.zeros(q_dim(p), dtype=bool)
-    mask[a_slots(p)[2][:kstar, :kstar]] = True
-    return mask
+    h = np.ones(q_dim(p))
+    h[a_slots(p)[2][:kstar, :kstar]] = 1.0 + c
+    return h
 
 
 def kk_statistic(U: np.ndarray, kstar: int) -> np.ndarray:
@@ -246,25 +247,25 @@ class PreparedData:
         return self._scales[kstar]
 
 
-def _iterate(data: PreparedData, config: RobustConfig, mask, x, ridge: float,
+def _iterate(data: PreparedData, config: RobustConfig, h, x, ridge: float,
              restarts: int) -> RobustFitResult:
     """One start of the reweighting iteration: from ``x``, or from the
     default start (the unweighted solve) when ``x`` is None.
 
     ``data`` holds the rows and score statistics from :func:`fit_robust`
-    and ``mask`` is its :func:`kk_mask`; only the weights change between
+    and ``h`` is its :func:`tilt`; only the weights change between
     iterations.  At c = 0 the default start's solve is the fit.  Otherwise
     one iteration evaluates x: its weights, W_hat, d_hat and the solve
-    that maps x to g with residual f = g - x.  An Anderson step goes to
-    g - dG gamma, where gamma fits f by least squares on the differences
-    dF of the kept residuals and dG those of their g.  The loop stops at
-    the first x that passes the stop rule (and the RESIDUAL bound once
-    Anderson steps have begun), and the fit is x with the rest of that
-    evaluation; a start that exhausts ``max_iter`` raises NonConvergenceError.
+    pi_tilde, which map x to g = pi_tilde / h with residual f = g - x.  An
+    Anderson step goes to g - dG gamma, where gamma fits f by least
+    squares on the differences dF of the kept residuals and dG those of
+    their g.  The loop stops at the first x that passes the stop rule
+    (and the RESIDUAL bound once Anderson steps have begun), and the fit
+    is x with the rest of that evaluation; a start that exhausts
+    ``max_iter`` raises NonConvergenceError.
     """
     U = data.rows
     c = config.c
-    h = np.where(mask, 1.0 + c, 1.0)
     if x is None and c == 0.0:
         # every weight is 1/n, so the first iteration would solve the
         # default start's system again and stop: the start is the fit
@@ -275,7 +276,6 @@ def _iterate(data: PreparedData, config: RobustConfig, mask, x, ridge: float,
         ta = data._kk_statistic(config.kstar)
         trace: list[float] = []
         non_monotone = 0
-        damped = False
         switch = None  # iteration where the change first fell below SWITCH
         history: list[tuple[np.ndarray, np.ndarray, float]] = []  # (f, g, max |f|)
         source = None  # (g, max |f|) of the step an extrapolated x came from
@@ -285,16 +285,14 @@ def _iterate(data: PreparedData, config: RobustConfig, mask, x, ridge: float,
                 w = normalized_weights(ta, x, c)[0]
                 w_hat, d_hat = assemble(data.stats, w)
                 pi_tilde = solve_system(w_hat, d_hat, ridge=ridge)
-                g = (pi_tilde + c * np.where(mask, 0.0, x)) / (1.0 + c)
-                if damped:
+                g = pi_tilde / h
+                if non_monotone >= PATIENCE:
                     g = x + DAMPING * (g - x)
                 f = g - x
                 res = float(np.abs(f).max())
                 rel = res / max(float(np.abs(x).max()), _TINY)
                 if trace and rel > trace[-1]:
                     non_monotone += 1
-                    if non_monotone >= PATIENCE:
-                        damped = True
                 trace.append(rel)
                 if rel <= config.tol:
                     hx = h * x  # the residual of the ridged system that the loop solves
@@ -393,14 +391,14 @@ def fit_robust(data, config: RobustConfig, init: ParamVector | None = None,
     if not isinstance(data, PreparedData):
         data = PreparedData(data)
     p = data.rows.shape[1]
-    mask = kk_mask(p, config.kstar)
+    h = tilt(p, config.kstar, config.c)
     if init is not None and init.q != q_dim(p):
         raise DimensionError("init vector length does not match the data dimension")
     first = None if init is None else init.pi
     last_error = None
     for restarts, start in enumerate(chain([first], _failover_inits(data, config))):
         try:
-            return _iterate(data, config, mask, start, ridge, restarts)
+            return _iterate(data, config, h, start, ridge, restarts)
         except (SingularSystemError, NonConvergenceError) as exc:
             last_error = exc
     raise last_error

@@ -337,6 +337,87 @@ def eigh_solve_ref(w_hat, d_hat):
     return pi, cond
 
 
+def study_rows(name, seed, replicate, replicates=25):
+    """(scenario, rows) of one replicate of a study preset: the rows
+    study._replicate fits, drawn by the package's sampler."""
+    from rppi.sampling import contaminate, rng_from, sample_rppi, spawn_seeds
+    from rppi.study import preset_scenario
+
+    scenario = preset_scenario(name, seed=seed, replicates=replicates)
+    latent, counts, contam = spawn_seeds(seed, replicates)[replicate].spawn(3)
+    u, _ = sample_rppi(scenario.truth, scenario.n, seed=latent)
+    if scenario.data_mode == "multinomial":
+        u = rng_from(counts).multinomial(np.full(scenario.n, scenario.m), u) / float(scenario.m)
+    if scenario.contamination > 0.0:
+        u = contaminate(u, scenario.contamination, np.asarray(scenario.outlier), seed=contam)
+    return scenario, u
+
+
+def averaged_map_fit(data, cfg, ridge=0.0):
+    """(pi, iterations, restarts) of a fit by the reweighting loop with
+    the averaged map that the package took before its step became
+    pi_tilde / h: pi_new = (pi_tilde + c x_out) / (1 + c), where x_out is
+    x with its A_KK entries zeroed.  Both maps have the fixed points
+    H pi = pi_tilde, but this one moves the entries outside A_KK, which
+    no weight reads, only part of the way.  ``data`` is a PreparedData;
+    the weights, sums, solves, restart ladder, damping, Anderson steps
+    and stop rule are the package's, so only the map differs: on presets
+    sim5 to sim8 at seeds 3 and 4 its 1,400 fits were those of the
+    package's loop before the change, bit for bit.  Raises the last
+    start's SingularSystemError or NonConvergenceError."""
+    from rppi import robust
+    from rppi.errors import NonConvergenceError, SingularSystemError
+    from rppi.estimator import assemble, condition_number, solve_system
+
+    c, d = cfg.c, data.rows.shape[1] - 1
+    outside = np.array([i >= cfg.kstar for i in range(d)]
+                       + [j >= cfg.kstar for _, j in combinations(range(d), 2)] + [True] * d)
+    h = np.where(outside, 1.0, 1.0 + c)
+    ta = robust.kk_statistic(data.rows, cfg.kstar)
+    for restarts, x in enumerate([None] + list(robust._failover_inits(data, cfg))):
+        try:
+            if x is None:
+                x = data._start(ridge)[2]
+                if c == 0.0:
+                    return x, 1, restarts
+            trace, non_monotone, switch, history, source = [], 0, None, [], None
+            for iteration in range(1, cfg.max_iter + 1):
+                w_hat, d_hat = assemble(data.stats, robust.normalized_weights(ta, x, c)[0])
+                g = (solve_system(w_hat, d_hat, ridge=ridge) + c * np.where(outside, x, 0.0)) / (1.0 + c)
+                if non_monotone >= robust.PATIENCE:
+                    g = x + robust.DAMPING * (g - x)
+                f = g - x
+                res = float(np.abs(f).max())
+                rel = res / max(float(np.abs(x).max()), 1e-300)
+                if trace and rel > trace[-1]:
+                    non_monotone += 1
+                trace.append(rel)
+                hx = h * x
+                if rel <= cfg.tol and (switch is None or np.abs(w_hat @ hx + ridge * hx - d_hat).max()
+                                       < robust.RESIDUAL * np.abs(d_hat).max()):
+                    break
+                if switch is None and rel < robust.SWITCH:
+                    switch = iteration
+                if source is not None and res > source[1]:
+                    x, source, history = source[0], None, []
+                    continue
+                kept = history[-robust.DEPTH:] if history and res <= history[-1][2] else []
+                history = kept + [(f, g, res)]
+                if switch is None or len(history) < 2:
+                    x, source = g, None
+                    continue
+                df = np.diff([step[0] for step in history], axis=0).T
+                dg = np.diff([step[1] for step in history], axis=0).T
+                x, source = g - dg @ np.linalg.lstsq(df, f, rcond=None)[0], (g, res)
+            else:
+                raise NonConvergenceError("no convergence")
+            condition_number(w_hat, ridge)
+            return x, iteration, restarts
+        except (SingularSystemError, NonConvergenceError) as exc:
+            error = exc
+    raise error
+
+
 def scenario_to_dict(scenario):
     """A scenario file's payload, as rppi.dataio.scenario_from_dict reads it."""
     from rppi.dataio import params_to_dict, report_to_dict

@@ -19,7 +19,7 @@ from rppi.dataio import params_to_dict, write_json, write_table
 from rppi.estimator import assemble, residuals, score_stats, solve_system
 from rppi.inference import influence, simplex_grid
 from rppi.model import RPPIParams, as_matrix, pack, proportions
-from rppi.robust import RobustConfig, fit_robust
+from rppi.robust import RobustConfig, fit_robust, kk_statistic, normalized_weights, tilt
 from rppi.sampling import sample_rppi, spawn_seeds
 from rppi.study import dataset2_truth, preset_scenario, run_study
 from rppi.suffstats import r_matrix_batch, s_matrix_batch
@@ -59,6 +59,32 @@ def test_criterion_02_population_estimating_identity():
     mean = resid.mean(axis=0)
     se = resid.std(axis=0, ddof=1) / np.sqrt(U.shape[0])
     assert np.all(np.abs(mean) < 3.0 * se)
+
+
+def test_weighted_population_identity_at_nonzero_beta_p():
+    """Weighting the model by exp(c u_K' A_KK u_K) tilts it to the model
+    with A_KK (1 + c), so at the true pi0 the self-normalized weighted
+    mean of W1(u) H pi0 - d1(u) is zero for every kstar and c.  400,000
+    exact draws each from the P3 model at beta_p = 0.5 and a p = 4 model
+    at beta_p = -0.3: every component of the 15 (kstar, c) pairs is within
+    4 Monte Carlo SEs, sqrt(sum w^2 (e - mean)^2) by the delta method
+    (chance 6e-5 per component under the null; 111 components)."""
+    models = (RPPIParams(a_l=P3_PARAMS.a_l, beta=[-0.3, 0.2, 0.5]),
+              RPPIParams(a_l=[[-3.0, 1.0, 0.5], [1.0, -2.0, -0.5], [0.5, -0.5, -1.5]],
+                         beta=[0.4, -0.2, 0.3, -0.3]))
+    for k, params in enumerate(models):
+        pi0 = pack(params).pi
+        U = plain_draws(params, 400_000, np.random.SeedSequence(212 + k))
+        stats = score_stats(U, float(params.beta[-1]))
+        p = U.shape[1]
+        for kstar in range(1, p):
+            ta = kk_statistic(U, kstar)
+            for c in (0.0, 0.5, 1.25):
+                w = normalized_weights(ta, pi0, c)[0]
+                resid = residuals(stats, tilt(p, kstar, c) * pi0)
+                mean = w @ resid
+                se = np.sqrt((w * w) @ (resid - mean) ** 2)
+                assert np.all(np.abs(mean) < 4.0 * se), (p, kstar, c)
 
 
 def test_criterion_03_rmse_decreases_with_sample_size():

@@ -15,7 +15,7 @@ from rppi.model import (
     q_dim,
     unpack,
 )
-from rppi.robust import kk_mask
+from rppi.robust import tilt
 
 
 def random_params(rng, p):
@@ -73,7 +73,8 @@ def test_layout_round_trips_and_labels_every_slot():
         assert again[-d:].tobytes() == ((x[-d:] - 1.0) + 1.0).tobytes()
         for kstar in range(1, p):
             names = {f"a_{i + 1}{j + 1}" for i in range(kstar) for j in range(i, kstar)}
-            assert np.array_equal(kk_mask(p, kstar), [lab in names for lab in labels])
+            assert np.array_equal(tilt(p, kstar, 1.0),
+                                  [2.0 if lab in names else 1.0 for lab in labels])
 
 
 def test_param_labels_order_matches_packing():

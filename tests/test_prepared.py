@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from oracles import study_rows
 import rppi.estimator as estimator
 import rppi.robust as robust
 import rppi.study as study
@@ -14,24 +15,12 @@ from rppi.errors import RPPIError, SingularSystemError
 from rppi.estimator import assemble, score_stats
 from rppi.inference import tune_c
 from rppi.model import CountDataset, ParamVector, RPPIParams, as_matrix
-from rppi.robust import PreparedData, RobustConfig, RobustFitResult, fit_robust, kk_mask
-from rppi.sampling import contaminate, rng_from, sample_rppi, spawn_seeds
+from rppi.robust import PreparedData, RobustConfig, RobustFitResult, fit_robust, tilt
+from rppi.sampling import sample_rppi, spawn_seeds
 from rppi.study import FULL_GRID, preset_scenario
 
 TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]],
                          beta=[-0.3, 0.2, 0.0], kstar=2)
-
-
-def study_rows(name, seed, replicate, replicates=25):
-    """The rows study._replicate fits for one replicate of a preset."""
-    scenario = preset_scenario(name, seed=seed, replicates=replicates)
-    latent, counts, contam = spawn_seeds(seed, replicates)[replicate].spawn(3)
-    u, _ = sample_rppi(scenario.truth, scenario.n, seed=latent)
-    if scenario.data_mode == "multinomial":
-        u = rng_from(counts).multinomial(np.full(scenario.n, scenario.m), u) / float(scenario.m)
-    if scenario.contamination > 0.0:
-        u = contaminate(u, scenario.contamination, np.asarray(scenario.outlier), seed=contam)
-    return scenario, u
 
 
 def _bits(value):
@@ -118,7 +107,7 @@ def test_a_weighted_fit_with_a_ridge_solves_the_ridged_equation():
         fit = fit_robust(u, RobustConfig(c=0.5, kstar=2), ridge=ridge)
         assert fit.accelerated_steps > 0
         w_hat, d_hat = assemble(score_stats(as_matrix(u)), fit.final_weights)
-        hx = np.where(kk_mask(3, 2), 1.5, 1.0) * fit.pi_hat.pi
+        hx = tilt(3, 2, 0.5) * fit.pi_hat.pi
         assert np.abs(w_hat @ hx + ridge * hx - d_hat).max() < 1e-6 * np.abs(d_hat).max()
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eigh_solve_ref, equilibrated_ref, packed_stat_ref, plain_draws
+from oracles import (averaged_map_fit, eigh_solve_ref, equilibrated_ref, packed_stat_ref,
+                     plain_draws, study_rows)
 import rppi.estimator as estimator
 import rppi.robust as robust
 from rppi.errors import (DegeneracyWarning, DimensionError, NonConvergenceError,
@@ -15,7 +16,7 @@ from rppi.errors import (DegeneracyWarning, DimensionError, NonConvergenceError,
 from rppi.estimator import CHUNK, assemble, condition_number, score_stats, solve_system
 from rppi.inference import influence
 from rppi.model import RPPIParams, a_slots, as_matrix, pack, q_dim
-from rppi.robust import PreparedData, RobustConfig, fit_robust, kk_mask, kk_statistic
+from rppi.robust import PreparedData, RobustConfig, fit_robust, kk_statistic, tilt
 from rppi.sampling import contaminate, rng_from, sample_rppi, spawn_seeds
 from rppi.study import DATASET2_OUTLIER, dataset2_truth, preset_scenario
 
@@ -41,11 +42,12 @@ def test_config_validation():
         RobustConfig(c=0.5, kstar=0)
 
 
-def test_kk_mask_selects_the_akk_block():
-    mask = kk_mask(5, 2)
+def test_tilt_scales_the_akk_block_alone():
+    h = tilt(5, 2, 0.5)
     # for kstar=2 exactly a_11, a_22 and a_12 live in the block
     labels = np.array(pack(dataset2_truth()).labels)
-    assert sorted(labels[mask]) == ["a_11", "a_12", "a_22"]
+    assert sorted(labels[h != 1.0]) == ["a_11", "a_12", "a_22"]
+    assert np.all(h[h != 1.0] == 1.5)
 
 
 def test_suff_t_matches_definition():
@@ -138,7 +140,7 @@ def test_converged_fit_satisfies_the_weighted_equation():
     uk = U[:, :2]
     w = np.exp(cfg.c * np.einsum("nk,kl,nl->n", uk, fit.params.a_l[:2, :2], uk))
     W, d = assemble(score_stats(U), w / w.sum())
-    h = np.where(kk_mask(3, 2), 1.0 + cfg.c, 1.0)
+    h = tilt(3, 2, cfg.c)
     residual = np.abs(W @ (h * fit.pi_hat.pi) - d).max()
     assert residual < 1e-6 * max(np.abs(d).max(), 1e-30)
     assert fit.residual < 1e-6 * max(np.abs(d).max(), 1e-30)
@@ -201,7 +203,7 @@ def test_nonconvergence_names_where_acceleration_began():
     assert fit.restarts == 0 and fit.accelerated_steps > 0
     capped = RobustConfig(c=0.7, kstar=2, max_iter=fit.iterations - 1)
     with pytest.raises(NonConvergenceError) as err:
-        robust._iterate(PreparedData(U), capped, kk_mask(3, 2), None, 0.0, 0)
+        robust._iterate(PreparedData(U), capped, tilt(3, 2, capped.c), None, 0.0, 0)
     switch = 1 + next(i for i, rel in enumerate(err.value.trace) if rel < robust.SWITCH)
     assert f"Anderson steps began after iteration {switch})" in str(err.value)
 
@@ -213,7 +215,7 @@ def test_a_nan_parameter_is_a_weight_error_in_the_fit_and_in_influence():
     nan = np.full(q_dim(3), np.nan)
     message = "^weights have non-finite entries$"
     with pytest.raises(WeightError, match=message):
-        robust._iterate(PreparedData(U), RobustConfig(c=0.5, kstar=2), kk_mask(3, 2),
+        robust._iterate(PreparedData(U), RobustConfig(c=0.5, kstar=2), tilt(3, 2, 0.5),
                         nan, 0.0, 0)
     with pytest.raises(WeightError, match=message):
         influence(U[:3], nan, U, c=0.5, kstar=2)
@@ -300,8 +302,8 @@ def test_fits_do_not_depend_on_row_order(seed, p, n, kstar):
             <= 100 * cfg.tol * np.max(np.abs(a.pi_hat.pi)))
 
 
-# The root the default start reaches on the sim7 sample below (68
-# iterations, residual 5.6e-10).
+# The root the default start reaches on the sim7 sample below (33
+# iterations of its third start, residual 2.4e-10).
 ROOT = np.array([
     -1507.1896729698374, -10328.06144381779, -6942.102475071378,
     -264269.4008670999, -65862.33954684189, -9995.111141028163,
@@ -356,8 +358,9 @@ def test_damping_slows_the_fit_but_keeps_its_root(monkeypatch):
 # The reweighting loop written out plainly: full weight validation,
 # plain sums from zeros over every chunk, the np.ix_ solve checked by its
 # Cholesky pivots, eigenvalues only at the default start and the stop
-# point, the A_KK statistic built by a loop, the c = 0 fit iterated like
-# any other, and the Anderson step kept in separate lists.  fit_robust
+# point, the A_KK statistic and H built by a loop, the step to
+# pi_tilde / h, the c = 0 fit iterated like any other, and the Anderson
+# step kept in separate lists.  fit_robust
 # must match it bit for bit; without the Anderson step it is the plain
 # fixed-point loop the fit ran before, whose roots the fit must keep, and
 # with eigh_solve_ref as its solve it is the loop that checked every
@@ -452,7 +455,7 @@ def _plain_run(U, stats, cfg, pi_prev, accelerate=True, solve=_plain_solve):
         eff = _plain_factors(ta, pi_prev, c)
         w_it, d_it = _plain_assemble(stats, eff)
         pi_tilde = solve(w_it, d_it)
-        pi_new = (pi_tilde + c * np.where(~mask, pi_prev, 0.0)) / (1.0 + c)
+        pi_new = pi_tilde / h
         if damped:
             pi_new = pi_prev + robust.DAMPING * (pi_new - pi_prev)
         rel = float(np.max(np.abs(pi_new - pi_prev))) / max(float(np.max(np.abs(pi_prev))), 1e-300)
@@ -590,6 +593,40 @@ def test_pivot_checks_keep_the_roots_and_restarts_of_eigh_solves(case):
 
 
 @pytest.mark.filterwarnings("ignore::rppi.errors.DegeneracyWarning")
+@pytest.mark.parametrize("case", LOOP_CASES + [f"{name}-{seed}" for name in
+                                               ("sim5", "sim6", "sim7", "sim8")
+                                               for seed in (3, 4)])
+def test_the_exact_map_keeps_the_averaged_map_roots_in_fewer_iterations(case):
+    # the map pi_tilde / h and the averaged map of oracles.averaged_map_fit
+    # share their fixed points: every fit keeps its failure and exception
+    # type, or its restarts and root, and a case takes no more iterations
+    if case in LOOP_CASES:
+        U, cfg = _loop_case(case)
+        fits = [(PreparedData(U), cfg)]
+    else:
+        name, seed = case.split("-")
+        fits = []
+        for replicate in range(5):
+            scenario, u = study_rows(name, int(seed), replicate)
+            data = PreparedData(u, float(scenario.truth.beta[-1]))
+            fits += [(data, cfg) for _, cfg in scenario.estimators]
+    exact = averaged = 0
+    for data, cfg in fits:
+        try:
+            pi, iterations, restarts = averaged_map_fit(data, cfg)
+        except (SingularSystemError, NonConvergenceError) as exc:
+            with pytest.raises((SingularSystemError, NonConvergenceError)) as err:
+                fit_robust(data, cfg)
+            assert type(err.value) is type(exc)
+            continue
+        fit = fit_robust(data, cfg)
+        assert fit.restarts == restarts
+        assert np.max(np.abs(fit.pi_hat.pi - pi)) <= 1e-6 * np.max(np.abs(pi))
+        exact, averaged = exact + fit.iterations, averaged + iterations
+    assert exact <= averaged
+
+
+@pytest.mark.filterwarnings("ignore::rppi.errors.DegeneracyWarning")
 @pytest.mark.parametrize("case", ["three-chunks", "reject-and-reset", "c025-base"])
 def test_a_tol_above_switch_stops_at_the_first_point_that_meets_it(case):
     # the stop rule is met before Anderson steps begin, so the loop
@@ -626,7 +663,7 @@ def test_fit_diagnostics_are_those_of_its_estimate(case):
     weights = eff / eff.sum()
     w_hat, d_hat = assemble(score_stats(U), weights)
     cond = condition_number(w_hat, ridge=ridge)
-    h = np.where(kk_mask(U.shape[1], cfg.kstar), 1.0 + cfg.c, 1.0)
+    h = tilt(U.shape[1], cfg.kstar, cfg.c)
     residual = float(np.max(np.abs(w_hat @ (h * pi) - d_hat)))
     assert fit.final_weights.tobytes() == weights.tobytes()
     assert fit.d_hat.tobytes() == d_hat.tobytes()

@@ -1,6 +1,6 @@
 import numpy as np
 
-from oracles import fd_stat_jacobian, fd_stat_second, rs_blocks_ref
+from oracles import fd_stat_jacobian, fd_stat_second, packed_stat_ref, rs_blocks_ref
 from rppi.estimator import residuals, score_stats
 from rppi.model import q_dim
 from rppi.suffstats import r_matrix_batch, s_matrix_batch
@@ -8,6 +8,29 @@ from rppi.suffstats import r_matrix_batch, s_matrix_batch
 
 def interior_points(rng, p, n):
     return rng.dirichlet(np.full(p, 1.5), size=n)
+
+
+def fd_rows(rng, p, n):
+    """Interior, near-vertex and zero-heavy rows: in the last, about half
+    the parts are 1e-12, the log-ratio chart's stand-in for a zero."""
+    zeros = interior_points(rng, p, n)
+    zeros[rng.random(zeros.shape) < 0.5] = 1e-12
+    zeros[:, -1] += 0.1
+    return np.vstack([interior_points(rng, p, n),
+                      rng.dirichlet(np.r_[5000.0, np.ones(p - 1)], size=n),
+                      zeros / zeros.sum(axis=1, keepdims=True)])
+
+
+def fd_tolerance(u, h, order):
+    """The error bound of the oracles' central differences at u: the
+    truncation h^2 M / 6 (first derivative) or h^2 M / 12 (second), where
+    M = 32 bounds the third and fourth log-ratio derivatives of every
+    entry of t, plus the rounding of t and of the steps, four ulps of
+    max(1, max |t|) per evaluation, divided by h or, four of them, by h^2."""
+    ulps = 4.0 * np.finfo(float).eps * max(1.0, np.abs(packed_stat_ref(u)).max())
+    if order == 1:
+        return h * h * 32.0 / 6.0 + ulps / h
+    return h * h * 32.0 / 12.0 + 4.0 * ulps / (h * h)
 
 
 def test_kernels_evaluate_exactly_the_rows_they_are_given():
@@ -48,21 +71,23 @@ def test_kernels_are_the_three_block_loops_byte_for_byte():
 
 def test_r_matrix_matches_finite_differences():
     rng = np.random.default_rng(11)
-    for p in (3, 4, 5):
-        U = interior_points(rng, p, 8)
+    for p in (3, 4, 5, 9, 17):
+        U = fd_rows(rng, p, 4)
         R = r_matrix_batch(U)
-        assert R.shape == (8, q_dim(p), p - 1)
+        assert R.shape == (12, q_dim(p), p - 1)
         for i, u in enumerate(U):
-            assert np.abs(R[i] - fd_stat_jacobian(u)).max() < 1e-7
+            gap = np.abs(R[i] - fd_stat_jacobian(u, h=1e-6)).max()
+            assert gap < fd_tolerance(u, 1e-6, 1), (p, i)
 
 
 def test_s_matrix_matches_finite_differences():
     rng = np.random.default_rng(12)
-    for p in (3, 4, 5):
-        U = interior_points(rng, p, 8)
+    for p in (3, 4, 5, 9, 17):
+        U = fd_rows(rng, p, 4)
         S = s_matrix_batch(U)
         for i, u in enumerate(U):
-            assert np.abs(S[i] - fd_stat_second(u)).max() < 1e-5
+            gap = np.abs(S[i] - fd_stat_second(u, h=1e-4)).max()
+            assert gap < fd_tolerance(u, 1e-4, 2), (p, i)
 
 
 def test_polynomial_forms_are_finite_on_the_boundary():
