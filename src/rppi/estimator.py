@@ -14,19 +14,22 @@ fit entry point is :func:`rppi.robust.fit_robust`, whose c = 0 case is
 exactly this solve.
 
 The blocks depend only on the rows, so :func:`score_stats` evaluates
-R and d1 once per dataset and :func:`assemble` reduces any weights over
-them; a reweighting loop pays for the kernels once, not per iteration.
+them once per dataset, each W1 kept as its packed upper triangle beside
+d1, and :func:`assemble` reduces any weights over them; a reweighting
+loop pays for the kernels once, and each of its reductions is one
+weighted sum of the packed rows, n q(q+3)/2 multiply-adds.
 :func:`residuals` gives the per-row residual W1 x - d1 from the same
 cache.  The fit and :func:`rppi.inference.influence` use these three,
 so :func:`score_stats` is the only caller of the kernels.
 
-Accumulation detail: fixed-size chunks are added to zero in a fixed
-order, and each chunk's contraction is one einsum over the cached R,
-without BLAS dispatch, so W_hat and d_hat are bit-reproducible whatever
-the BLAS thread count (a threaded GEMM splits its output columns by
-thread count and rounds their edges differently).  The rounding error
-sits in each chunk's einsum over up to CHUNK rows, not in the sum of a
-few dozen chunk partials, so the chunks are summed plainly.
+Accumulation detail: no sum goes through BLAS, so W_hat and d_hat are
+bit-reproducible whatever the BLAS thread count (a threaded GEMM splits
+its output columns by thread count and rounds their edges differently,
+even R_i R_i' of one row at p >= 21).  Each W1 adds its p - 1 terms in
+turn in one einsum per triangle row; each chunk of CHUNK rows is one
+einsum that adds its weighted rows one after another, and the chunk
+sums are added to zero in a fixed order.  W_hat is read from the summed
+triangle through a slot matrix, so it is symmetric by construction.
 The solve equilibrates the system symmetrically to a unit diagonal and
 checks it by its Cholesky pivots before an LU solve;
 :func:`condition_number` takes the eigenvalues of the same equilibrated
@@ -38,6 +41,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -47,45 +52,83 @@ from .model import dim_from_q, param_labels, q_dim
 from .suffstats import d1_batch, r_matrix_batch, s_matrix_batch
 
 CHUNK = 4096
+BLOCK_BYTES = 1 << 21
 COND_MAX = 1e12
+
+
+@lru_cache(maxsize=None)
+def _packed(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The packed upper triangle of a symmetric q x q matrix: (starts, slot).
+
+    Row a of the matrix, from its diagonal on, fills the q - a entries
+    from starts[a], so the triangle runs row by row as
+    ``np.triu_indices(q)`` orders it, and ``slot`` is the (q, q) matrix of
+    the entry that holds each position: T[slot] is the full matrix,
+    symmetric by construction.  Cached and read-only, as every call
+    shares the arrays.
+    """
+    row, col = np.triu_indices(q)
+    slot = np.empty((q, q), dtype=np.intp)
+    slot[row, col] = slot[col, row] = np.arange(row.size)
+    starts = slot.diagonal().copy()
+    for a in (starts, slot):
+        a.flags.writeable = False
+    return starts, slot
+
+
+def _rows(width: int) -> int:
+    """Rows per block whose (rows, width) float temporaries stay within
+    BLOCK_BYTES: at most CHUNK, at least one."""
+    return max(1, min(CHUNK, BLOCK_BYTES // (8 * width)))
 
 
 @dataclass(frozen=True)
 class ScoreStats:
     """The per-row score statistics of one composition matrix.
 
-    ``r`` holds R of every row side by side: columns i (p-1) to
-    i (p-1) + p - 2 are the columns of R(u_i), shape (q, n (p-1)).
-    ``d1`` holds the per-row d1(u_i), shape (n, q).  Both depend only on
-    the rows, so one object serves every weighting of the same data.
-    Resident cost: 8 n q p bytes (24 MB for 200,000 rows at p = 3).
+    ``block`` has one row per composition: the upper triangle of
+    W1(u_i) = R_i R_i', row by row (Q = q(q+1)/2 entries, see
+    :func:`_packed`), then d1(u_i), so its shape is (n, q(q+3)/2).  It
+    depends only on the rows, so one object serves every weighting of the
+    same data.  Resident cost: 8 n q(q+3)/2 bytes (32 MB for 200,000 rows
+    at p = 3, 94 MB for 1,000 at p = 17).
     """
 
-    r: np.ndarray
-    d1: np.ndarray
+    block: np.ndarray
 
     def __len__(self) -> int:
-        return self.d1.shape[0]
+        return self.block.shape[0]
+
+    @property
+    def q(self) -> int:
+        return (isqrt(9 + 8 * self.block.shape[1]) - 3) // 2
 
 
 def score_stats(U: np.ndarray, beta_p: float = 0.0) -> ScoreStats:
-    """Evaluate R and d1 for every row of ``U``, in CHUNK-row blocks.
+    """Evaluate W1 and d1 for every row of ``U``.
 
     ``U`` is a validated (n, p) composition matrix, as
     :func:`rppi.model.as_matrix` returns; its rows are used as given.
+    The kernels see blocks of at most CHUNK rows whose R stays within
+    BLOCK_BYTES.  Row a of each W1 is one einsum over the block, which
+    adds R[a, j] R[a:, j] for j = 0, ..., p - 2 in turn, without BLAS:
+    W1 = sum_j R[:, j] R[:, j]' term by term, whatever the block.
     """
     n, p = U.shape
-    d = p - 1
     q = q_dim(p)
-    r = np.empty((q, n * d))
-    d1 = np.empty((n, q))
-    for start in range(0, n, CHUNK):
-        stop = min(start + CHUNK, n)
+    starts, _ = _packed(q)
+    block = np.empty((n, q * (q + 3) // 2))
+    step = _rows(q * (p - 1))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
         Uc = U[start:stop]
         R = r_matrix_batch(Uc)
-        r[:, start * d:stop * d] = R.transpose(1, 0, 2).reshape(q, -1)
-        d1[start:stop] = d1_batch(Uc, R, s_matrix_batch(Uc), beta_p)
-    return ScoreStats(r=r, d1=d1)
+        Rt = R.transpose(0, 2, 1).copy()  # (rows, p - 1, q): each R[:, j] contiguous
+        for a in range(q):
+            np.einsum("nj,njr->nr", Rt[:, :, a], Rt[:, :, a:],
+                      out=block[start:stop, starts[a]:starts[a] + q - a])
+        block[start:stop, -q:] = d1_batch(Uc, R, s_matrix_batch(Uc), beta_p)
+    return ScoreStats(block)
 
 
 def assemble(stats: ScoreStats, weights=None) -> tuple[np.ndarray, np.ndarray]:
@@ -95,30 +138,31 @@ def assemble(stats: ScoreStats, weights=None) -> tuple[np.ndarray, np.ndarray]:
     gives them, and are used as given; omitted means uniform.
     """
     n = len(stats)
-    q, nd = stats.r.shape
-    d = nd // n
     w = np.full(n, 1.0 / n) if weights is None else weights
-    w_hat = np.zeros((q, q))
-    d_hat = np.zeros(q)
+    total = np.zeros(stats.block.shape[1])
     for start in range(0, n, CHUNK):
-        r = stats.r[:, start * d:(start + CHUNK) * d]
-        wc = w[start:start + CHUNK]
-        w_hat += np.einsum("qk,rk->qr", r, r * wc.repeat(d))
-        d_hat += np.einsum("n,nq->q", wc, stats.d1[start:start + CHUNK])
-    return 0.5 * (w_hat + w_hat.T), d_hat
+        total += np.einsum("n,nk->k", w[start:start + CHUNK], stats.block[start:start + CHUNK])
+    q = stats.q
+    return total[_packed(q)[1]], total[-q:]
 
 
 def residuals(stats: ScoreStats, x: np.ndarray, start: int = 0,
               stop: int | None = None) -> np.ndarray:
     """Residuals W1(u_i) x - d1(u_i) of rows start:stop (start >= 0), shape (rows, q).
 
-    Formed as R (R' x) - d1 from the cached R, so no per-row W1 exists.
+    Each block of rows unpacks its triangles to full W1 through the slot
+    matrix of :func:`_packed` and multiplies them by x: O(q^2) work per
+    row, in blocks whose temporaries stay within BLOCK_BYTES.
     """
-    d = stats.r.shape[1] // len(stats)
-    d1 = stats.d1[start:stop]
-    m, q = d1.shape
-    r = stats.r[:, start * d:(start + m) * d].reshape(q, m, d)
-    return np.einsum("qnj,nj->nq", r, np.einsum("qnj,q->nj", r, x)) - d1
+    q = stats.q
+    slot = _packed(q)[1]
+    block = stats.block[start:stop]
+    out = np.empty((block.shape[0], q))
+    step = _rows(q * q)
+    for first in range(0, block.shape[0], step):
+        part = block[first:first + step]
+        out[first:first + step] = np.einsum("nqr,r->nq", part[:, slot], x) - part[:, -q:]
+    return out
 
 
 def _equilibrated(w_hat: np.ndarray, ridge: float):

@@ -352,7 +352,8 @@ def influence(z, pi0, reference, c: float, kstar: int,
     for start in range(0, n, estimator.CHUNK):
         stop = start + estimator.CHUNK
         e = estimator.residuals(stats, x, start, stop)
-        g += c * np.einsum("n,nq,nr->qr", w_hat[start:stop], e, ta[start:stop])
+        # two operands: the three-operand einsum's bits, several times faster
+        g += c * np.einsum("nq,nr->qr", w_hat[start:stop, None] * e, ta[start:stop])
     if not np.all(np.isfinite(g)):
         raise SingularGError("sensitivity matrix has non-finite entries")
 

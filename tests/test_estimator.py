@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eigh_solve_ref, equilibrated_ref, naive_blocks, plain_draws
+from oracles import eigh_solve_ref, equilibrated_ref, naive_blocks, plain_draws, study_rows
 from rppi.errors import DegeneracyWarning, SingularSystemError
 import rppi.estimator as estimator
 from rppi.estimator import COND_MAX, assemble, condition_number, score_stats, solve_system
 from rppi.model import CountDataset, RPPIParams, pack, param_labels, proportions, q_dim
 from rppi.robust import RobustConfig, fit_robust
+from rppi.suffstats import d1_batch, r_matrix_batch, s_matrix_batch
 
 
 TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]], beta=[-0.3, 0.2, 0.0])
@@ -40,6 +43,70 @@ def test_assemble_is_chunk_clean_and_repeatable():
     W2, d2 = assemble(score_stats(U))
     assert np.abs(W1 - W_ref).max() < 1e-12
     assert W1.tobytes() == W2.tobytes() and d1.tobytes() == d2.tobytes()
+
+
+def _reduction_rows(p, rng):
+    """Dataset-2 rows (one sim7 replicate) at p = 5; at every p, rows near
+    vertex 1 and zero-heavy rows, whose scales span many decades."""
+    zeros = rng.dirichlet(np.full(p, 0.5), size=100)
+    zeros[rng.random(zeros.shape) < 0.5] = 0.0
+    zeros[:, -1] += 0.05
+    parts = [rng.dirichlet(np.r_[5000.0, np.ones(p - 1)], size=100),
+             zeros / zeros.sum(axis=1, keepdims=True)]
+    if p == 5:
+        parts.append(study_rows("sim7", 3, 0)[1])
+    return np.vstack(parts)
+
+
+@pytest.mark.parametrize("p", [3, 5, 9])
+def test_assemble_is_within_a_derived_bound_of_the_exactly_rounded_sums(monkeypatch, p):
+    monkeypatch.setattr(estimator, "CHUNK", 64)  # several chunks at these n
+    rng = np.random.default_rng(24 + p)
+    U = _reduction_rows(p, rng)
+    n, q = U.shape[0], q_dim(p)
+    w = np.exp(3.0 * rng.normal(size=n))
+    w /= w.sum()
+    stats = score_stats(U, 0.2)
+    W, d = assemble(stats, w)
+    assert np.array_equal(W, W.T)
+    rows, cols = np.triu_indices(q)
+    got = np.concatenate([W[rows, cols], d])
+    terms = w[:, None] * stats.block
+    exact = np.array([math.fsum(column) for column in terms.T])
+    # every product passes through at most n additions, within its chunk and
+    # among the chunk sums, so the sum is within gamma_n = n u / (1 - n u) of
+    # sum |w_i x_i|, u = eps / 2; one more u rounds the reference
+    u = np.finfo(float).eps / 2.0
+    bound = (n + 1) * u / (1.0 - (n + 1) * u) * np.abs(terms).sum(axis=0)
+    assert np.all(np.abs(got - exact) <= bound)
+
+    # residuals against R (R' x) - d1 from the kernels: both sum the same
+    # d q products R_aj R_bj x_b, each within gamma_{d+q} of |R| (|R|' |x|),
+    # and the difference with d1 is rounded once more
+    R = r_matrix_batch(U)
+    d1 = d1_batch(U, R, s_matrix_batch(U), 0.2)
+    x = rng.normal(size=q) * np.exp(rng.normal(size=q))
+    want = np.einsum("nqj,nj->nq", R, np.einsum("nqj,q->nj", R, x)) - d1
+    size = np.einsum("nqj,nj->nq", np.abs(R), np.einsum("nqj,q->nj", np.abs(R), np.abs(x)))
+    k = (p - 1) + q + 2
+    tol = 2.0 * k * u / (1.0 - k * u) * (size + np.abs(d1))
+    assert np.all(np.abs(estimator.residuals(stats, x) - want) <= tol)
+
+
+def test_score_stats_memory_is_its_cache_plus_bounded_blocks():
+    # p = 17: the cache of 1,000 rows is 8 n q (q + 3) / 2 bytes (94 MB at
+    # q = 152), and the kernels' blocks add at most a few BLOCK_BYTES
+    U = np.random.default_rng(30).dirichlet(np.full(17, 2.0), 1000)
+    q = q_dim(17)
+    cache = 8 * U.shape[0] * q * (q + 3) // 2
+    tracemalloc.start()
+    try:
+        stats = score_stats(U)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.block.nbytes == cache
+    assert peak < 1.2 * cache
 
 
 def test_score_stats_evaluates_exactly_the_rows_it_is_given(monkeypatch):

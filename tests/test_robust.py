@@ -19,6 +19,7 @@ from rppi.model import RPPIParams, a_slots, as_matrix, pack, q_dim
 from rppi.robust import PreparedData, RobustConfig, fit_robust, kk_statistic, tilt
 from rppi.sampling import contaminate, rng_from, sample_rppi, spawn_seeds
 from rppi.study import DATASET2_OUTLIER, dataset2_truth, preset_scenario
+from rppi.suffstats import d1_batch, r_matrix_batch, s_matrix_batch
 
 
 TEST_PARAMS = RPPIParams(a_l=[[-2.0, 1.0], [1.0, -1.0]],
@@ -382,20 +383,33 @@ def _plain_weights(weights, n):
     return w / total
 
 
-def _plain_assemble(stats, weights):
-    n = len(stats)
-    q, nd = stats.r.shape
-    d = nd // n
+def _plain_blocks(U, beta_p=0.0):
+    """Each row's upper triangle of W1, row by row, and its d1.
+
+    W1 is its definition, sum_j R[:, j] R[:, j]' over the kernel's R, one
+    row at a time and the terms added in turn.
+    """
+    R = r_matrix_batch(U)
+    rows, cols = np.triu_indices(R.shape[1])
+    w1 = np.array([sum(np.outer(r, r) for r in R[i].T)[rows, cols] for i in range(len(U))])
+    return w1, d1_batch(U, R, s_matrix_batch(U), beta_p)
+
+
+def _plain_assemble(blocks, weights):
+    """(W_hat, d_hat): the weighted rows of each CHUNK-row chunk summed one
+    after another, and the chunk sums added to zero in order."""
+    w1, d1 = blocks
+    n, q = d1.shape
     w = _plain_weights(weights, n)
-    sums = [np.zeros((q, q)), np.zeros(q)]
+    packed = np.hstack([w1, d1])
+    total = np.zeros(packed.shape[1])
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
-        r = stats.r[:, start * d:stop * d]
-        wc = w[start:stop]
-        chunk = (np.einsum("qk,rk->qr", r, r * np.repeat(wc, d)),
-                 np.einsum("n,nq->q", wc, stats.d1[start:stop]))
-        sums = [sums[k] + chunk[k] for k in range(2)]
-    return 0.5 * (sums[0] + sums[0].T), sums[1]
+        total = total + np.add.accumulate(w[start:stop, None] * packed[start:stop])[-1]
+    w_hat = np.empty((q, q))
+    rows, cols = np.triu_indices(q)
+    w_hat[rows, cols] = w_hat[cols, rows] = total[:rows.size]
+    return w_hat, total[rows.size:]
 
 
 def _plain_solve(w_hat, d_hat):
@@ -433,7 +447,7 @@ def _plain_factors(ta, pi, c):
     return np.exp(expo - expo.max())
 
 
-def _plain_run(U, stats, cfg, pi_prev, accelerate=True, solve=_plain_solve):
+def _plain_run(U, blocks, cfg, pi_prev, accelerate=True, solve=_plain_solve):
     c, p = cfg.c, U.shape[1]
     ta = _plain_statistic(U, cfg.kstar)
     mask = np.zeros(q_dim(p), dtype=bool)
@@ -441,7 +455,7 @@ def _plain_run(U, stats, cfg, pi_prev, accelerate=True, solve=_plain_solve):
     for slot, (i, j) in enumerate(combinations(range(p - 1), 2)):
         mask[p - 1 + slot] = j < cfg.kstar
     if pi_prev is None:
-        w_0, d_0 = _plain_assemble(stats, None)
+        w_0, d_0 = _plain_assemble(blocks, None)
         eigh_solve_ref(w_0, d_0)  # the default start's eigenvalues are checked
         pi_prev = solve(w_0, d_0)
     trace, non_monotone, damped = [], 0, False
@@ -453,7 +467,7 @@ def _plain_run(U, stats, cfg, pi_prev, accelerate=True, solve=_plain_solve):
     h = np.where(mask, 1.0 + c, 1.0)
     for iteration in range(1, cfg.max_iter + 1):
         eff = _plain_factors(ta, pi_prev, c)
-        w_it, d_it = _plain_assemble(stats, eff)
+        w_it, d_it = _plain_assemble(blocks, eff)
         pi_tilde = solve(w_it, d_it)
         pi_new = pi_tilde / h
         if damped:
@@ -499,7 +513,7 @@ def _plain_run(U, stats, cfg, pi_prev, accelerate=True, solve=_plain_solve):
     else:
         raise NonConvergenceError("no convergence")
     eff = _plain_factors(ta, pi_prev, c)
-    w_fin, d_fin = _plain_assemble(stats, eff)
+    w_fin, d_fin = _plain_assemble(blocks, eff)
     residual = float(np.max(np.abs(w_fin @ (h * pi_prev) - d_fin)))
     cond = eigh_solve_ref(w_fin, d_fin)[1]  # the stop point's eigenvalues
     return pi_prev, eff / eff.sum(), residual, cond, iteration, (kept, rejected, resets)
@@ -507,13 +521,13 @@ def _plain_run(U, stats, cfg, pi_prev, accelerate=True, solve=_plain_solve):
 
 def _plain_fit(data, cfg, accelerate=True, solve=_plain_solve):
     U = as_matrix(data)
-    stats = score_stats(U)
+    blocks = _plain_blocks(U)
     # the restart ladder of the rows as given: as_matrix normalizes them,
     # and a second normalization can move their last bits
     starts = [None] + list(robust._failover_inits(robust.PreparedData(data), cfg))
     for restarts, start in enumerate(starts):
         try:
-            return _plain_run(U, stats, cfg, start, accelerate, solve) + (restarts,)
+            return _plain_run(U, blocks, cfg, start, accelerate, solve) + (restarts,)
         except (SingularSystemError, NonConvergenceError) as exc:
             error = exc
     raise error
@@ -687,7 +701,8 @@ def test_weights_that_vanish_are_named_in_the_degeneracy_warning():
     # Study sim6, seed 3, replicate 2, rows built as study._replicate
     # builds them.  No column is all zero and the plain fit pins nothing,
     # but at c = 1.25 the weights underflow on every row but one, whose
-    # zero statistics the weighted solves pin before the fit ends singular.
+    # zero statistics the weighted solves pin before the fit ends singular:
+    # twice in the default start, once in each of the three rungs.
     scenario = preset_scenario("sim6", seed=3, replicates=25)
     latent, counts, _ = spawn_seeds(3, 25)[2].spawn(3)
     U, _ = sample_rppi(scenario.truth, scenario.n, seed=latent)
@@ -700,7 +715,7 @@ def test_weights_that_vanish_are_named_in_the_degeneracy_warning():
     with pytest.warns(DegeneracyWarning) as caught:
         with pytest.raises(SingularSystemError, match="effective sample size .* is 1.0 of 94"):
             fit_robust(data, RobustConfig(c=1.25, kstar=4))
-    assert len(caught) == 4
+    assert len(caught) == 5
     for warning in caught:
         assert str(warning.message).endswith(
             "vanish: each row is zero in them or has zero weight; pinning them to zero")

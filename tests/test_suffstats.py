@@ -113,25 +113,32 @@ def test_score_blocks_shapes_and_symmetry():
     q = q_dim(4)
     stats = score_stats(U)
     E = residuals(stats, np.ones(q))
-    assert stats.r.shape == (q, 3 * 3)
+    assert stats.block.shape == (3, q * (q + 3) // 2)
+    assert (len(stats), stats.q) == (3, q)
     assert E.shape == (3, q)
-    for i in range(3):
-        r = stats.r[:, 3 * i:3 * i + 3]
+    rows, cols = np.triu_indices(q)
+    for packed in stats.block:
+        W1 = np.empty((q, q))
+        W1[rows, cols] = W1[cols, rows] = packed[:rows.size]
         # W1 = sum_j R[:, j] R[:, j]' is positive semidefinite
-        assert np.linalg.eigvalsh(r @ r.T).min() > -1e-12
+        assert np.linalg.eigvalsh(W1).min() > -1e-12
 
 
 def test_score_blocks_match_their_construction():
     rng = np.random.default_rng(16)
     U = interior_points(rng, 4, 12)
-    x = rng.normal(size=q_dim(4))
+    q = q_dim(4)
+    x = rng.normal(size=q)
     stats = score_stats(U, beta_p=0.3)
     E = residuals(stats, x)
     R = r_matrix_batch(U)
-    assert np.array_equal(stats.r, R.transpose(1, 0, 2).reshape(q_dim(4), -1))
-    assert np.array_equal(residuals(stats, x, 5, 9), E[5:9])
     Sb = s_matrix_batch(U)
+    rows, cols = np.triu_indices(q)
+    assert np.array_equal(residuals(stats, x, 5, 9), E[5:9])
     for i in range(U.shape[0]):
-        W1 = R[i] @ R[i].T
+        # W1 = sum_j R[:, j] R[:, j]', the terms added in turn
+        W1 = sum(np.outer(r, r) for r in R[i].T)
+        assert np.array_equal(stats.block[i, :rows.size], W1[rows, cols])
         d1 = 1.3 * (R[i] @ U[i, :-1]) - Sb[i].sum(axis=1)
+        assert np.allclose(stats.block[i, rows.size:], d1, rtol=1e-12, atol=1e-13)
         assert np.allclose(E[i], W1 @ x - d1, rtol=1e-12, atol=1e-13)
